@@ -137,7 +137,7 @@ def _cmd_study(args) -> int:
     overrides = dict(_coerce_override(item) for item in args.hyper)
     try:
         hyper = StudyConfig().hyper.with_overrides(overrides)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(str(exc.args[0])) from exc
     config = StudyConfig(
         seed=args.seed,

@@ -7,9 +7,10 @@ from typing import Iterator
 import numpy as np
 
 from ..domain import ModelKind
+from ..errors import IncompatibleBundleError
 from .base import BaseRegressor, check_fit_inputs
 from .scaling import Standardizer
-from .tree import RegressionTree, build_tree
+from .tree import TreeTable, build_tree, check_tree_count, presort
 
 
 class BoostedTreesRegressor(BaseRegressor):
@@ -39,11 +40,13 @@ class BoostedTreesRegressor(BaseRegressor):
 
     def fit(self, X, y):
         X, y = check_fit_inputs(X, y)
+        check_tree_count(self.trees)
         self.standardizer_ = Standardizer().fit(X)
         Xs = self.standardizer_.transform(X)
         self.base_value_ = float(y.mean())
         residual = y - self.base_value_
-        self.trees_: list[RegressionTree] = []
+        order = presort(Xs)
+        trees = []
         stage_pred = np.empty(Xs.shape[0], dtype=float)
         for _ in range(self.trees):
             tree = build_tree(
@@ -52,40 +55,47 @@ class BoostedTreesRegressor(BaseRegressor):
                 max_depth=self.max_depth,
                 min_leaf=self.min_leaf,
                 train_pred=stage_pred,
+                order=order,
             )
             residual = residual - self.learning_rate * stage_pred
-            self.trees_.append(tree)
-        self.tree_weights_ = [self.learning_rate] * len(self.trees_)
+            trees.append(tree)
+        self.table_ = TreeTable(trees)
+        self.tree_weights_ = np.full(self.table_.n_trees, self.learning_rate)
         self.n_features_ = Xs.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
-        acc = np.full(Xs.shape[0], self.base_value_, dtype=float)
-        for w, tree in zip(self.tree_weights_, self.trees_):
-            acc += w * tree.predict(Xs)
-        return acc
+        return self.table_.sums(Xs, self.base_value_, self.tree_weights_)
 
     def staged_predict(self, X) -> Iterator[np.ndarray]:
         """Predictions after 1, 2, ..., T trees (copies)."""
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
-        acc = np.full(Xs.shape[0], self.base_value_, dtype=float)
-        for w, tree in zip(self.tree_weights_, self.trees_):
-            acc += w * tree.predict(Xs)
-            yield acc.copy()
+        stages = self.table_.staged_sums(Xs, self.base_value_, self.tree_weights_)
+        for t in range(stages.shape[1]):
+            yield stages[:, t].copy()
 
     def fitted_params(self) -> dict:
         return {
             "base_value": self.base_value_,
-            "tree_weights": list(self.tree_weights_),
-            "trees": [t.to_dict() for t in self.trees_],
+            "tree_weights": self.tree_weights_.tolist(),
+            "trees": self.table_.to_dicts(),
         }
 
     def load_fitted_params(self, params, standardizer):
+        table = TreeTable(params["trees"], n_features=standardizer.means_.shape[0])
+        try:
+            weights = np.asarray(params["tree_weights"], dtype=float)
+        except (TypeError, ValueError):
+            weights = None
+        if weights is None or weights.shape != (table.n_trees,):
+            raise IncompatibleBundleError(
+                f"tree_weights must hold one number per tree ({table.n_trees})"
+            )
         self.base_value_ = float(params["base_value"])
-        self.tree_weights_ = [float(w) for w in params["tree_weights"]]
-        self.trees_ = [RegressionTree.from_dict(t) for t in params["trees"]]
+        self.tree_weights_ = weights
+        self.table_ = table
         self.standardizer_ = standardizer
         self.n_features_ = standardizer.means_.shape[0]

@@ -9,7 +9,7 @@ import numpy as np
 from ..domain import ModelKind
 from .base import BaseRegressor, check_fit_inputs
 from .scaling import Standardizer
-from .tree import RegressionTree, build_tree
+from .tree import TreeTable, build_tree, check_tree_count
 
 
 class DecisionForestRegressor(BaseRegressor):
@@ -41,6 +41,7 @@ class DecisionForestRegressor(BaseRegressor):
 
     def fit(self, X, y):
         X, y = check_fit_inputs(X, y)
+        check_tree_count(self.trees)
         self.standardizer_ = Standardizer().fit(X)
         Xs = self.standardizer_.transform(X)
         n, d = Xs.shape
@@ -48,14 +49,14 @@ class DecisionForestRegressor(BaseRegressor):
             math.ceil(math.sqrt(d)) if self.feature_subset is None else int(self.feature_subset)
         )
         rng = np.random.default_rng(self.seed)
-        self.trees_: list[RegressionTree] = []
+        trees = []
         for _ in range(self.trees):
             if self.bootstrap:
                 sample = rng.integers(0, n, size=n)
                 Xt, yt = Xs[sample], y[sample]
             else:
                 Xt, yt = Xs, y
-            self.trees_.append(
+            trees.append(
                 build_tree(
                     Xt,
                     yt,
@@ -65,23 +66,19 @@ class DecisionForestRegressor(BaseRegressor):
                     rng=rng,
                 )
             )
+        self.table_ = TreeTable(trees)
         self.n_features_ = d
         return self
 
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
-        if Xs.shape[0] == 0:
-            return np.empty(0, dtype=float)
-        acc = np.zeros(Xs.shape[0], dtype=float)
-        for tree in self.trees_:
-            acc += tree.predict(Xs)
-        return acc / len(self.trees_)
+        return self.table_.sums(Xs, 0.0, 1.0) / self.table_.n_trees
 
     def fitted_params(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees_]}
+        return {"trees": self.table_.to_dicts()}
 
     def load_fitted_params(self, params, standardizer):
-        self.trees_ = [RegressionTree.from_dict(t) for t in params["trees"]]
+        self.table_ = TreeTable(params["trees"], n_features=standardizer.means_.shape[0])
         self.standardizer_ = standardizer
         self.n_features_ = standardizer.means_.shape[0]

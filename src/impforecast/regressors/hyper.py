@@ -8,9 +8,27 @@ can be overridden via the library API or the CLI ``--hyper`` flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from ..domain import ModelKind
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_tree_sizes(kind: str, block) -> None:
+    """Ranges that every tree ensemble needs: at least one tree, leaves of
+    at least one row."""
+    for name, low in (("trees", 1), ("max_depth", 0), ("min_leaf", 1)):
+        value = getattr(block, name)
+        _require(_is_number(value) and value >= low, f"{kind}.{name}", f">= {low}", value)
 
 
 @dataclass(frozen=True)
@@ -33,6 +51,11 @@ class ForestConfig:
     feature_subset: int | None = None  # None -> ceil(sqrt(d))
     bootstrap: bool = True
 
+    def __post_init__(self):
+        _check_tree_sizes("dfr", self)
+        fs = self.feature_subset
+        _require(fs is None or (_is_number(fs) and fs >= 1), "dfr.feature_subset", "None or >= 1", fs)
+
 
 @dataclass(frozen=True)
 class BoostConfig:
@@ -40,6 +63,11 @@ class BoostConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf: int = 2
+
+    def __post_init__(self):
+        _check_tree_sizes("bdtr", self)
+        lr = self.learning_rate
+        _require(_is_number(lr) and lr > 0, "bdtr.learning_rate", "finite and > 0", lr)
 
 
 @dataclass(frozen=True)

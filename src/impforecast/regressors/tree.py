@@ -1,21 +1,39 @@
 """Binary regression trees with variance-reduction (squared error) splits.
 
-The builder is shared by the decision forest and the boosted ensemble.
-Split search per feature runs on sorted values with cumulative sums, so a
-node costs O(d_sub * n log n). Tie-breaking is deterministic: among
-equal-gain splits the lowest feature index wins, then the lowest
-threshold.
+The builder is shared by the decision forest and the boosted ensemble. It
+uses the pre-sorting scheme of SLIQ (Mehta, Agrawal & Rissanen, 1996),
+which is also the exact greedy split search of XGBoost (Chen & Guestrin,
+2016, section 3.1): every feature is sorted once per training matrix
+(``presort``), each node carries its rows as a (d, m) block of those
+sorted orders, and a split partitions the block stably, so no node sorts
+again. All candidate features of a node are scored in one vectorised pass
+over cumulative sums, so a node costs a fixed number of numpy calls on
+O(d_sub * m) elements. Trees grow depth-first with nodes numbered in
+pre-order. Tie-breaking is deterministic: among equal-gain splits the
+lowest feature index wins, then the lowest threshold, and only strictly
+positive gains split.
+
+Ensembles keep their trees in one flat node table (``TreeTable``), in which
+leaves point to themselves, so prediction descends every tree at once for a
+block of rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DegenerateInputError, IncompatibleBundleError
+
+# Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
+PREDICT_BLOCK_ROWS = 256
+
+_FIELDS = ("feature", "threshold", "left", "right", "value")
+
 
 class RegressionTree:
     """Flat-array binary tree: node i is a leaf iff ``feature[i] < 0``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = _FIELDS
 
     def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -29,70 +47,187 @@ class RegressionTree:
         return self.feature.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        table = TreeTable([self])
         out = np.empty(X.shape[0], dtype=float)
-        for i in range(X.shape[0]):
-            node = 0
-            while self.feature[node] >= 0:
-                if X[i, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
+        for rows, leaf in table.leaves(X):
+            out[rows] = table.value[leaf[:, 0]]
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
 
 
-def _best_split(X, y, idx, feature_ids, min_leaf):
-    """Best (gain, feature, threshold) over candidate features, or None.
+class TreeTable:
+    """The trees of one ensemble as one flat node table.
 
-    Gain is the decrease in summed squared error; only strictly positive
-    gains qualify. ``feature_ids`` must be ascending for deterministic
-    tie-breaking.
+    Tree t owns nodes ``starts[t]`` up to the next start, in DFS pre-order.
+    Child indices are global and a leaf's children are the leaf itself, so
+    ``depth`` descent steps take every row to its leaf in every tree. A
+    leaf keeps ``feature == -1``, which indexes a real column, so the
+    descent needs no masking.
     """
-    n = idx.shape[0]
-    y_node = y[idx]
-    total = y_node.sum()
-    parent_score = total * total / n
-    best = None  # (gain, feature, threshold)
-    for f in feature_ids:
-        x = X[idx, f]
-        order = np.argsort(x)
-        xs = x[order]
-        csum = np.cumsum(y_node[order])
-        # split after position i (1-based left count); both sides >= min_leaf
-        counts = np.arange(min_leaf, n - min_leaf + 1)
-        if counts.size == 0:
-            continue
-        boundary = xs[counts - 1] < xs[counts]  # only between distinct values
-        counts = counts[boundary]
-        if counts.size == 0:
-            continue
-        left_sum = csum[counts - 1]
-        right_sum = total - left_sum
-        score = left_sum**2 / counts + right_sum**2 / (n - counts)
-        k = int(np.argmax(score))  # first max -> lowest threshold on ties
-        gain = float(score[k]) - parent_score
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best[0]:
-            lo, hi = xs[counts[k] - 1], xs[counts[k]]
-            thr = 0.5 * (lo + hi)
-            if not thr < hi:  # midpoint rounded up to hi: fall back to lo
-                thr = lo
-            best = (gain, int(f), float(thr))
-    return best
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "starts", "depth")
+
+    def __init__(self, trees, n_features: int | None = None):
+        """Concatenate ``trees``: RegressionTrees or their dict form.
+
+        Raises IncompatibleBundleError unless every tree is a well-formed
+        pre-order table on fewer than ``n_features`` features.
+        """
+        try:
+            columns = [[getattr(t, name) if isinstance(t, RegressionTree) else t[name]
+                        for t in trees] for name in _FIELDS]
+            sizes = np.array([len(f) for f in columns[0]], dtype=np.int64)
+            if any(len(c) != s for col in columns[1:] for c, s in zip(col, sizes)):
+                raise ValueError("node arrays differ in length")
+            if sizes.size == 0 or sizes.min() < 1:
+                raise ValueError("an ensemble needs at least one tree of at least one node")
+            feature, left, right = (
+                np.concatenate(columns[i]).astype(np.int64, casting="same_kind")
+                for i in (0, 2, 3)
+            )
+            threshold, value = (
+                np.concatenate(columns[i]).astype(float, casting="same_kind") for i in (1, 4)
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IncompatibleBundleError(f"malformed tree table: {exc}") from None
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        offset = np.repeat(starts, sizes)
+        local = np.arange(feature.shape[0]) - offset
+        end = offset + np.repeat(sizes, sizes)
+        leaf = feature < 0
+        problems = [
+            (leaf & (feature != -1), "a leaf must have feature -1"),
+            (leaf & ((left != -1) | (right != -1)), "a leaf must have children -1"),
+            (~leaf & ((left <= local) | (right <= local)
+                      | (left + offset >= end) | (right + offset >= end)),
+             "a child must come after its parent within the tree"),
+        ]
+        if n_features is not None:
+            problems.append((feature >= n_features, f"feature index must be < {n_features}"))
+        for bad, message in problems:
+            if bad.any():
+                tree = int(np.searchsorted(starts, np.flatnonzero(bad)[0], side="right")) - 1
+                raise IncompatibleBundleError(f"malformed tree {tree}: {message}")
+        node = np.arange(feature.shape[0])
+        self.feature = feature
+        self.threshold = threshold
+        self.left = np.where(leaf, node, left + offset)
+        self.right = np.where(leaf, node, right + offset)
+        self.value = value
+        self.starts = starts
+        self.depth = self._max_depth()
+
+    def _max_depth(self) -> int:
+        depth, level = 0, self.starts
+        while True:
+            level = level[self.feature[level] >= 0]
+            if level.size == 0:
+                return depth
+            # a set, not a list: children shared by several parents count once
+            reached = np.zeros(self.feature.shape[0], dtype=bool)
+            reached[self.left[level]] = True
+            reached[self.right[level]] = True
+            level = np.flatnonzero(reached)
+            depth += 1
+
+    @property
+    def n_trees(self) -> int:
+        return self.starts.shape[0]
+
+    def to_dicts(self) -> list[dict]:
+        """Each tree in ``RegressionTree.to_dict`` form (local child indices)."""
+        leaf = self.feature < 0
+        offset = np.repeat(self.starts, np.diff(np.append(self.starts, leaf.shape[0])))
+        arrays = {
+            "feature": self.feature,
+            "threshold": self.threshold,
+            "left": np.where(leaf, -1, self.left - offset),
+            "right": np.where(leaf, -1, self.right - offset),
+            "value": self.value,
+        }
+        bounds = np.append(self.starts, leaf.shape[0]).tolist()
+        split = {name: [a[s:e].tolist() for s, e in zip(bounds, bounds[1:])]
+                 for name, a in arrays.items()}
+        return [{name: split[name][t] for name in _FIELDS} for t in range(self.n_trees)]
+
+    def leaves(self, X: np.ndarray):
+        """Yield ``(rows, leaf)`` per block of rows, where ``leaf`` holds the
+        leaf of every tree for each row and broadcasts to (rows, n_trees)."""
+        block_row = np.arange(min(X.shape[0], PREDICT_BLOCK_ROWS))[:, None]
+        for lo in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
+            Xb = X[lo : lo + PREDICT_BLOCK_ROWS]
+            row = block_row[: Xb.shape[0]]
+            node = self.starts[None, :]
+            for _ in range(self.depth):
+                goes_left = Xb[row, self.feature[node]] <= self.threshold[node]
+                node = np.where(goes_left, self.left[node], self.right[node])
+            yield slice(lo, lo + Xb.shape[0]), node
+
+    def staged_sums(self, X: np.ndarray, start: float, weights) -> np.ndarray:
+        """(rows, n_trees) array whose column t is
+        ``start + w_0 v_0(x) + ... + w_t v_t(x)``, added in tree order
+        like a loop over the trees would."""
+        out = np.empty((X.shape[0], self.n_trees), dtype=float)
+        for rows, leaf in self.leaves(X):
+            out[rows] = self._cumsum(leaf, start, weights)
+        return out
+
+    def sums(self, X: np.ndarray, start: float, weights) -> np.ndarray:
+        """The last column of ``staged_sums``, one block of rows at a time."""
+        out = np.empty(X.shape[0], dtype=float)
+        for rows, leaf in self.leaves(X):
+            out[rows] = self._cumsum(leaf, start, weights)[:, -1]
+        return out
+
+    def _cumsum(self, leaf: np.ndarray, start: float, weights) -> np.ndarray:
+        terms = np.empty((leaf.shape[0], self.n_trees + 1), dtype=float)
+        terms[:, 0] = start
+        np.multiply(weights, self.value[leaf], out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, 1:]
+
+
+def check_tree_count(trees: int) -> None:
+    """An ensemble's node table needs at least one tree."""
+    if trees < 1:
+        raise DegenerateInputError(f"an ensemble needs at least one tree, got trees={trees}")
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row order of every feature of X, ascending: a (d, n) array.
+
+    The sort is stable, so equal values keep ascending row order.
+    """
+    return np.argsort(X, axis=0, kind="stable").T
+
+
+def _find_split(xs: np.ndarray, ys: np.ndarray, total, min_leaf: int, sizes: np.ndarray):
+    """Best split of one node over all candidate features at once.
+
+    Row j of ``xs``/``ys`` holds the node's values of candidate feature j
+    and its targets, both sorted by that feature; ``sizes`` is
+    ``arange(n + 1)``. Gain is the decrease in summed squared error.
+    Returns ``(j, left count)`` of the first maximal, strictly positive
+    gain, or None.
+    """
+    m = xs.shape[1]
+    last = m - min_leaf  # largest left count that leaves min_leaf on the right
+    n_left = sizes[min_leaf : last + 1]
+    left_sum = ys.cumsum(axis=1)[:, min_leaf - 1 : last]
+    score = left_sum**2 / n_left + (total - left_sum) ** 2 / (m - n_left)
+    # only between distinct values
+    score[xs[:, min_leaf - 1 : last] >= xs[:, min_leaf : last + 1]] = -np.inf
+    pos = score.argmax(axis=1)  # first max -> lowest threshold on ties
+    gain = score[sizes[: xs.shape[0]], pos] - total * total / m
+    j = int(gain.argmax())  # first max -> lowest feature on ties
+    if not gain[j] > 0.0:
+        return None
+    return j, min_leaf + int(pos[j])
 
 
 def build_tree(
@@ -104,56 +239,72 @@ def build_tree(
     feature_subset: int | None = None,
     rng: np.random.Generator | None = None,
     train_pred: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> RegressionTree:
     """Grow a depth-first CART tree on (X, y).
 
     ``feature_subset`` limits how many features are considered per split
     (drawn without replacement from ``rng``); None means all. When
     ``train_pred`` is given it is filled in place with the leaf value of
-    every training row.
+    every training row. ``order`` is ``presort(X)``, for callers that grow
+    several trees on the same X.
     """
     n, d = X.shape
     features = np.arange(d)
+    sizes = np.arange(n + 1)
     subset = d if feature_subset is None else min(int(feature_subset), d)
+    XT = np.ascontiguousarray(X.T)
+    if order is None:
+        order = presort(X)
+    # The last row of a block lists the node's rows in ascending order, the
+    # order in which node sums and means are taken.
+    root = np.vstack([order, np.arange(n)])
 
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def new_node():
+    def grow(block: np.ndarray, depth: int) -> int:
+        node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        return len(feature) - 1
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
-        y_node = y[idx]
-        mean = float(y_node.mean())
+        rows = block[-1]
+        m = rows.shape[0]
+        y_node = y[rows]
+        total = y_node.sum()
+        split = None
         splittable = (
             depth < max_depth
-            and idx.shape[0] >= 2 * min_leaf
-            and y_node.min() < y_node.max()
+            and m >= 2 * min_leaf
+            and y_node[y_node.argmin()] < y_node[y_node.argmax()]  # min < max
         )
-        best = None
         if splittable:
             if subset < d:
                 feats = np.sort(rng.choice(d, size=subset, replace=False))
             else:
                 feats = features
-            best = _best_split(X, y, idx, feats, min_leaf)
-        if best is None:
+            sorted_rows = block[feats]
+            xs = XT[feats[:, None], sorted_rows]
+            split = _find_split(xs, y[sorted_rows], total, min_leaf, sizes)
+        if split is None:
+            mean = float(total / m)  # y_node.mean(), bit for bit
             value[node] = mean
             if train_pred is not None:
-                train_pred[idx] = mean
+                train_pred[rows] = mean
             return node
-        _, f, thr = best
+        j, n_left = split
+        lo, hi = xs[j, n_left - 1], xs[j, n_left]
+        thr = 0.5 * (lo + hi)
+        if not thr < hi:  # midpoint rounded up to hi: fall back to lo
+            thr = lo
+        f = int(feats[j])
         feature[node] = f
-        threshold[node] = thr
-        mask = X[idx, f] <= thr
-        left[node] = grow(idx[mask], depth + 1)
-        right[node] = grow(idx[~mask], depth + 1)
+        threshold[node] = float(thr)
+        goes_left = (XT[f] <= thr)[block]  # stable partition of every row
+        left[node] = grow(block[goes_left].reshape(d + 1, n_left), depth + 1)
+        right[node] = grow(block[~goes_left].reshape(d + 1, m - n_left), depth + 1)
         return node
 
-    grow(np.arange(n), 0)
+    grow(root, 0)
     return RegressionTree(feature, threshold, left, right, value)

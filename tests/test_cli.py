@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from impforecast.bundle import ChannelModel
 from impforecast.cli import run_cli
+from impforecast.domain import FeatureGroup, ModelKind
+from impforecast.regressors import BoostedTreesRegressor
 
 # small cohort + light ensembles keep each study run around a second
 FAST_HYPER = [
@@ -91,6 +95,28 @@ class TestStudy:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "dfr.trees=0",
+            "bdtr.min_leaf=0",
+            "dfr.max_depth=-1",
+            "bdtr.trees=0",
+            "dfr.feature_subset=0",
+            "bdtr.learning_rate=nan",
+        ],
+    )
+    def test_out_of_range_tree_hyper_is_usage_error(self, tmp_path, cohort_csv, capsys, override):
+        code = run(
+            ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
+             "--out-models", str(tmp_path / "m.json"), "--hyper", override]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert override.split("=")[0] in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_unlabeled_data_is_data_error(self, tmp_path):
         unlabeled = tmp_path / "unlabeled.csv"
         header = "age," + ",".join(f"ei_intra_{c}" for c in range(1, 13))
@@ -122,6 +148,25 @@ class TestPredict:
         out = tmp_path / "p.csv"
         assert run(["predict", "--models", str(models), "--data", str(unlabeled), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("child", [0, 999])  # self-loop, beyond the tree
+    def test_malformed_tree_table_is_data_error(self, tmp_path, cohort_csv, capsys, child):
+        _, models = study_files(tmp_path, cohort_csv, "tree")
+        data = np.random.default_rng(0)
+        X = data.uniform(1.0, 6.0, size=(30, 1))
+        estimator = BoostedTreesRegressor(trees=3).fit(X, X[:, 0] + data.normal(size=30))
+        model = ChannelModel(
+            channel=1, kind=ModelKind.BDTR, group=FeatureGroup.G1, rmse=1.0, estimator=estimator
+        ).to_dict()
+        assert model["params"]["trees"][0]["feature"][0] == 0
+        model["params"]["trees"][0]["left"][0] = child
+        doc = json.loads(models.read_text())
+        doc["models"][0] = model
+        models.write_text(json.dumps(doc))
+        code = run(["predict", "--models", str(models), "--data", str(cohort_csv),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "malformed tree" in capsys.readouterr().err
 
     def test_bad_bundle_is_data_error(self, tmp_path, cohort_csv):
         bad = tmp_path / "bad.json"
