@@ -33,6 +33,7 @@ from .pipeline import (
     StudyConfig,
     StudyReport,
     evaluate_candidate,
+    predict_batch,
     predict_one,
     report_from_json,
     report_to_json,
@@ -89,6 +90,7 @@ __all__ = [
     "load_bundle",
     "make_regressor",
     "parse_cohort_csv",
+    "predict_batch",
     "predict_one",
     "published_range",
     "render_band_table",

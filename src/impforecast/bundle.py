@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .domain import CHANNELS, FeatureGroup, ModelKind
-from .errors import IncompatibleBundleError
+from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
+from .errors import DataInputError, IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
+from .regressors.base import loaded_numbers
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -46,20 +47,33 @@ class ChannelModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelModel":
-        if d.get("format_version") != BUNDLE_FORMAT_VERSION:
+        """Raises IncompatibleBundleError on a missing key, a value of the
+        wrong type, a non-finite number, a channel outside 1..12, or a
+        standardizer whose width is not the feature group's."""
+        if not isinstance(d, dict) or d.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise IncompatibleBundleError(
                 f"unsupported model format_version {d.get('format_version')!r}"
+                if isinstance(d, dict)
+                else "a model entry must be a JSON object"
             )
-        kind = ModelKind(d["kind"])
-        estimator = ESTIMATOR_CLASSES[kind](seed=int(d.get("seed", 0)), **d["hyper"])
-        estimator.load_fitted_params(d["params"], Standardizer.from_dict(d["standardizer"]))
-        return cls(
-            channel=int(d["channel"]),
-            kind=kind,
-            group=FeatureGroup(d["group"]),
-            rmse=float(d["rmse"]),
-            estimator=estimator,
-        )
+        try:
+            channel = check_channel(d["channel"])
+            kind = ModelKind(d["kind"])
+            group = FeatureGroup(d["group"])
+            standardizer = Standardizer.from_dict(d["standardizer"])
+            if standardizer.means_.shape[0] != group.dimension:
+                raise IncompatibleBundleError(
+                    f"group {group.value} has {group.dimension} features but the "
+                    f"standardizer has {standardizer.means_.shape[0]}"
+                )
+            estimator = ESTIMATOR_CLASSES[kind](seed=int(d.get("seed", 0)), **d["hyper"])
+            estimator.load_fitted_params(d["params"], standardizer)
+            rmse = float(loaded_numbers(d["rmse"], "rmse", ()))
+        except KeyError as exc:
+            raise IncompatibleBundleError(f"model entry lacks key {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise IncompatibleBundleError(f"malformed model entry: {exc}") from None
+        return cls(channel=channel, kind=kind, group=group, rmse=rmse, estimator=estimator)
 
 
 @dataclass(frozen=True)
@@ -105,8 +119,22 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
             if isinstance(doc, dict)
             else "bundle document must be a JSON object"
         )
-    models = tuple(ChannelModel.from_dict(m) for m in doc.get("models", []))
-    return ModelBundle(models=models)
+    models = doc.get("models")
+    if not isinstance(models, list):
+        raise IncompatibleBundleError("bundle 'models' must be a list")
+    loaded = []
+    for i, entry in enumerate(models):
+        try:
+            loaded.append(ChannelModel.from_dict(entry))
+        except IncompatibleBundleError as exc:
+            raise IncompatibleBundleError(f"models[{i}]: {exc}") from None
+    channels = [m.channel for m in loaded]
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise IncompatibleBundleError(
+            "bundle has more than one model for channel(s): " + ", ".join(map(str, repeated))
+        )
+    return ModelBundle(models=tuple(loaded))
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -115,5 +143,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataInputError(f"cannot read {path}: {exc}") from None
+    return bundle_from_json(text)

@@ -15,8 +15,9 @@ import sys
 
 from .bundle import load_bundle, save_bundle
 from .dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
+from .domain import CHANNELS
 from .errors import DataInputError, ImpforecastError
-from .pipeline import StudyConfig, predict_one, report_from_json, report_to_json, run_study
+from .pipeline import StudyConfig, predict_batch, report_from_json, report_to_json, run_study
 from .report import FORMATS, RenderOptions, export_study
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataInputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -160,11 +161,9 @@ def _cmd_study(args) -> int:
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.models).check_complete()
     cohort = parse_cohort_csv(_read_text(args.data))
-    header = ",".join(f"pred_ei_1m_{m.channel}" for m in sorted(bundle.models, key=lambda m: m.channel))
-    lines = [header]
-    for record in cohort.records:
-        predictions = predict_one(bundle, record)
-        lines.append(",".join(repr(p.value) for p in predictions))
+    P = predict_batch(bundle, cohort)
+    lines = [",".join(f"pred_ei_1m_{c}" for c in CHANNELS)]
+    lines += [",".join(map(repr, row)) for row in P.tolist()]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote predictions for {len(cohort)} records to {args.out}", file=sys.stderr)
     return EXIT_OK

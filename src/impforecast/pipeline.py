@@ -1,4 +1,4 @@
-"""Per-channel model selection and the end-to-end study.
+"""Per-channel model selection, the end-to-end study, and batch prediction.
 
 For every channel the 10 candidates (5 model kinds x 2 feature groups)
 are fit on the training part and scored by RMSE on the held-out part; the
@@ -13,6 +13,8 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bundle import ChannelModel, ModelBundle
 from .dataio import SplitSpec, split_cohort, validate_cohort
 from .domain import (
@@ -23,7 +25,6 @@ from .domain import (
     KIND_ORDER,
     ModelKind,
     PatientRecord,
-    assemble_features,
     check_channel,
     feature_matrix,
     group_index,
@@ -35,6 +36,7 @@ from .errors import (
     CohortValidationError,
     FitError,
     IncompatibleBundleError,
+    MetricError,
     TooSmallError,
 )
 from .metrics import ErrorBands, error_bands, rmse
@@ -254,16 +256,33 @@ class ChannelPrediction:
         return f"RMSE {self.rmse:.2f} kΩ"
 
 
+def predict_batch(bundle: ModelBundle, cohort: Cohort) -> np.ndarray:
+    """One-month predictions for every patient of ``cohort``: an (n, 12)
+    array, columns in channel order.
+
+    Each feature group's matrix is built once and each channel's estimator
+    predicts the whole batch in one call. Every estimator computes a row
+    on its own, so a patient's prediction does not depend on the other
+    patients in the batch.
+    """
+    bundle.check_complete()
+    features = {}
+    out = np.empty((len(cohort), len(CHANNELS)), dtype=float)
+    for column, channel in enumerate(CHANNELS):
+        m = bundle.model_for(channel)
+        if m.group not in features:
+            features[m.group] = feature_matrix(cohort, m.group)
+        out[:, column] = m.estimator.predict(features[m.group])
+    return out
+
+
 def predict_one(bundle: ModelBundle, record: PatientRecord) -> list[ChannelPrediction]:
     """Per-channel one-month predictions for a single patient record."""
-    bundle.check_complete()
-    out = []
-    for channel in CHANNELS:
-        m = bundle.model_for(channel)
-        features = assemble_features(record, m.group)[None, :]
-        value = float(m.estimator.predict(features)[0])
-        out.append(ChannelPrediction(channel=channel, value=value, rmse=m.rmse))
-    return out
+    values = predict_batch(bundle, Cohort(records=(record,)))[0].tolist()
+    return [
+        ChannelPrediction(channel=c, value=v, rmse=bundle.model_for(c).rmse)
+        for c, v in zip(CHANNELS, values)
+    ]
 
 
 # --- report (de)serialization ----------------------------------------------------
@@ -289,21 +308,35 @@ def report_to_json(report: StudyReport) -> str:
 
 
 def report_from_json(text: str | bytes) -> StudyReport:
+    """Raises IncompatibleBundleError unless ``text`` is a JSON report of
+    the current format with well-formed ``entries``, ``histogram`` and
+    ``config``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise IncompatibleBundleError("report document must be a JSON object")
     if doc.get("format_version") != REPORT_FORMAT_VERSION:
         raise IncompatibleBundleError(
             f"unsupported report format_version {doc.get('format_version')!r}"
         )
-    entries = tuple(
-        SelectionEntry(
-            channel=int(e["channel"]),
-            kind=ModelKind(e["kind"]),
-            group=FeatureGroup(e["group"]),
-            rmse=float(e["rmse"]),
-            bands=ErrorBands.from_dict(e["bands"]),
+    try:
+        entries = tuple(
+            SelectionEntry(
+                channel=int(e["channel"]),
+                kind=ModelKind(e["kind"]),
+                group=FeatureGroup(e["group"]),
+                rmse=float(e["rmse"]),
+                bands=ErrorBands.from_dict(e["bands"]),
+            )
+            for e in doc["entries"]
         )
-        for e in doc["entries"]
-    )
-    return StudyReport(entries=entries, histogram=dict(doc["histogram"]), config=dict(doc["config"]))
+        histogram, config = dict(doc["histogram"]), dict(doc["config"])
+    except KeyError as exc:
+        raise IncompatibleBundleError(f"report lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
+        raise IncompatibleBundleError(f"malformed report: {exc}") from None
+    return StudyReport(entries=entries, histogram=histogram, config=config)

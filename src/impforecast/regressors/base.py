@@ -15,9 +15,9 @@ from typing import ClassVar
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import DegenerateInputError, DimensionMismatchError
+from ..errors import DegenerateInputError, DimensionMismatchError, IncompatibleBundleError
 
-__all__ = ["BaseRegressor", "as_matrix", "as_vector", "check_fit_inputs"]
+__all__ = ["BaseRegressor", "as_matrix", "as_vector", "check_fit_inputs", "loaded_numbers"]
 
 
 def as_matrix(X) -> np.ndarray:
@@ -51,6 +51,33 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(y)):
         raise DegenerateInputError("y contains non-finite values")
     return X, y
+
+
+def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` read from a persisted document, as a float array.
+
+    ``shape`` gives the length of each axis, or None for any length; ``()``
+    asks for one number. Raises IncompatibleBundleError unless ``value`` is
+    numbers (not strings or booleans) of that shape, all finite.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        array = None
+    if (
+        array is None
+        or array.dtype.kind not in "iuf"
+        or array.ndim != len(shape)
+        or any(want is not None and want != got for want, got in zip(shape, array.shape))
+    ):
+        size = "x".join("n" if want is None else str(want) for want in shape)
+        raise IncompatibleBundleError(
+            f"{name} must be {f'a {size} array of numbers' if shape else 'a number'}"
+        )
+    array = array.astype(float)
+    if not np.all(np.isfinite(array)):
+        raise IncompatibleBundleError(f"{name} must be finite")
+    return array
 
 
 class BaseRegressor:

@@ -7,8 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import IncompatibleBundleError
-from .base import BaseRegressor, check_fit_inputs
+from .base import BaseRegressor, check_fit_inputs, loaded_numbers
 from .scaling import Standardizer
 from .tree import TreeTable, build_tree, check_tree_count, presort
 
@@ -86,16 +85,8 @@ class BoostedTreesRegressor(BaseRegressor):
 
     def load_fitted_params(self, params, standardizer):
         table = TreeTable(params["trees"], n_features=standardizer.means_.shape[0])
-        try:
-            weights = np.asarray(params["tree_weights"], dtype=float)
-        except (TypeError, ValueError):
-            weights = None
-        if weights is None or weights.shape != (table.n_trees,):
-            raise IncompatibleBundleError(
-                f"tree_weights must hold one number per tree ({table.n_trees})"
-            )
-        self.base_value_ = float(params["base_value"])
-        self.tree_weights_ = weights
+        self.base_value_ = float(loaded_numbers(params["base_value"], "base_value", ()))
+        self.tree_weights_ = loaded_numbers(params["tree_weights"], "tree_weights", (table.n_trees,))
         self.table_ = table
         self.standardizer_ = standardizer
         self.n_features_ = standardizer.means_.shape[0]

@@ -12,10 +12,23 @@ import numpy as np
 
 from ..domain import ModelKind
 from ..errors import DegenerateInputError
-from .base import BaseRegressor, check_fit_inputs
+from .base import BaseRegressor, check_fit_inputs, loaded_numbers
 from .scaling import Standardizer
 
 _TINY = 1e-300
+
+
+def _affine(Zs: np.ndarray, weights: np.ndarray, intercept: float) -> np.ndarray:
+    """``Zs @ weights + intercept``, summed row by row so that a row's value
+    does not depend on the other rows of the batch (a BLAS product blocks
+    1 and n rows differently, which moves the last bit)."""
+    return (Zs * weights).sum(axis=1) + intercept
+
+
+def _load_affine(params, standardizer) -> tuple[np.ndarray, float]:
+    """Persisted ``weights`` (one per standardized column) and ``intercept``."""
+    weights = loaded_numbers(params["weights"], "weights", standardizer.means_.shape)
+    return weights, float(loaded_numbers(params["intercept"], "intercept", ()))
 
 
 def _design(Xs: np.ndarray) -> np.ndarray:
@@ -53,15 +66,13 @@ class LinearRegressor(BaseRegressor):
 
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
-        Zs = self.standardizer_.transform(X)
-        return Zs @ self.weights_ + self.intercept_
+        return _affine(self.standardizer_.transform(X), self.weights_, self.intercept_)
 
     def fitted_params(self) -> dict:
         return {"weights": self.weights_.tolist(), "intercept": self.intercept_}
 
     def load_fitted_params(self, params, standardizer):
-        self.weights_ = np.asarray(params["weights"], dtype=float)
-        self.intercept_ = float(params["intercept"])
+        self.weights_, self.intercept_ = _load_affine(params, standardizer)
         self.standardizer_ = standardizer
         self.n_features_ = self.weights_.shape[0]
 
@@ -140,8 +151,7 @@ class BayesianLinearRegressor(BaseRegressor):
 
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
-        Zs = self.standardizer_.transform(X)
-        return Zs @ self.weights_ + self.intercept_
+        return _affine(self.standardizer_.transform(X), self.weights_, self.intercept_)
 
     def fitted_params(self) -> dict:
         return {
@@ -152,9 +162,8 @@ class BayesianLinearRegressor(BaseRegressor):
         }
 
     def load_fitted_params(self, params, standardizer):
-        self.weights_ = np.asarray(params["weights"], dtype=float)
-        self.intercept_ = float(params["intercept"])
-        self.alpha_ = float(params["alpha_posterior"])
-        self.beta_ = float(params["beta_posterior"])
+        self.weights_, self.intercept_ = _load_affine(params, standardizer)
+        self.alpha_ = float(loaded_numbers(params["alpha_posterior"], "alpha_posterior", ()))
+        self.beta_ = float(loaded_numbers(params["beta_posterior"], "beta_posterior", ()))
         self.standardizer_ = standardizer
         self.n_features_ = self.weights_.shape[0]

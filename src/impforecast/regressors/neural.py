@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import DimensionMismatchError, NonFiniteLossError
-from .base import BaseRegressor, as_matrix, as_vector, check_fit_inputs
+from ..errors import DimensionMismatchError, IncompatibleBundleError, NonFiniteLossError
+from .base import BaseRegressor, as_matrix, as_vector, check_fit_inputs, loaded_numbers
 from .scaling import Standardizer
 
 
@@ -158,8 +158,10 @@ class NeuralNetRegressor(BaseRegressor):
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
         W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hidden_units)
-        _, out = _forward(Xs, W1, b1, w2, b2)
-        return out
+        # _forward's layers summed row by row, so that a row's output does
+        # not depend on the other rows of the batch; fit keeps the matmuls
+        hidden = np.tanh((Xs[:, :, None] * W1).sum(axis=1) + b1)
+        return (hidden * w2).sum(axis=1) + b2
 
     def fitted_params(self) -> dict:
         W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hidden_units)
@@ -172,12 +174,18 @@ class NeuralNetRegressor(BaseRegressor):
         }
 
     def load_fitted_params(self, params, standardizer):
-        W1 = np.asarray(params["w1"], dtype=float)
-        b1 = np.asarray(params["b1"], dtype=float)
-        w2 = np.asarray(params["w2"], dtype=float)
-        b2 = float(params["b2"])
-        self.hidden_units = W1.shape[1]
+        W1 = loaded_numbers(params["w1"], "w1", (standardizer.means_.shape[0], None))
+        h = W1.shape[1]
+        if h < 1:
+            raise IncompatibleBundleError("w1 must have at least one hidden unit")
+        b1 = loaded_numbers(params["b1"], "b1", (h,))
+        w2 = loaded_numbers(params["w2"], "w2", (h,))
+        b2 = float(loaded_numbers(params["b2"], "b2", ()))
+        self.hidden_units = h
         self.params_ = np.concatenate([W1.ravel(), b1, w2, [b2]])
-        self.final_loss_ = float(params.get("final_loss", np.nan))
+        self.final_loss_ = (
+            float(loaded_numbers(params["final_loss"], "final_loss", ()))
+            if "final_loss" in params else np.nan
+        )
         self.standardizer_ = standardizer
         self.n_features_ = W1.shape[0]

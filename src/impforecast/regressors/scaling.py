@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, EmptyMatrixError
-from .base import as_matrix
+from ..errors import DimensionMismatchError, EmptyMatrixError, IncompatibleBundleError
+from .base import as_matrix, loaded_numbers
 
 # Floor for column standard deviations; zero-variance columns are clamped
 # here so transformed values stay finite.
@@ -46,7 +46,13 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
+        """Raises IncompatibleBundleError unless means and stdevs are finite
+        vectors of one length and every stdev is positive."""
         s = cls()
-        s.means_ = np.asarray(d["means"], dtype=float)
-        s.stdevs_ = np.asarray(d["stdevs"], dtype=float)
+        s.means_ = loaded_numbers(d["means"], "standardizer means", (None,))
+        s.stdevs_ = loaded_numbers(d["stdevs"], "standardizer stdevs", s.means_.shape)
+        if s.means_.shape[0] == 0 or not np.all(s.stdevs_ > 0.0):
+            raise IncompatibleBundleError(
+                "standardizer needs at least one column and positive stdevs"
+            )
         return s

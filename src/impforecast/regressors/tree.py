@@ -67,17 +67,18 @@ class TreeTable:
     Tree t owns nodes ``starts[t]`` up to the next start, in DFS pre-order.
     Child indices are global and a leaf's children are the leaf itself, so
     ``depth`` descent steps take every row to its leaf in every tree. A
-    leaf keeps ``feature == -1``, which indexes a real column, so the
-    descent needs no masking.
+    leaf keeps ``feature == -1``, which still indexes a real value of the
+    block, so the descent needs no masking.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "starts", "depth")
+    __slots__ = ("feature", "threshold", "children", "left", "right", "value", "starts", "depth")
 
     def __init__(self, trees, n_features: int | None = None):
         """Concatenate ``trees``: RegressionTrees or their dict form.
 
         Raises IncompatibleBundleError unless every tree is a well-formed
-        pre-order table on fewer than ``n_features`` features.
+        pre-order table of finite numbers on fewer than ``n_features``
+        features.
         """
         try:
             columns = [[getattr(t, name) if isinstance(t, RegressionTree) else t[name]
@@ -102,6 +103,7 @@ class TreeTable:
         end = offset + np.repeat(sizes, sizes)
         leaf = feature < 0
         problems = [
+            (~np.isfinite(threshold) | ~np.isfinite(value), "thresholds and values must be finite"),
             (leaf & (feature != -1), "a leaf must have feature -1"),
             (leaf & ((left != -1) | (right != -1)), "a leaf must have children -1"),
             (~leaf & ((left <= local) | (right <= local)
@@ -117,8 +119,12 @@ class TreeTable:
         node = np.arange(feature.shape[0])
         self.feature = feature
         self.threshold = threshold
-        self.left = np.where(leaf, node, left + offset)
-        self.right = np.where(leaf, node, right + offset)
+        # (right, left) of node i at 2i and 2i + 1: a true "goes left" test adds 1
+        self.children = np.stack(
+            [np.where(leaf, node, right + offset), np.where(leaf, node, left + offset)], axis=1
+        ).ravel()
+        self.right = self.children[0::2]
+        self.left = self.children[1::2]
         self.value = value
         self.starts = starts
         self.depth = self._max_depth()
@@ -159,14 +165,15 @@ class TreeTable:
     def leaves(self, X: np.ndarray):
         """Yield ``(rows, leaf)`` per block of rows, where ``leaf`` holds the
         leaf of every tree for each row and broadcasts to (rows, n_trees)."""
-        block_row = np.arange(min(X.shape[0], PREDICT_BLOCK_ROWS))[:, None]
+        # flat offset of each row of a block; a 1-D gather beats a 2-D one
+        block_start = (np.arange(min(X.shape[0], PREDICT_BLOCK_ROWS)) * X.shape[1])[:, None]
         for lo in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
             Xb = X[lo : lo + PREDICT_BLOCK_ROWS]
-            row = block_row[: Xb.shape[0]]
+            flat, start = Xb.ravel(), block_start[: Xb.shape[0]]
             node = self.starts[None, :]
             for _ in range(self.depth):
-                goes_left = Xb[row, self.feature[node]] <= self.threshold[node]
-                node = np.where(goes_left, self.left[node], self.right[node])
+                goes_left = flat[start + self.feature[node]] <= self.threshold[node]
+                node = self.children[2 * node + goes_left]
             yield slice(lo, lo + Xb.shape[0]), node
 
     def staged_sums(self, X: np.ndarray, start: float, weights) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from impforecast.bundle import ChannelModel
+from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.regressors import BoostedTreesRegressor
@@ -168,6 +168,62 @@ class TestPredict:
         assert code == 2
         assert "malformed tree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            "no_standardizer",
+            "nan_weight",
+            "g2_relabelled_g1",
+            "duplicate_channel",
+            "nan_leaf_value",
+            "no_base_value",
+            "channel_13",
+            "zero_stdev",
+            "string_weights",
+        ],
+    )
+    def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
+        doc = json.loads(bundle_to_json(mixed_bundle))
+        lr_g2, bdtr = doc["models"][5], doc["models"][3]  # channels 6 (LR G2) and 4 (BDTR G2)
+        assert (lr_g2["kind"], lr_g2["group"], bdtr["kind"]) == ("LR", "G2", "BDTR")
+        if probe == "no_standardizer":
+            del lr_g2["standardizer"]
+        elif probe == "nan_weight":
+            lr_g2["params"]["weights"][0] = float("nan")
+        elif probe == "g2_relabelled_g1":
+            lr_g2["group"] = "G1"
+        elif probe == "duplicate_channel":
+            doc["models"].append(dict(lr_g2))
+        elif probe == "nan_leaf_value":
+            bdtr["params"]["trees"][0]["value"][-1] = float("nan")
+        elif probe == "no_base_value":
+            del bdtr["params"]["base_value"]
+        elif probe == "channel_13":
+            lr_g2["channel"] = 13
+        elif probe == "zero_stdev":
+            lr_g2["standardizer"]["stdevs"][0] = 0.0
+        elif probe == "string_weights":
+            lr_g2["params"]["weights"] = ["1.0"] * 13
+        models, out = tmp_path / "models.json", tmp_path / "p.csv"
+        models.write_text(json.dumps(doc))
+        code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_header_only_csv_writes_header(self, tmp_path, mixed_bundle):
+        models, data, out = tmp_path / "models.json", tmp_path / "empty.csv", tmp_path / "p.csv"
+        models.write_text(bundle_to_json(mixed_bundle))
+        data.write_text("age," + ",".join(f"ei_intra_{c}" for c in range(1, 13)) + "\n")
+        assert run(["predict", "--models", str(models), "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_text() == ",".join(f"pred_ei_1m_{c}" for c in range(1, 13)) + "\n"
+
+    def test_missing_bundle_file_is_data_error(self, tmp_path, cohort_csv):
+        code = run(["predict", "--models", str(tmp_path / "absent.json"), "--data", str(cohort_csv),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+
     def test_bad_bundle_is_data_error(self, tmp_path, cohort_csv):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -195,6 +251,17 @@ class TestReport:
         out = tmp_path / "table.csv"
         assert run(["report", "--in", str(report), "--format", "csv", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 13
+
+
+    @pytest.mark.parametrize(
+        "text", ["not json {", "[1, 2]", '{"format_version": 1, "config": {}, "histogram": {}}'],
+        ids=["not_json", "not_object", "no_entries"],
+    )
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        assert run(["report", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 class TestUsage:

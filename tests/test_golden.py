@@ -31,12 +31,12 @@ FAST = {"dfr.trees": 20, "bdtr.trees": 40, "nnr.epochs": 200}
 
 STUDY_GOLDEN = {
     3: (
-        "16dfa53e814fd6c4a1f39b98e01266dd296ffc1003c53c1c695ab306417b2050",
-        "cf858fff9b6239daa6fc5d669bef48b4677878ece0d56e79aeb0380582aeacf2",
+        "7369a4171d77b56b66c350f32d9be3687aaf22de94f30db4773f5d8d96adb128",
+        "dc38babd0961d49344e4e5f9226352718d09829cb9649978497687b415d800c3",
     ),
     7: (
-        "bbfc44787054e1f181d3ca33992e96b6112f6907f28e23704a5f4990cd326abd",
-        "d271afafcfd76e8f7f0814c90ce7cb9ef7338410e29260ff9af22e88c02eacb6",
+        "5c83c8057450c6b2f72c397131d206661946309157f7599be9373d487e24d0e1",
+        "5feefb6af6d86c59027ce10698bf71cd1007f36e48b63395af3dc8d2df0ac21d",
     ),
 }
 
