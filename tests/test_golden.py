@@ -1,10 +1,10 @@
-"""Byte pins: sha256 of study outputs and of fitted tree ensembles.
+"""Byte pins: sha256 of study outputs, fitted tree ensembles and networks.
 
 A change that alters any of these bytes must do so on purpose and say why
 in CHANGES.md. The study pins use criterion 9's fast hyperparameters; on
-synthetic cohorts the study rarely selects a tree model, so the tree
-ensembles are also pinned on their own: their bundle JSON and their
-predictions, for the whole batch and for one row at a time.
+synthetic cohorts the study rarely selects a tree or network model, so the
+tree ensembles and the network are also pinned on their own: their bundle
+JSON and their predictions (for the trees, also one row at a time).
 """
 
 import hashlib
@@ -40,6 +40,13 @@ STUDY_GOLDEN = {
     ),
 }
 
+# report and bundle JSON of a nested-selection study
+INNER_VALIDATION_SEED = 3
+INNER_VALIDATION_GOLDEN = (
+    "af94a48d1ac6cad47574d087d0dd3582eff2a2e8733ef62775bf2de7334d041a",
+    "2b06af4557c0ccfa6a25c5351659dd0e53f2664f35ec808865e7eb7c8ca33423",
+)
+
 # (model JSON, whole-batch predictions, row-by-row predictions)
 TREE_GOLDEN = {
     ("DFR", "G1"): (
@@ -64,6 +71,18 @@ TREE_GOLDEN = {
     ),
 }
 
+# (model JSON, whole-batch predictions) of a network with default hypers
+NNR_GOLDEN = {
+    "G1": (
+        "d76a22e9bfbb02a68571dae25da2b2bba8e6fc6191b4331bd030b14a38afb54a",
+        "3164b001325b5a00f4d0eed7a8a16234556313e9f5d2bd66378c633ca0e65217",
+    ),
+    "G2": (
+        "ac5cc416207e66c4d21de75809780b04b468a4ecb93a6c40447720f91de3bc51",
+        "256aef5ff8f404a367f3734e542369006de4ed9b1ec8fd936ca164ceb66f2dba",
+    ),
+}
+
 TREE_CHANNEL = 5
 TREE_SEED = 1234
 
@@ -82,17 +101,40 @@ def test_study_bytes_pinned(seed):
     assert (sha256(report_to_json(report)), sha256(bundle_to_json(models))) == STUDY_GOLDEN[seed]
 
 
-@pytest.mark.parametrize("kind, group", sorted(TREE_GOLDEN))
-def test_tree_ensemble_bytes_pinned(kind, group):
+def test_inner_validation_study_bytes_pinned():
+    seed = INNER_VALIDATION_SEED
+    cohort = generate_synthetic_cohort(80, seed)
+    config = StudyConfig(
+        seed=seed, selection="inner_validation", hyper=HyperParams().with_overrides(FAST)
+    )
+    report, models = run_study(cohort, config)
+    assert (sha256(report_to_json(report)), sha256(bundle_to_json(models))) == INNER_VALIDATION_GOLDEN
+
+
+def fit_pinned(kind: str, group: FeatureGroup):
+    """The estimator of ``kind`` fit on the pinned training cohort, and the
+    feature matrix of the pinned batch."""
     train = generate_synthetic_cohort(56, 11)
     batch = generate_synthetic_cohort(300, 12)
-    group = FeatureGroup(group)
     X, y = feature_matrix(train, group), label_vector(train, TREE_CHANNEL)
     estimator = make_regressor(ModelKind(kind), seed=TREE_SEED).fit(X, y)
     model = ChannelModel(
         channel=TREE_CHANNEL, kind=ModelKind(kind), group=group, rmse=0.0, estimator=estimator
     )
-    Xb = feature_matrix(batch, group)
+    return model, feature_matrix(batch, group)
+
+
+@pytest.mark.parametrize("group", sorted(NNR_GOLDEN))
+def test_network_bytes_pinned(group):
+    model, Xb = fit_pinned("NNR", FeatureGroup(group))
+    got = (sha256(json.dumps(model.to_dict())), sha256(model.estimator.predict(Xb).tobytes()))
+    assert got == NNR_GOLDEN[group]
+
+
+@pytest.mark.parametrize("kind, group", sorted(TREE_GOLDEN))
+def test_tree_ensemble_bytes_pinned(kind, group):
+    model, Xb = fit_pinned(kind, FeatureGroup(group))
+    estimator = model.estimator
     whole = estimator.predict(Xb)
     rowwise = np.array([estimator.predict(Xb[i : i + 1])[0] for i in range(Xb.shape[0])])
     got = (
@@ -100,4 +142,4 @@ def test_tree_ensemble_bytes_pinned(kind, group):
         sha256(whole.tobytes()),
         sha256(rowwise.tobytes()),
     )
-    assert got == TREE_GOLDEN[(kind, group.value)]
+    assert got == TREE_GOLDEN[(kind, group)]
