@@ -33,12 +33,13 @@ from .pipeline import (
     StudyConfig,
     StudyReport,
     evaluate_candidate,
+    evaluate_grid,
+    pick_winner,
     predict_batch,
     predict_one,
     report_from_json,
     report_to_json,
     run_study,
-    select_best,
 )
 from .regressors import (
     BayesianLinearRegressor,
@@ -48,7 +49,6 @@ from .regressors import (
     LinearRegressor,
     NeuralNetRegressor,
     Standardizer,
-    fit_model,
     make_regressor,
 )
 from .report import RenderOptions, export_study, render_band_table, render_selection_table
@@ -84,12 +84,13 @@ __all__ = [
     "bundle_to_json",
     "error_bands",
     "evaluate_candidate",
+    "evaluate_grid",
     "export_study",
-    "fit_model",
     "generate_synthetic_cohort",
     "load_bundle",
     "make_regressor",
     "parse_cohort_csv",
+    "pick_winner",
     "predict_batch",
     "predict_one",
     "published_range",
@@ -100,7 +101,6 @@ __all__ = [
     "rmse",
     "run_study",
     "save_bundle",
-    "select_best",
     "serialize_cohort_csv",
     "split_cohort",
     "validate_cohort",

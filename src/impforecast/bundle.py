@@ -138,8 +138,13 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bundle_to_json(bundle))
+    """Raises DataInputError if ``path`` cannot be written."""
+    text = bundle_to_json(bundle)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataInputError(f"cannot write {path}: {exc}") from None
 
 
 def load_bundle(path) -> ModelBundle:

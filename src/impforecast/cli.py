@@ -10,7 +10,6 @@ study). Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bundle import load_bundle, save_bundle
@@ -24,8 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-THREADS_ENV_VAR = "IMP_FORECAST_THREADS"
 
 
 class UsageError(Exception):
@@ -61,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument("--out-report", required=True, help="study report JSON path")
     study.add_argument("--out-models", required=True, help="model bundle JSON path")
-    study.add_argument(
-        "--threads", type=int, default=None,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1); output is identical for any value",
-    )
     study.add_argument(
         "--hyper", action="append", default=[], metavar="KIND.FIELD=VALUE",
         help="hyperparameter override, e.g. --hyper dfr.trees=50 (repeatable)",
@@ -102,18 +95,6 @@ def _coerce_override(raw: str) -> tuple[str, object]:
         raise UsageError(f"--hyper value for {key!r} is not a number/bool: {text!r}") from None
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"--threads must be >= 1, got {value}")
-    return value
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,8 +104,11 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -145,7 +129,6 @@ def _cmd_study(args) -> int:
         test_fraction=args.test_fraction,
         selection=args.selection,
         hyper=hyper,
-        n_threads=_resolve_threads(args.threads),
     )
     cohort = parse_cohort_csv(_read_text(args.data))
     report, models = run_study(cohort, config)

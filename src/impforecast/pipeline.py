@@ -3,14 +3,16 @@
 For every channel the 10 candidates (5 model kinds x 2 feature groups)
 are fit on the training part and scored by RMSE on the held-out part; the
 argmin wins, with ties broken by the simpler kind, then the smaller
-feature group. Every candidate fit gets its own seed derived from the
-master seed, so serial and threaded runs produce identical bytes.
+feature group. Channels that share a split share each candidate's
+training matrix, so a candidate is fit for all of them in one
+``fit_columns`` call. Every candidate fit gets its own seed derived from
+the master seed, and a fit does not depend on which other channels share
+the call.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from .errors import (
     TooSmallError,
 )
 from .metrics import ErrorBands, error_bands, rmse
-from .regressors import HyperParams, make_regressor
+from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 from .seeding import derive_seed
 
 REPORT_FORMAT_VERSION = 1
@@ -58,11 +60,9 @@ class StudyConfig:
     test_fraction: float = 0.30
     selection: str = "test"  # or "inner_validation"
     hyper: HyperParams = field(default_factory=HyperParams)
-    n_threads: int = 1
 
     def echo(self) -> dict:
-        """Reproducibility echo for reports (thread count excluded: it
-        never affects results)."""
+        """Reproducibility echo for reports."""
         return {
             "seed": self.seed,
             "test_fraction": self.test_fraction,
@@ -92,13 +92,6 @@ class SelectionEntry:
 
 
 @dataclass(frozen=True)
-class SelectionOutcome:
-    entry: SelectionEntry
-    model: ChannelModel
-    candidates: tuple[CandidateResult, ...]
-
-
-@dataclass(frozen=True)
 class StudyReport:
     entries: tuple[SelectionEntry, ...]
     histogram: dict[str, int]
@@ -107,6 +100,27 @@ class StudyReport:
 
 def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: FeatureGroup) -> int:
     return derive_seed(master_seed, channel, kind_index(kind), group_index(group))
+
+
+def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests) -> list:
+    """Fit ``kind`` on each column of ``Y_train`` (column j with ``seeds[j]``)
+    in one ``fit_columns`` call and score column j on ``y_tests[j]``.
+
+    Returns one CandidateResult or FitError per column.
+    """
+    estimators = [make_regressor(kind, hyper, seed) for seed in seeds]
+    fitted = ESTIMATOR_CLASSES[kind].fit_columns(estimators, X_train, Y_train)
+    outcomes = []
+    for model, y_test in zip(fitted, y_tests):
+        if isinstance(model, FitError):
+            outcomes.append(model)
+            continue
+        y_hat = model.predict(X_test)
+        outcomes.append(CandidateResult(
+            kind=kind, group=group, rmse=rmse(y_hat, y_test),
+            bands=error_bands(y_hat, y_test), model=model,
+        ))
+    return outcomes
 
 
 def evaluate_candidate(
@@ -120,19 +134,43 @@ def evaluate_candidate(
 ) -> CandidateResult:
     """Fit one candidate on the training cohort, score it on the test cohort."""
     channel = check_channel(channel)
-    X_train = feature_matrix(train, group)
-    y_train = label_vector(train, channel)
-    X_test = feature_matrix(test, group)
-    y_test = label_vector(test, channel)
-    model = make_regressor(kind, hyper, seed).fit(X_train, y_train)
-    y_hat = model.predict(X_test)
-    return CandidateResult(
-        kind=kind,
-        group=group,
-        rmse=rmse(y_hat, y_test),
-        bands=error_bands(y_hat, y_test),
-        model=model,
+    (outcome,) = _fit_and_score(
+        kind, group, hyper, [seed],
+        feature_matrix(train, group), label_vector(train, channel)[:, None],
+        feature_matrix(test, group), [label_vector(test, channel)],
     )
+    if isinstance(outcome, FitError):
+        raise outcome
+    return outcome
+
+
+def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
+                  candidates=CANDIDATES) -> dict[int, dict]:
+    """Fit ``candidates`` for every channel in ``channels`` on the training
+    cohort and score them on the test cohort.
+
+    Each candidate is fit for all the channels in one call, each channel
+    with its own ``candidate_seed``. Returns ``{channel: {(kind, group):
+    CandidateResult or the FitError of that fit}}``; fit errors are
+    recorded, not raised.
+    """
+    channels = tuple(check_channel(c) for c in channels)
+    Y_train = np.column_stack([label_vector(train, c) for c in channels])
+    y_tests = [label_vector(test, c) for c in channels]
+    features = {
+        group: (feature_matrix(train, group), feature_matrix(test, group))
+        for group in GROUP_ORDER if any(g is group for _, g in candidates)
+    }
+    results = {c: {} for c in channels}
+    for kind, group in candidates:
+        seeds = [candidate_seed(config.seed, c, kind, group) for c in channels]
+        X_train, X_test = features[group]
+        outcomes = _fit_and_score(
+            kind, group, config.hyper, seeds, X_train, Y_train, X_test, y_tests
+        )
+        for channel, outcome in zip(channels, outcomes):
+            results[channel][(kind, group)] = outcome
+    return results
 
 
 def histogram_of_kinds(kinds) -> dict[str, int]:
@@ -143,7 +181,7 @@ def histogram_of_kinds(kinds) -> dict[str, int]:
     return counts
 
 
-def _pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:
+def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:
     """Argmin by RMSE over CANDIDATES order (strict improvement only, so
     the earlier = simpler candidate survives exact ties)."""
     best = None
@@ -161,66 +199,26 @@ def _pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResul
     return best
 
 
-def _evaluate_grid(channel, train, test, config, executor=None) -> dict:
-    """All 10 candidates for one channel; fit errors are recorded, not raised."""
-
-    def job(kind, group):
-        seed = candidate_seed(config.seed, channel, kind, group)
-        try:
-            return evaluate_candidate(kind, group, channel, train, test, config.hyper, seed)
-        except FitError as exc:
-            return exc
-
-    if executor is None:
-        return {(k, g): job(k, g) for k, g in CANDIDATES}
-    futures = {(k, g): executor.submit(job, k, g) for k, g in CANDIDATES}
-    return {key: fut.result() for key, fut in futures.items()}
-
-
-def _select_channel(channel, train, test, config, executor=None) -> SelectionOutcome:
-    if config.selection == "inner_validation":
-        inner_spec = SplitSpec(
-            test_fraction=config.test_fraction,
-            seed=derive_seed(config.seed, channel, _INNER_SPLIT_SALT),
-        )
-        inner_train, inner_val = split_cohort(train, inner_spec)
-        inner_results = _evaluate_grid(channel, inner_train, inner_val, config, executor)
-        kind, group, _ = _pick_winner(inner_results)
-        final = evaluate_candidate(
-            kind, group, channel, train, test, config.hyper,
-            candidate_seed(config.seed, channel, kind, group),
-        )
-        results = dict(inner_results)
-        results[(kind, group)] = final
-        winner = (kind, group, final)
-    else:
-        results = _evaluate_grid(channel, train, test, config, executor)
-        winner = _pick_winner(results)
-
-    kind, group, outcome = winner
-    entry = SelectionEntry(
-        channel=channel, kind=kind, group=group, rmse=outcome.rmse, bands=outcome.bands
+def _select_nested(channel, train, test, config) -> tuple:
+    """Rank the candidates on an inner split of the training cohort, then
+    refit the winner on the whole training cohort and score it on test."""
+    inner_spec = SplitSpec(
+        test_fraction=config.test_fraction,
+        seed=derive_seed(config.seed, channel, _INNER_SPLIT_SALT),
     )
-    model = ChannelModel(
-        channel=channel, kind=kind, group=group, rmse=outcome.rmse, estimator=outcome.model
-    )
-    candidates = tuple(
-        results[key] for key in CANDIDATES
-        if key in results and not isinstance(results[key], Exception)
-    )
-    return SelectionOutcome(entry=entry, model=model, candidates=candidates)
-
-
-def select_best(channel: int, train: Cohort, test: Cohort, config: StudyConfig) -> SelectionOutcome:
-    """Evaluate the full candidate grid for one channel and pick the winner."""
-    return _select_channel(check_channel(channel), train, test, config)
+    inner_train, inner_val = split_cohort(train, inner_spec)
+    kind, group, _ = pick_winner(evaluate_grid((channel,), inner_train, inner_val, config)[channel])
+    final = evaluate_grid((channel,), train, test, config, ((kind, group),))[channel][(kind, group)]
+    if isinstance(final, FitError):
+        raise final
+    return kind, group, final
 
 
 def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[StudyReport, ModelBundle]:
     """One split, then per-channel selection over all 12 channels.
 
     Returns the selection report and the bundle of winning fitted models.
-    Output is a pure function of (cohort, config minus n_threads).
+    Output is a pure function of (cohort, config).
     """
     if len(cohort) < 10:
         raise TooSmallError(f"study needs at least 10 records, got {len(cohort)}")
@@ -229,17 +227,22 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
         raise CohortValidationError(report)
     train, test = split_cohort(cohort, SplitSpec(config.test_fraction, config.seed))
 
-    if config.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as executor:
-            outcomes = [_select_channel(c, train, test, config, executor) for c in CHANNELS]
+    if config.selection == "inner_validation":
+        winners = [_select_nested(c, train, test, config) for c in CHANNELS]
     else:
-        outcomes = [_select_channel(c, train, test, config) for c in CHANNELS]
+        grid = evaluate_grid(CHANNELS, train, test, config)
+        winners = [pick_winner(grid[c]) for c in CHANNELS]
 
-    entries = tuple(o.entry for o in outcomes)
+    entries = tuple(
+        SelectionEntry(channel=c, kind=kind, group=group, rmse=o.rmse, bands=o.bands)
+        for c, (kind, group, o) in zip(CHANNELS, winners)
+    )
+    models = ModelBundle(models=tuple(
+        ChannelModel(channel=c, kind=kind, group=group, rmse=o.rmse, estimator=o.model)
+        for c, (kind, group, o) in zip(CHANNELS, winners)
+    )).check_complete()
     histogram = histogram_of_kinds(e.kind for e in entries)
-    study = StudyReport(entries=entries, histogram=histogram, config=config.echo())
-    models = ModelBundle(models=tuple(o.model for o in outcomes)).check_complete()
-    return study, models
+    return StudyReport(entries=entries, histogram=histogram, config=config.echo()), models
 
 
 # --- prediction on new patients -------------------------------------------------
@@ -309,8 +312,8 @@ def report_to_json(report: StudyReport) -> str:
 
 def report_from_json(text: str | bytes) -> StudyReport:
     """Raises IncompatibleBundleError unless ``text`` is a JSON report of
-    the current format with well-formed ``entries``, ``histogram`` and
-    ``config``."""
+    the current format with well-formed ``entries`` (at most one per
+    channel 1..12), ``histogram`` and ``config``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -326,7 +329,7 @@ def report_from_json(text: str | bytes) -> StudyReport:
     try:
         entries = tuple(
             SelectionEntry(
-                channel=int(e["channel"]),
+                channel=check_channel(e["channel"]),
                 kind=ModelKind(e["kind"]),
                 group=FeatureGroup(e["group"]),
                 rmse=float(e["rmse"]),
@@ -339,4 +342,10 @@ def report_from_json(text: str | bytes) -> StudyReport:
         raise IncompatibleBundleError(f"report lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
         raise IncompatibleBundleError(f"malformed report: {exc}") from None
+    channels = [e.channel for e in entries]
+    repeated = sorted({c for c in channels if channels.count(c) > 1})
+    if repeated:
+        raise IncompatibleBundleError(
+            "report has more than one entry for channel(s): " + ", ".join(map(str, repeated))
+        )
     return StudyReport(entries=entries, histogram=histogram, config=config)

@@ -37,11 +37,6 @@ def make_regressor(kind: ModelKind, hyper: HyperParams | None = None, seed: int 
     return ESTIMATOR_CLASSES[kind](seed=seed, **kwargs)
 
 
-def fit_model(kind: ModelKind, X, y, hyper: HyperParams | None = None, seed: int = 0):
-    """Fit one regressor of ``kind`` on (X, y) and return the estimator."""
-    return make_regressor(kind, hyper, seed).fit(X, y)
-
-
 __all__ = [
     "BaseRegressor",
     "BayesConfig",
@@ -60,7 +55,6 @@ __all__ = [
     "Standardizer",
     "build_tree",
     "check_gradient",
-    "fit_model",
     "make_regressor",
     "nn_loss_and_gradient",
 ]

@@ -15,9 +15,16 @@ from typing import ClassVar
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import DegenerateInputError, DimensionMismatchError, IncompatibleBundleError
+from ..errors import DegenerateInputError, DimensionMismatchError, FitError, IncompatibleBundleError
 
-__all__ = ["BaseRegressor", "as_matrix", "as_vector", "check_fit_inputs", "loaded_numbers"]
+__all__ = [
+    "BaseRegressor",
+    "as_matrix",
+    "as_vector",
+    "check_fit_columns",
+    "check_fit_inputs",
+    "loaded_numbers",
+]
 
 
 def as_matrix(X) -> np.ndarray:
@@ -51,6 +58,16 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(y)):
         raise DegenerateInputError("y contains non-finite values")
     return X, y
+
+
+def check_fit_columns(estimators, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as matrices, with one column of Y per estimator."""
+    X, Y = as_matrix(X), as_matrix(Y)
+    if Y.shape[1] != len(estimators):
+        raise DimensionMismatchError(
+            f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
+        )
+    return X, Y
 
 
 def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
@@ -120,6 +137,23 @@ class BaseRegressor:
 
     def fit(self, X, y):
         raise NotImplementedError
+
+    @classmethod
+    def fit_columns(cls, estimators, X, Y) -> list:
+        """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of Y.
+
+        Returns, per column, the fitted estimator or the FitError its fit
+        raised. This default fits the columns one by one; a kind that can
+        fit many targets on one X at once overrides it.
+        """
+        X, Y = check_fit_columns(estimators, X, Y)
+        outcomes = []
+        for estimator, y in zip(estimators, np.ascontiguousarray(Y.T)):
+            try:
+                outcomes.append(estimator.fit(X, y))
+            except FitError as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def predict(self, X) -> np.ndarray:
         raise NotImplementedError

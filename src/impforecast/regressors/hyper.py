@@ -35,12 +35,23 @@ def _check_tree_sizes(kind: str, block) -> None:
 class LinearConfig:
     ridge: float = 1e-8
 
+    def __post_init__(self):
+        r = self.ridge
+        _require(_is_number(r) and r >= 0, "lr.ridge", "finite and >= 0", r)
+
 
 @dataclass(frozen=True)
 class BayesConfig:
     alpha: float = 1e-2
     beta: float = 1.0
     evidence_iters: int = 30
+
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            _require(_is_number(value) and value > 0, f"blr.{name}", "finite and > 0", value)
+        n = self.evidence_iters
+        _require(_is_number(n) and n >= 0, "blr.evidence_iters", ">= 0", n)
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,16 @@ class NeuralConfig:
     step: float = 1e-2
     momentum: float = 0.9
     init_scale: float = 1.0
+
+    def __post_init__(self):
+        for name in ("hidden_units", "epochs"):
+            value = getattr(self, name)
+            _require(_is_number(value) and value >= 1, f"nnr.{name}", ">= 1", value)
+        for name in ("step", "init_scale"):
+            value = getattr(self, name)
+            _require(_is_number(value) and value > 0, f"nnr.{name}", "finite and > 0", value)
+        m = self.momentum
+        _require(_is_number(m) and 0 <= m < 1, "nnr.momentum", "finite and in [0, 1)", m)
 
 
 @dataclass(frozen=True)

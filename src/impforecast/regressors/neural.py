@@ -1,8 +1,11 @@
 """Single-hidden-layer tanh network trained by full-batch gradient descent.
 
-The loss/gradient pair is exposed as a standalone function on a flattened
-parameter vector so the backprop gradient can be checked against central
-finite differences coordinate by coordinate.
+Networks that share a training matrix (one per target column) train
+together as one parameter block; a network alone is the one-row case of
+the same code. The loss/gradient pair is also exposed as a standalone
+function on a flattened parameter vector, so the backprop gradient that
+training uses can be checked against central finite differences
+coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -10,8 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import DimensionMismatchError, IncompatibleBundleError, NonFiniteLossError
-from .base import BaseRegressor, as_matrix, as_vector, check_fit_inputs, loaded_numbers
+from ..errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    FitError,
+    IncompatibleBundleError,
+    NonFiniteLossError,
+)
+from .base import (
+    BaseRegressor,
+    as_matrix,
+    as_vector,
+    check_fit_columns,
+    check_fit_inputs,
+    loaded_numbers,
+)
 from .scaling import Standardizer
 
 
@@ -28,44 +44,76 @@ def unpack_params(params: np.ndarray, n_features: int, hidden_units: int):
             f"expected {expected} parameters for d={n_features}, H={hidden_units}, "
             f"got shape {params.shape}"
         )
+    W1, b1, w2, b2 = _unpack_block(params[None], n_features, hidden_units)
+    return W1[0], b1[0], w2[0], b2[0]
+
+
+def _unpack_block(block: np.ndarray, n_features: int, hidden_units: int):
+    """Split a (C, param_count) block, one network per row, into views
+    W1 (C, d, H), b1 (C, H), w2 (C, H) and b2 (C,)."""
     a = n_features * hidden_units
-    W1 = params[:a].reshape(n_features, hidden_units)
-    b1 = params[a : a + hidden_units]
-    w2 = params[a + hidden_units : a + 2 * hidden_units]
-    b2 = params[a + 2 * hidden_units]
+    W1 = block[:, :a].reshape(-1, n_features, hidden_units)
+    b1 = block[:, a : a + hidden_units]
+    w2 = block[:, a + hidden_units : a + 2 * hidden_units]
+    b2 = block[:, a + 2 * hidden_units]
     return W1, b1, w2, b2
 
 
-def _forward(X, W1, b1, w2, b2):
-    hidden = np.tanh(X @ W1 + b1)
-    return hidden, hidden @ w2 + b2
+class _Networks:
+    """C networks of one shape trained on one X: network c fits row c of Yt.
+
+    The parameters are one (C, P) block, a row per network in the layout of
+    ``unpack_params``, and the gradients a block of the same shape; the
+    layer views of both are taken once and stay valid while the blocks are
+    updated in place. Every product is a stacked matmul that runs the same
+    BLAS call on each network's slice as on that network alone, so a
+    network's numbers do not depend on which others share the block.
+    """
+
+    def __init__(self, block, X, Yt, hidden_units: int):
+        self.grads = np.empty_like(block)
+        self.X, self.XT, self.Yt = X, X.T, Yt[:, :, None]
+        d = X.shape[1]
+        self.W1, b1, w2, b2 = _unpack_block(block, d, hidden_units)
+        self.b1, self.w2_col, self.w2_row, self.b2 = (
+            b1[:, None, :], w2[:, :, None], w2[:, None, :], b2[:, None, None]
+        )
+        self.g_W1, self.g_b1, g_w2, g_b2 = _unpack_block(self.grads, d, hidden_units)
+        self.g_w2, self.g_b2 = g_w2[:, :, None], g_b2[:, None]
+
+    def losses(self) -> np.ndarray:
+        """Mean-squared-error loss of each network, (C,); writes the
+        backprop gradients into ``self.grads``."""
+        hidden = np.tanh(self.X @ self.W1 + self.b1)
+        err = hidden @ self.w2_col + self.b2 - self.Yt
+        n = self.X.shape[0]
+        losses = (err.transpose(0, 2, 1) @ err)[:, 0, 0] / n
+
+        d_out = 2.0 * err / n
+        np.matmul(hidden.transpose(0, 2, 1), d_out, out=self.g_w2)
+        d_out.sum(axis=1, out=self.g_b2)
+        d_hidden = d_out * self.w2_row * (1.0 - hidden**2)
+        np.matmul(self.XT, d_hidden, out=self.g_W1)
+        d_hidden.sum(axis=1, out=self.g_b1)
+        return losses
 
 
 def nn_loss_and_gradient(params, X, y, hidden_units: int):
     """Mean-squared-error loss and its exact backprop gradient.
 
     Returns ``(loss, grad)`` with ``grad`` flattened in the same layout as
-    ``params`` (W1, b1, w2, b2).
+    ``params`` (W1, b1, w2, b2). This is the one-network case of the code
+    that trains the networks.
     """
     X, y = as_matrix(X), as_vector(y)
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatchError(
             f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
         )
-    W1, b1, w2, b2 = unpack_params(params, X.shape[1], hidden_units)
-    hidden, out = _forward(X, W1, b1, w2, b2)
-    err = out - y
-    n = X.shape[0]
-    loss = float(err @ err / n)
-
-    d_out = 2.0 * err / n
-    g_w2 = hidden.T @ d_out
-    g_b2 = d_out.sum()
-    d_hidden = np.outer(d_out, w2) * (1.0 - hidden**2)
-    g_W1 = X.T @ d_hidden
-    g_b1 = d_hidden.sum(axis=0)
-    grad = np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
-    return loss, grad
+    params = np.asarray(params, dtype=float)
+    unpack_params(params, X.shape[1], hidden_units)  # shape check
+    network = _Networks(params[None], X, y[None], hidden_units)
+    return float(network.losses()[0]), network.grads[0]
 
 
 def check_gradient(params, X, y, hidden_units: int, h: float = 1e-5) -> float:
@@ -95,7 +143,8 @@ class NeuralNetRegressor(BaseRegressor):
 
     Full-batch gradient descent with momentum; weights start uniform in
     +-init_scale/sqrt(fan_in), biases at zero. Raises NonFiniteLossError if
-    the loss diverges (step size too large).
+    the loss diverges (step size too large). ``fit`` is ``fit_columns`` on
+    one column.
     """
 
     kind = ModelKind.NNR
@@ -127,39 +176,92 @@ class NeuralNetRegressor(BaseRegressor):
         return np.concatenate([W1.ravel(), np.zeros(h), w2, [0.0]])
 
     def fit(self, X, y):
-        X, y = check_fit_inputs(X, y)
-        self.standardizer_ = Standardizer().fit(X)
-        Xs = self.standardizer_.transform(X)
+        (outcome,) = self.fit_columns([self], X, as_vector(y)[:, None])
+        if isinstance(outcome, FitError):
+            raise outcome
+        return self
+
+    @classmethod
+    def fit_columns(cls, estimators, X, Y) -> list:
+        """Train one network per column of ``Y``, all in one parameter block.
+
+        The estimators must differ only in ``seed``: each column starts from
+        its own estimator's initialisation, and gets the same bits as a
+        fit of that estimator on its column alone. A column whose loss goes
+        non-finite in any epoch, or whose final parameters are non-finite,
+        gets a NonFiniteLossError; training stops once every column has one.
+        """
+        X, Y = check_fit_columns(estimators, X, Y)
+        outcomes = []
+        for y in Y.T:
+            try:
+                check_fit_inputs(X, y)
+                outcomes.append(None)
+            except FitError as exc:
+                outcomes.append(exc)
+        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+        if not live:
+            return outcomes
+        hypers = {
+            (e.hidden_units, e.epochs, e.step, e.momentum, e.init_scale)
+            for e in (estimators[j] for j in live)
+        }
+        if len(hypers) > 1:
+            raise ValueError("fit_columns needs networks that differ only in seed")
+        first = estimators[live[0]]
+        if first.hidden_units < 1 or first.epochs < 1:
+            error = DegenerateInputError(
+                f"a network needs hidden_units >= 1 and epochs >= 1, got "
+                f"{first.hidden_units} and {first.epochs}"
+            )
+            return [error if outcome is None else outcome for outcome in outcomes]
+
+        standardizer = Standardizer().fit(X)
+        Xs = standardizer.transform(X)
         d = Xs.shape[1]
-        params = self._init_params(d)
-        velocity = np.zeros_like(params)
-        loss = np.nan
+        block = np.stack([estimators[j]._init_params(d) for j in live])
+        networks = _Networks(block, Xs, np.ascontiguousarray(Y[:, live].T), first.hidden_units)
+        velocity = np.zeros_like(block)
+        diverged = np.zeros(len(live), dtype=bool)
         # divergence is detected via the loss; intermediate overflow in a
         # diverging iterate is expected, not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.epochs):
-                loss, grad = nn_loss_and_gradient(params, Xs, y, self.hidden_units)
-                if not np.isfinite(loss):
-                    raise NonFiniteLossError(
-                        f"training loss diverged (step={self.step}); reduce the step size"
-                    )
-                velocity = self.momentum * velocity - self.step * grad
-                params = params + velocity
-        if not np.all(np.isfinite(params)):
-            raise NonFiniteLossError(
-                f"parameters diverged on the final update (step={self.step})"
-            )
-        self.params_ = params
-        self.final_loss_ = float(loss)
-        self.n_features_ = d
-        return self
+            for _ in range(first.epochs):
+                losses = networks.losses()
+                finite = np.isfinite(losses)
+                if not finite.all():
+                    diverged |= ~finite
+                    if diverged.all():
+                        break
+                networks.grads *= first.step
+                velocity *= first.momentum
+                velocity -= networks.grads
+                block += velocity
+
+        for row, j in enumerate(live):
+            estimator = estimators[j]
+            if diverged[row]:
+                outcomes[j] = NonFiniteLossError(
+                    f"training loss diverged (step={estimator.step}); reduce the step size"
+                )
+            elif not np.all(np.isfinite(block[row])):
+                outcomes[j] = NonFiniteLossError(
+                    f"parameters diverged on the final update (step={estimator.step})"
+                )
+            else:
+                estimator.params_ = block[row].copy()
+                estimator.final_loss_ = float(losses[row])
+                estimator.standardizer_ = standardizer
+                estimator.n_features_ = d
+                outcomes[j] = estimator
+        return outcomes
 
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
         W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hidden_units)
-        # _forward's layers summed row by row, so that a row's output does
-        # not depend on the other rows of the batch; fit keeps the matmuls
+        # the training forward pass summed row by row, so that a row's output
+        # does not depend on the other rows of the batch; fit keeps the matmuls
         hidden = np.tanh((Xs[:, :, None] * W1).sum(axis=1) + b1)
         return (hidden * w2).sum(axis=1) + b2
 

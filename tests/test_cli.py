@@ -16,6 +16,14 @@ FAST_HYPER = [
 ]
 
 
+# a report document with its entries left to fill in, and one entry
+REPORT_TEMPLATE = '{"format_version": 1, "config": {}, "histogram": {}, "entries": [%s]}'
+ENTRY_TEMPLATE = (
+    '{"channel": %d, "kind": "LR", "group": "G1", "rmse": 1.0,'
+    ' "bands": {"counts": [1, 0, 0, 0], "n_test": 1}}'
+)
+
+
 def run(args):
     return run_cli(list(args))
 
@@ -55,20 +63,6 @@ class TestStudy:
         r2, m2 = study_files(tmp_path, cohort_csv, "two")
         assert r1.read_bytes() == r2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
-
-    def test_threads_flag_does_not_change_bytes(self, tmp_path, cohort_csv):
-        r1, m1 = study_files(tmp_path, cohort_csv, "t1", extra=["--threads", "1"])
-        r8, m8 = study_files(tmp_path, cohort_csv, "t8", extra=["--threads", "8"])
-        assert r1.read_bytes() == r8.read_bytes()
-        assert m1.read_bytes() == m8.read_bytes()
-
-    def test_threads_env_fallback(self, tmp_path, cohort_csv, monkeypatch):
-        monkeypatch.setenv("IMP_FORECAST_THREADS", "2")
-        r_env, m_env = study_files(tmp_path, cohort_csv, "env")
-        monkeypatch.delenv("IMP_FORECAST_THREADS")
-        r1, m1 = study_files(tmp_path, cohort_csv, "noenv")
-        assert r_env.read_bytes() == r1.read_bytes()
-        assert m_env.read_bytes() == m1.read_bytes()
 
     def test_input_file_not_mutated(self, tmp_path, cohort_csv):
         before = cohort_csv.read_bytes()
@@ -114,6 +108,31 @@ class TestStudy:
         err = capsys.readouterr().err
         assert code == 1
         assert override.split("=")[0] in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "nnr.hidden_units=0",
+            "lr.ridge=nan",
+            "nnr.epochs=0",
+            "nnr.momentum=1.5",
+            "blr.alpha=-1",
+            "blr.beta=0",
+            "blr.evidence_iters=-3",
+            "nnr.step=nan",
+            "nnr.init_scale=0",
+        ],
+    )
+    def test_out_of_range_model_hyper_is_usage_error(self, tmp_path, cohort_csv, capsys, override):
+        code = run(
+            ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
+             "--out-models", str(tmp_path / "m.json"), "--hyper", override]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and override.split("=")[0] in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.json").exists()
 
@@ -254,8 +273,15 @@ class TestReport:
 
 
     @pytest.mark.parametrize(
-        "text", ["not json {", "[1, 2]", '{"format_version": 1, "config": {}, "histogram": {}}'],
-        ids=["not_json", "not_object", "no_entries"],
+        "text",
+        [
+            "not json {",
+            "[1, 2]",
+            '{"format_version": 1, "config": {}, "histogram": {}}',
+            REPORT_TEMPLATE % ENTRY_TEMPLATE % 13,
+            REPORT_TEMPLATE % ", ".join([ENTRY_TEMPLATE % 1] * 2),
+        ],
+        ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"
@@ -279,12 +305,24 @@ class TestUsage:
         text = capsys.readouterr().out
         assert "--" in text
 
-    def test_bad_threads_value(self, tmp_path, cohort_csv):
-        code = run(
-            ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
-             "--out-models", str(tmp_path / "m.json"), "--threads", "0"]
-        )
-        assert code == 1
+    @pytest.mark.parametrize("command", ["generate", "study_report", "study_models", "predict", "report"])
+    def test_unwritable_output_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, command):
+        missing = str(tmp_path / "no_such_dir" / "out")
+        models = tmp_path / "models.json"
+        models.write_text(bundle_to_json(mixed_bundle))
+        report, _ = study_files(tmp_path, cohort_csv, "written")
+        capsys.readouterr()
+        study = ["study", "--data", str(cohort_csv), *FAST_HYPER]
+        argv = {
+            "generate": ["generate", "--n", "5", "--out", missing],
+            "study_report": [*study, "--out-report", missing, "--out-models", str(tmp_path / "m.json")],
+            "study_models": [*study, "--out-report", str(tmp_path / "r.json"), "--out-models", missing],
+            "predict": ["predict", "--models", str(models), "--data", str(cohort_csv), "--out", missing],
+            "report": ["report", "--in", str(report), "--out", missing],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write ") and len(err.strip().splitlines()) == 1
 
     def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch):
         import impforecast.cli as cli

@@ -6,7 +6,7 @@ import pytest
 
 from impforecast.domain import ModelKind
 from impforecast.errors import DegenerateInputError, DimensionMismatchError
-from impforecast.regressors import ESTIMATOR_CLASSES, HyperParams, fit_model, make_regressor
+from impforecast.regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 
 KINDS = list(ModelKind)
 
@@ -26,7 +26,7 @@ def problem(n=20, d=4, seed=0):
 @pytest.mark.parametrize("kind", KINDS)
 def test_fit_predict_shapes(kind):
     X, y = problem()
-    model = fit_model(kind, X, y, FAST, seed=5)
+    model = make_regressor(kind, FAST, seed=5).fit(X, y)
     pred = model.predict(X)
     assert pred.shape == (20,)
     assert np.all(np.isfinite(pred))
@@ -42,15 +42,15 @@ def test_fit_returns_self(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_deterministic_given_seed(kind):
     X, y = problem(seed=3)
-    a = fit_model(kind, X, y, FAST, seed=11).predict(X)
-    b = fit_model(kind, X, y, FAST, seed=11).predict(X)
+    a = make_regressor(kind, FAST, seed=11).fit(X, y).predict(X)
+    b = make_regressor(kind, FAST, seed=11).fit(X, y).predict(X)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_predict_empty_input(kind):
     X, y = problem()
-    model = fit_model(kind, X, y, FAST, seed=5)
+    model = make_regressor(kind, FAST, seed=5).fit(X, y)
     out = model.predict(np.empty((0, X.shape[1])))
     assert out.shape == (0,)
 
@@ -58,7 +58,7 @@ def test_predict_empty_input(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_dimension_mismatch_on_predict(kind):
     X, y = problem(d=4)
-    model = fit_model(kind, X, y, FAST, seed=5)
+    model = make_regressor(kind, FAST, seed=5).fit(X, y)
     with pytest.raises(DimensionMismatchError):
         model.predict(np.ones((3, 5)))
 

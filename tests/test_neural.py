@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from impforecast.errors import DimensionMismatchError, NonFiniteLossError
+from impforecast import generate_synthetic_cohort
+from impforecast.domain import CHANNELS, FeatureGroup, feature_matrix, label_vector
+from impforecast.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    FitError,
+    NonFiniteLossError,
+)
 from impforecast.regressors import NeuralNetRegressor
 from impforecast.regressors.neural import (
     check_gradient,
@@ -92,3 +101,89 @@ class TestNeuralNetRegressor:
         assert np.all(np.abs(w2) <= 1.0 / np.sqrt(4))
         assert np.all(b1 == 0.0) and b2 == 0.0
         np.testing.assert_array_equal(params, NeuralNetRegressor(hidden_units=4, seed=3)._init_params(5))
+
+
+def fit_lone(X, Y, seeds, **hyper):
+    """One network per column, each fit on its own."""
+    outcomes = []
+    for y, seed in zip(Y.T, seeds):
+        try:
+            outcomes.append(NeuralNetRegressor(seed=seed, **hyper).fit(X, y))
+        except FitError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_network(a, b, X):
+    assert np.array_equal(a.params_, b.params_)
+    assert a.final_loss_ == b.final_loss_
+    assert a.predict(X).tobytes() == b.predict(X).tobytes()
+
+
+class TestFitColumns:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.sampled_from([1, 13]),
+        k=st.integers(1, 5),
+        n=st.integers(2, 30),
+        hidden_units=st.integers(1, 17),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_columns_fit_together_match_lone_fits(self, d, k, n, hidden_units, data_seed):
+        rng = np.random.default_rng(data_seed)
+        X = rng.uniform(0.5, 40.0, size=(n, d))
+        Y = rng.normal(loc=8.0, scale=2.0, size=(n, k))
+        seeds = rng.integers(0, 2**31, size=k).tolist()
+        hyper = dict(hidden_units=hidden_units, epochs=40)
+        together = NeuralNetRegressor.fit_columns(
+            [NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y
+        )
+        for joint, lone in zip(together, fit_lone(X, Y, seeds, **hyper)):
+            assert_same_network(joint, lone, X)
+
+    def test_diverging_column_fails_alone(self):
+        cohort = generate_synthetic_cohort(80, 1)
+        X = feature_matrix(cohort, FeatureGroup.G2)
+        Y = np.column_stack([label_vector(cohort, c) for c in CHANNELS])
+        Y[:, 3] *= 100.0  # channel 4
+        hyper = dict(epochs=300, step=0.2)
+        seeds = list(CHANNELS)
+        together = NeuralNetRegressor.fit_columns(
+            [NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y
+        )
+        lone = fit_lone(X, Y, seeds, **hyper)
+        assert isinstance(together[3], NonFiniteLossError)
+        assert isinstance(lone[3], NonFiniteLossError)
+        for column in set(range(12)) - {3}:
+            assert_same_network(together[column], lone[column], X)
+
+    def test_every_column_failing_stops_training(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(20, 2))
+        Y = rng.normal(size=(20, 3))
+        outcomes = NeuralNetRegressor.fit_columns(
+            [NeuralNetRegressor(step=1e4, epochs=200, seed=s) for s in range(3)], X, Y
+        )
+        assert all(isinstance(o, NonFiniteLossError) for o in outcomes)
+
+    def test_bad_column_is_recorded_not_raised(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(12, 1))
+        Y = rng.normal(size=(12, 2))
+        Y[0, 0] = np.nan
+        first, second = NeuralNetRegressor.fit_columns(
+            [NeuralNetRegressor(epochs=20, seed=s) for s in (1, 2)], X, Y
+        )
+        assert isinstance(first, DegenerateInputError)
+        assert_same_network(second, NeuralNetRegressor(epochs=20, seed=2).fit(X, Y[:, 1]), X)
+
+    def test_networks_must_share_hyperparameters(self):
+        X, Y = np.ones((4, 1)), np.ones((4, 2))
+        with pytest.raises(ValueError):
+            NeuralNetRegressor.fit_columns(
+                [NeuralNetRegressor(epochs=5), NeuralNetRegressor(epochs=6)], X, Y
+            )
+
+    def test_one_estimator_per_column(self):
+        with pytest.raises(DimensionMismatchError):
+            NeuralNetRegressor.fit_columns([NeuralNetRegressor()], np.ones((4, 1)), np.ones((4, 2)))

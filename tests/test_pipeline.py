@@ -5,7 +5,7 @@ import pytest
 
 from impforecast.bundle import ModelBundle, bundle_to_json
 from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohort
-from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, label_vector
+from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
 from impforecast.errors import IncompatibleBundleError, TooSmallError
 from impforecast.metrics import rmse
 from impforecast.pipeline import (
@@ -13,14 +13,15 @@ from impforecast.pipeline import (
     StudyConfig,
     candidate_seed,
     evaluate_candidate,
+    evaluate_grid,
     histogram_of_kinds,
+    pick_winner,
     predict_one,
     report_from_json,
     report_to_json,
     run_study,
-    select_best,
 )
-from impforecast.regressors import HyperParams
+from impforecast.regressors import HyperParams, make_regressor
 
 # trimmed ensembles/epochs: pipeline behavior is identical, tests run fast
 FAST = HyperParams().with_overrides(
@@ -79,47 +80,44 @@ class TestEvaluateCandidate:
 
 
 class TestSelectBest:
+    """Winner selection over the grid that ``evaluate_grid`` fits for every
+    channel at once."""
+
     def test_argmin_over_grid(self, small_split):
         train, test = small_split
-        outcome = select_best(4, train, test, FAST_CONFIG)
-        winner_rmse = outcome.entry.rmse
-        assert len(outcome.candidates) == 10
-        for cand in outcome.candidates:
-            assert winner_rmse <= cand.rmse
+        results = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)[4]
+        _, _, winner = pick_winner(results)
+        assert len(results) == 10
+        for cand in results.values():
+            assert winner.rmse <= cand.rmse
 
     def test_winner_matches_direct_evaluation(self, small_split):
         train, test = small_split
-        outcome = select_best(7, train, test, FAST_CONFIG)
-        res = evaluate_candidate(
-            outcome.entry.kind, outcome.entry.group, 7, train, test, FAST,
-            candidate_seed(FAST_CONFIG.seed, 7, outcome.entry.kind, outcome.entry.group),
+        kind, group, winner = pick_winner(evaluate_grid(CHANNELS, train, test, FAST_CONFIG)[7])
+        lone = make_regressor(kind, FAST, candidate_seed(FAST_CONFIG.seed, 7, kind, group)).fit(
+            feature_matrix(train, group), label_vector(train, 7)
         )
-        assert res.rmse == outcome.entry.rmse
+        y_hat = lone.predict(feature_matrix(test, group))
+        assert rmse(y_hat, label_vector(test, 7)) == winner.rmse
+        assert lone.fitted_params() == winner.model.fitted_params()
 
     def test_tie_breaks_prefer_simpler_kind_then_smaller_group(self, monkeypatch, small_split):
         import impforecast.pipeline as pipeline
 
         train, test = small_split
-        fixed = {(k, g): 0.5 for k, g in CANDIDATES}  # exact 10-way tie
-
-        real = pipeline.evaluate_candidate
-
-        def rigged(kind, group, channel, train_, test_, hyper, seed):
-            res = real(ModelKind.LR, group, channel, train_, test_, hyper, seed)
-            return dataclasses.replace(res, kind=kind, rmse=fixed[(kind, group)])
-
-        monkeypatch.setattr(pipeline, "evaluate_candidate", rigged)
-        outcome = pipeline.select_best(1, train, test, FAST_CONFIG)
-        assert outcome.entry.kind is ModelKind.LR
-        assert outcome.entry.group is FeatureGroup.G1
+        monkeypatch.setattr(pipeline, "rmse", lambda y_hat, y: 0.5)  # exact 10-way tie
+        kind, group, _ = pick_winner(evaluate_grid((1,), train, test, FAST_CONFIG)[1])
+        assert kind is ModelKind.LR
+        assert group is FeatureGroup.G1
 
     def test_linear_generator_favors_linear_family(self, linear_cohort_factory):
         cohort = linear_cohort_factory(80, 4, sigma=0.1)
         train, test = split_cohort(cohort, SplitSpec(0.30, 42))
+        grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
         wins = 0
         for channel in CHANNELS:
-            outcome = select_best(channel, train, test, FAST_CONFIG)
-            wins += outcome.entry.kind in (ModelKind.LR, ModelKind.BLR)
+            kind, _, _ = pick_winner(grid[channel])
+            wins += kind in (ModelKind.LR, ModelKind.BLR)
         assert wins >= 10
 
 
@@ -153,15 +151,9 @@ class TestRunStudy:
         assert report_to_json(report) == report_to_json(again_report)
         assert bundle_to_json(models) == bundle_to_json(again_models)
 
-    def test_threads_do_not_change_bytes(self, small_cohort, small_study):
-        report, models = small_study
-        threaded = run_study(small_cohort, dataclasses.replace(FAST_CONFIG, n_threads=4))
-        assert report_to_json(report) == report_to_json(threaded[0])
-        assert bundle_to_json(models) == bundle_to_json(threaded[1])
-
     def test_config_echo_excludes_threads(self, small_study):
         report, _ = small_study
-        assert "n_threads" not in report.config
+        assert set(report.config) == {"seed", "test_fraction", "selection", "hyper"}
         assert report.config["seed"] == FAST_CONFIG.seed
 
     def test_beats_training_mean_baseline(self, small_cohort, small_study):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from impforecast import load_bundle, predict_batch, predict_one, save_bundle
 from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, Cohort, ModelKind, PatientRecord
-from impforecast.regressors.neural import _forward, unpack_params
+from impforecast.regressors.neural import unpack_params
 
 # ages in years and impedances in kOhm, a little beyond the synthetic ranges
 values = st.floats(0.1, 100.0, allow_nan=False, allow_infinity=False)
@@ -82,7 +82,8 @@ def test_row_sums_match_matrix_products(mixed_bundle, kind, group):
     X = np.random.default_rng(3).uniform(0.5, 40.0, size=(300, group.dimension))
     Xs = est.standardizer_.transform(X)
     if kind is ModelKind.NNR:
-        _, expected = _forward(Xs, *unpack_params(est.params_, est.n_features_, est.hidden_units))
+        W1, b1, w2, b2 = unpack_params(est.params_, est.n_features_, est.hidden_units)
+        expected = np.tanh(Xs @ W1 + b1) @ w2 + b2
     else:
         expected = Xs @ est.weights_ + est.intercept_
     np.testing.assert_allclose(est.predict(X), expected, rtol=1e-12, atol=0.0)
