@@ -9,7 +9,6 @@ from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix
 from impforecast.errors import IncompatibleBundleError, TooSmallError
 from impforecast.metrics import rmse
 from impforecast.pipeline import (
-    CANDIDATES,
     StudyConfig,
     candidate_seed,
     evaluate_candidate,
