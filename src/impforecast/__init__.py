@@ -22,8 +22,6 @@ from .domain import (
     Cohort,
     FeatureGroup,
     ModelKind,
-    PatientRecord,
-    assemble_features,
     published_range,
 )
 from .metrics import ErrorBands, error_bands, rmse
@@ -66,7 +64,6 @@ __all__ = [
     "HyperParams",
     "ModelBundle",
     "ModelKind",
-    "PatientRecord",
     "RenderOptions",
     "SelectionEntry",
     "SplitSpec",
@@ -79,7 +76,6 @@ __all__ = [
     "DecisionForestRegressor",
     "LinearRegressor",
     "NeuralNetRegressor",
-    "assemble_features",
     "bundle_from_json",
     "bundle_to_json",
     "error_bands",

@@ -121,15 +121,14 @@ def _cmd_generate(args) -> int:
 def _cmd_study(args) -> int:
     overrides = dict(_coerce_override(item) for item in args.hyper)
     try:
-        hyper = StudyConfig().hyper.with_overrides(overrides)
+        config = StudyConfig(
+            seed=args.seed,
+            test_fraction=args.test_fraction,
+            selection=args.selection,
+            hyper=StudyConfig().hyper.with_overrides(overrides),
+        )
     except (KeyError, ValueError) as exc:
         raise UsageError(str(exc.args[0])) from exc
-    config = StudyConfig(
-        seed=args.seed,
-        test_fraction=args.test_fraction,
-        selection=args.selection,
-        hyper=hyper,
-    )
     cohort = parse_cohort_csv(_read_text(args.data))
     report, models = run_study(cohort, config)
     _write_text(args.out_report, report_to_json(report))
@@ -183,6 +182,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ImpforecastError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # last resort: a bug, reported in one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CHANNELS, Cohort, N_CHANNELS, PatientRecord, published_range
+from .domain import CHANNELS, Cohort, N_CHANNELS, published_range
 from .errors import (
     BadNumberError,
     EmptyFileError,
@@ -91,22 +91,24 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     present_labels = [c for c in LABEL_COLUMNS if c in position]
     if present_labels and len(present_labels) != N_CHANNELS:
         raise MissingColumnError([c for c in LABEL_COLUMNS if c not in position])
-    labeled = bool(present_labels)
+    columns = ALL_COLUMNS if present_labels else BASE_COLUMNS
+    indices = [position[c] for c in columns]
 
-    def cell(row_cells, row_no, column):
-        i = position[column]
-        raw = row_cells[i] if i < len(row_cells) else ""
-        return _parse_cell(raw, row_no, column)
-
-    records = []
+    table = np.empty((len(rows) - 1, len(columns)))
     for row_no, row_cells in enumerate(rows[1:], start=1):
-        age = cell(row_cells, row_no, AGE_COLUMN)
-        intra = tuple(cell(row_cells, row_no, c) for c in INTRA_COLUMNS)
-        labels = (
-            tuple(cell(row_cells, row_no, c) for c in LABEL_COLUMNS) if labeled else None
-        )
-        records.append(PatientRecord(age=age, ei_intra=intra, ei_1m=labels))
-    return Cohort(records=tuple(records))
+        table[row_no - 1] = [
+            _parse_cell(row_cells[i] if i < len(row_cells) else "", row_no, column)
+            for i, column in zip(indices, columns)
+        ]
+    labels = table[:, 1 + N_CHANNELS :] if present_labels else None
+    return Cohort(table[:, 0], table[:, 1 : 1 + N_CHANNELS], labels)
+
+
+def _csv_table(cohort: Cohort) -> tuple[tuple[str, ...], np.ndarray]:
+    """The cohort's CSV columns and its (n, len(columns)) table of values."""
+    if not cohort.labeled:
+        return BASE_COLUMNS, np.column_stack([cohort.ages, cohort.intra])
+    return ALL_COLUMNS, np.column_stack([cohort.ages, cohort.intra, cohort.labels])
 
 
 def serialize_cohort_csv(cohort: Cohort) -> str:
@@ -115,14 +117,8 @@ def serialize_cohort_csv(cohort: Cohort) -> str:
     Floats use their shortest round-trip representation so that
     parse(serialize(parse(text))) is exact.
     """
-    labeled = cohort.labeled and len(cohort) > 0
-    columns = ALL_COLUMNS if labeled else BASE_COLUMNS
-    lines = [",".join(columns)]
-    for r in cohort.records:
-        cells = [repr(float(r.age))] + [repr(float(v)) for v in r.ei_intra]
-        if labeled:
-            cells += [repr(float(v)) for v in r.ei_1m]
-        lines.append(",".join(cells))
+    columns, table = _csv_table(cohort)
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -133,41 +129,23 @@ def validate_cohort(cohort: Cohort) -> ValidationReport:
     the bounds describe one cohort, not a physical limit. The report is
     sorted by row, then column name, regardless of scan order.
     """
-    errors: list[tuple[int, str, str]] = []
-    warnings: list[tuple[int, str, str]] = []
+    columns, table = _csv_table(cohort)
+    errors = []
+    for i, j in zip(*np.nonzero(~(np.isfinite(table) & (table > 0)))):
+        value = table[i, j].item()
+        message = f"must be > 0, got {value}" if math.isfinite(value) else f"non-finite value: {value!r}"
+        errors.append((int(i) + 1, columns[j], message))
 
-    def check_value(row, column, value):
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            errors.append((row, column, f"non-finite value: {value!r}"))
-        elif value <= 0:
-            errors.append((row, column, f"must be > 0, got {value}"))
-
-    for row, record in enumerate(cohort.records, start=1):
-        check_value(row, AGE_COLUMN, record.age)
-        if len(record.ei_intra) != N_CHANNELS:
-            errors.append(
-                (row, "ei_intra", f"expected {N_CHANNELS} entries, got {len(record.ei_intra)}")
-            )
-        else:
-            for c, value in zip(CHANNELS, record.ei_intra):
-                check_value(row, f"ei_intra_{c}", value)
-        if record.ei_1m is None:
-            continue
-        if len(record.ei_1m) != N_CHANNELS:
-            errors.append(
-                (row, "ei_1m", f"expected {N_CHANNELS} entries, got {len(record.ei_1m)}")
-            )
-            continue
-        for c, value in zip(CHANNELS, record.ei_1m):
-            column = f"ei_1m_{c}"
-            check_value(row, column, value)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                continue
-            bounds = published_range(c)
-            if value < bounds.min:
-                warnings.append((row, column, f"below published min {bounds.min}"))
-            elif value > bounds.max:
-                warnings.append((row, column, f"above published max {bounds.max}"))
+    warnings = []
+    if cohort.labeled:
+        bounds = [published_range(c) for c in CHANNELS]
+        finite = np.isfinite(cohort.labels)
+        below = finite & (cohort.labels < [b.min for b in bounds])
+        above = finite & (cohort.labels > [b.max for b in bounds])
+        for i, j in zip(*np.nonzero(below)):
+            warnings.append((int(i) + 1, LABEL_COLUMNS[j], f"below published min {bounds[j].min}"))
+        for i, j in zip(*np.nonzero(above)):
+            warnings.append((int(i) + 1, LABEL_COLUMNS[j], f"above published max {bounds[j].max}"))
 
     key = lambda item: (item[0], item[1])
     return ValidationReport(errors=sorted(errors, key=key), warnings=sorted(warnings, key=key))
@@ -198,7 +176,7 @@ def synth_offset(channel: int) -> float:
 
 
 def generate_synthetic_cohort(n: int, seed: int) -> Cohort:
-    """Labeled cohort of ``n`` records, deterministic in (n, seed).
+    """Labeled cohort of ``n`` patients, deterministic in (n, seed).
 
     Ages are uniform in AGE_RANGE; intraoperative impedances are uniform
     within each channel's published bounds (the only published bounds
@@ -217,16 +195,7 @@ def generate_synthetic_cohort(n: int, seed: int) -> Cohort:
     noise = sigma * rng.standard_normal(size=(n, N_CHANNELS))
     one_month = SYNTH_SLOPE * intra + SYNTH_AGE_COEF * ages[:, None] + offset + noise
     one_month = np.clip(one_month, lo, hi)
-
-    records = tuple(
-        PatientRecord(
-            age=float(ages[i]),
-            ei_intra=tuple(float(v) for v in intra[i]),
-            ei_1m=tuple(float(v) for v in one_month[i]),
-        )
-        for i in range(n)
-    )
-    return Cohort(records=records)
+    return Cohort(ages, intra, one_month)
 
 
 # --- splitting ----------------------------------------------------------------
@@ -252,7 +221,4 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     perm = np.random.default_rng(spec.seed).permutation(n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    records = cohort.records
-    train = Cohort(records=tuple(records[i] for i in train_idx))
-    test = Cohort(records=tuple(records[i] for i in test_idx))
-    return train, test
+    return cohort.take(train_idx), cohort.take(test_idx)

@@ -64,31 +64,63 @@ def group_index(group: FeatureGroup) -> int:
     return GROUP_ORDER.index(group)
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient: age at implantation plus per-channel impedances.
+def _frozen(name: str, values, shape: tuple) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``values``, which must have ``shape``."""
+    array = np.array(values, dtype=np.float64, order="C")
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    array.setflags(write=False)
+    return array
 
-    ``ei_intra`` holds the 12 intraoperative measurements (channel order
-    1..12); ``ei_1m`` the optional 12 one-month labels.
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Patients as the rows of three arrays: ``ages`` (n,), the 12
+    intraoperative impedances ``intra`` (n, 12) in channel order 1..12, and
+    the optional 12 one-month labels ``labels`` (n, 12).
+
+    The constructor stores read-only float64 copies, so a cohort is an
+    immutable value; two cohorts are equal when their arrays hold the same
+    bytes.
     """
 
-    age: float
-    ei_intra: tuple[float, ...]
-    ei_1m: tuple[float, ...] | None = None
+    ages: np.ndarray
+    intra: np.ndarray
+    labels: np.ndarray | None = None
 
-
-@dataclass(frozen=True)
-class Cohort:
-    """Ordered collection of patient records."""
-
-    records: tuple[PatientRecord, ...]
+    def __post_init__(self):
+        if np.ndim(self.ages) != 1:
+            raise ValueError(f"ages must be one-dimensional, got shape {np.shape(self.ages)}")
+        rows = (len(self.ages), N_CHANNELS)
+        object.__setattr__(self, "ages", _frozen("ages", self.ages, rows[:1]))
+        object.__setattr__(self, "intra", _frozen("intra", self.intra, rows))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", _frozen("labels", self.labels, rows))
 
     @property
     def labeled(self) -> bool:
-        return all(r.ei_1m is not None for r in self.records)
+        return self.labels is not None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ages)
+
+    def take(self, idx) -> Cohort:
+        """The rows that ``idx`` selects (integer indices, in their order, or
+        a boolean mask), as a new cohort."""
+        rows = np.arange(len(self))[idx]
+        labels = None if self.labels is None else self.labels[rows]
+        return Cohort(self.ages[rows], self.intra[rows], labels)
+
+    def _key(self) -> tuple:
+        return tuple(
+            None if a is None else (a.shape, a.tobytes()) for a in (self.ages, self.intra, self.labels)
+        )
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Cohort) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -137,21 +169,17 @@ def published_range(channel: int) -> ChannelRange:
     return PUBLISHED_RANGES[check_channel(channel)]
 
 
-def assemble_features(record: PatientRecord, group: FeatureGroup) -> np.ndarray:
-    """Feature vector for one record: [age] for G1, [age, intra 1..12] for G2."""
-    if group is FeatureGroup.G1:
-        return np.array([record.age], dtype=float)
-    return np.array([record.age, *record.ei_intra], dtype=float)
-
-
 def feature_matrix(cohort: Cohort, group: FeatureGroup) -> np.ndarray:
-    """Stack per-record feature vectors into an (n, d) matrix."""
-    if not cohort.records:
-        return np.empty((0, group.dimension), dtype=float)
-    return np.stack([assemble_features(r, group) for r in cohort.records])
+    """The (n, d) C-contiguous feature matrix: ``[age]`` for G1 (a read-only
+    view of the cohort), ``[age, intra 1..12]`` for G2."""
+    if group is FeatureGroup.G1:
+        return cohort.ages[:, None]
+    return np.column_stack([cohort.ages, cohort.intra])
 
 
 def label_vector(cohort: Cohort, channel: int) -> np.ndarray:
-    """One-month labels for ``channel`` across the cohort (requires labels)."""
+    """One-month labels for ``channel`` across the cohort, as a contiguous copy."""
     c = check_channel(channel)
-    return np.array([r.ei_1m[c - 1] for r in cohort.records], dtype=float)
+    if cohort.labels is None:
+        raise ValueError("the cohort has no one-month labels")
+    return cohort.labels[:, c - 1].copy()

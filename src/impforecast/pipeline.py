@@ -26,7 +26,6 @@ from .domain import (
     GROUP_ORDER,
     KIND_ORDER,
     ModelKind,
-    PatientRecord,
     check_channel,
     feature_matrix,
     group_index,
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
+from .regressors.hyper import _is_number, _require
 from .seeding import derive_seed
 
 REPORT_FORMAT_VERSION = 1
@@ -60,6 +60,11 @@ class StudyConfig:
     test_fraction: float = 0.30
     selection: str = "test"  # or "inner_validation"
     hyper: HyperParams = field(default_factory=HyperParams)
+
+    def __post_init__(self):
+        f, s = self.test_fraction, self.selection
+        _require(_is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
+        _require(s in ("test", "inner_validation"), "selection", "'test' or 'inner_validation'", s)
 
     def echo(self) -> dict:
         """Reproducibility echo for reports."""
@@ -155,7 +160,7 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
     recorded, not raised.
     """
     channels = tuple(check_channel(c) for c in channels)
-    Y_train = np.column_stack([label_vector(train, c) for c in channels])
+    Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
     y_tests = [label_vector(test, c) for c in channels]
     features = {
         group: (feature_matrix(train, group), feature_matrix(test, group))
@@ -279,9 +284,12 @@ def predict_batch(bundle: ModelBundle, cohort: Cohort) -> np.ndarray:
     return out
 
 
-def predict_one(bundle: ModelBundle, record: PatientRecord) -> list[ChannelPrediction]:
-    """Per-channel one-month predictions for a single patient record."""
-    values = predict_batch(bundle, Cohort(records=(record,)))[0].tolist()
+def predict_one(bundle: ModelBundle, patient: Cohort) -> list[ChannelPrediction]:
+    """Per-channel one-month predictions for a one-patient cohort, e.g.
+    ``cohort.take([i])``."""
+    if len(patient) != 1:
+        raise ValueError(f"predict_one needs a cohort of one patient, got {len(patient)}")
+    values = predict_batch(bundle, patient)[0].tolist()
     return [
         ChannelPrediction(channel=c, value=v, rmse=bundle.model_for(c).rmse)
         for c, v in zip(CHANNELS, values)

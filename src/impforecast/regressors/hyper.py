@@ -23,12 +23,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_tree_sizes(kind: str, block) -> None:
     """Ranges that every tree ensemble needs: at least one tree, leaves of
     at least one row."""
     for name, low in (("trees", 1), ("max_depth", 0), ("min_leaf", 1)):
         value = getattr(block, name)
-        _require(_is_number(value) and value >= low, f"{kind}.{name}", f">= {low}", value)
+        _require(_is_count(value) and value >= low, f"{kind}.{name}", f"an integer >= {low}", value)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class BayesConfig:
             value = getattr(self, name)
             _require(_is_number(value) and value > 0, f"blr.{name}", "finite and > 0", value)
         n = self.evidence_iters
-        _require(_is_number(n) and n >= 0, "blr.evidence_iters", ">= 0", n)
+        _require(_is_count(n) and n >= 0, "blr.evidence_iters", "an integer >= 0", n)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class ForestConfig:
     def __post_init__(self):
         _check_tree_sizes("dfr", self)
         fs = self.feature_subset
-        _require(fs is None or (_is_number(fs) and fs >= 1), "dfr.feature_subset", "None or >= 1", fs)
+        _require(fs is None or (_is_count(fs) and fs >= 1), "dfr.feature_subset", "None or an integer >= 1", fs)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class NeuralConfig:
     def __post_init__(self):
         for name in ("hidden_units", "epochs"):
             value = getattr(self, name)
-            _require(_is_number(value) and value >= 1, f"nnr.{name}", ">= 1", value)
+            _require(_is_count(value) and value >= 1, f"nnr.{name}", "an integer >= 1", value)
         for name in ("step", "init_scale"):
             value = getattr(self, name)
             _require(_is_number(value) and value > 0, f"nnr.{name}", "finite and > 0", value)

@@ -1,8 +1,8 @@
 """Deterministic per-task seed derivation.
 
 Every stochastic task in the pipeline (one fit of one candidate on one
-channel) gets its own seed mixed from the master seed, so serial and
-parallel runs are bit-identical.
+channel) gets its own seed mixed from the master seed, so a fit's
+randomness does not depend on which other fits run before it or with it.
 """
 
 _MASK = (1 << 64) - 1

@@ -8,7 +8,6 @@ from impforecast.domain import (
     GROUP_ORDER,
     KIND_ORDER,
     Cohort,
-    PatientRecord,
     feature_matrix,
     label_vector,
     published_range,
@@ -31,15 +30,7 @@ def build_linear_cohort(n: int, seed: int, sigma: float = 0.1) -> Cohort:
         + offsets
         + sigma * rng.standard_normal((n, 12))
     )
-    records = tuple(
-        PatientRecord(
-            age=float(ages[i]),
-            ei_intra=tuple(float(v) for v in intra[i]),
-            ei_1m=tuple(float(v) for v in labels[i]),
-        )
-        for i in range(n)
-    )
-    return Cohort(records=records)
+    return Cohort(ages, intra, labels)
 
 
 @pytest.fixture

@@ -266,9 +266,9 @@ def test_criterion_10_round_trips():
     )
     _, models = run_study(cohort, StudyConfig(hyper=fast))
     reloaded = bundle_from_json(bundle_to_json(models))
-    record = cohort.records[3]
-    before = [p.value for p in predict_one(models, record)]
-    after = [p.value for p in predict_one(reloaded, record)]
+    patient = cohort.take([3])
+    before = [p.value for p in predict_one(models, patient)]
+    after = [p.value for p in predict_one(reloaded, patient)]
     predictions_exact = before == after
 
     report(

@@ -123,6 +123,10 @@ class TestStudy:
             "blr.evidence_iters=-3",
             "nnr.step=nan",
             "nnr.init_scale=0",
+            "nnr.hidden_units=2.5",
+            "nnr.epochs=10.7",
+            "nnr.hidden_units=1e30",
+            "blr.evidence_iters=2.5",
         ],
     )
     def test_out_of_range_model_hyper_is_usage_error(self, tmp_path, cohort_csv, capsys, override):
@@ -134,6 +138,17 @@ class TestStudy:
         assert code == 1
         assert err.startswith("error: ") and override.split("=")[0] in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "nan", "-0.2"])
+    def test_out_of_range_test_fraction_is_usage_error(self, tmp_path, cohort_csv, capsys, fraction):
+        code = run(
+            ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
+             "--out-models", str(tmp_path / "m.json"), "--test-fraction", fraction]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: test_fraction") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.json").exists()
 
     def test_unlabeled_data_is_data_error(self, tmp_path):
@@ -337,3 +352,18 @@ class TestUsage:
              "--out-models", str(tmp_path / "m.json")]
         )
         assert code == 3
+
+    def test_unexpected_exception_is_one_line_internal_error(self, tmp_path, cohort_csv, monkeypatch, capsys):
+        import impforecast.cli as cli
+
+        def bug(args):
+            raise RuntimeError("unexpected\nstate")
+
+        monkeypatch.setitem(cli._COMMANDS, "study", bug)
+        code = run(
+            ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
+             "--out-models", str(tmp_path / "m.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: RuntimeError: unexpected state\n"

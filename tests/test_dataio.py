@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from impforecast.dataio import (
     SplitSpec,
@@ -11,7 +14,7 @@ from impforecast.dataio import (
     validate_cohort,
 )
 from impforecast.dataio import test_count as held_out_count
-from impforecast.domain import CHANNELS, Cohort, PatientRecord, published_range
+from impforecast.domain import CHANNELS, Cohort, published_range
 from impforecast.errors import (
     BadNumberError,
     EmptyFileError,
@@ -40,17 +43,16 @@ class TestParse:
         cohort = parse_cohort_csv(FULL_HEADER + "\n" + full_row() + "\n")
         assert len(cohort) == 1
         assert cohort.labeled
-        rec = cohort.records[0]
-        assert rec.age == 2.5
-        assert rec.ei_intra == tuple([5.0] * 12)
-        assert rec.ei_1m == tuple([6.0] * 12)
+        assert cohort.ages.tolist() == [2.5]
+        assert cohort.intra.tolist() == [[5.0] * 12]
+        assert cohort.labels.tolist() == [[6.0] * 12]
 
     def test_unlabeled_prediction_input(self):
         text = BASE_HEADER + "\n" + ",".join(["2.5"] + ["5.0"] * 12) + "\n"
         cohort = parse_cohort_csv(text)
         assert len(cohort) == 1
         assert not cohort.labeled
-        assert cohort.records[0].ei_1m is None
+        assert cohort.labels is None
 
     def test_nonpositive_cell(self):
         cells = ["2.5"] + ["5.0"] * 12
@@ -104,20 +106,52 @@ def test_parse_serialize_roundtrip_exact():
     assert once == twice == cohort
 
 
+def patients(*label_rows, age=2.5):
+    """A cohort with one row per entry of ``label_rows``; intra all 5.0."""
+    n = len(label_rows)
+    return Cohort([age] * n, [[5.0] * 12] * n, list(label_rows))
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cohorts(draw):
+    n = draw(st.integers(0, 20))
+    labels = draw(st.none() | arrays(np.float64, (n, 12), elements=positive))
+    return Cohort(
+        draw(arrays(np.float64, (n,), elements=positive)),
+        draw(arrays(np.float64, (n, 12), elements=positive)),
+        labels,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cohort=cohorts())
+def test_serialize_parse_round_trip_keeps_the_bytes(cohort):
+    again = parse_cohort_csv(serialize_cohort_csv(cohort))
+    assert again.ages.tobytes() == cohort.ages.tobytes()
+    assert again.intra.tobytes() == cohort.intra.tobytes()
+    assert again.labeled == cohort.labeled
+    if cohort.labeled:
+        assert again.labels.tobytes() == cohort.labels.tobytes()
+    assert again == cohort
+
+
 class TestValidate:
-    def label_record(self, changes=None):
+    def label_row(self, changes=None):
         labels = list(6.0 for _ in CHANNELS)
         for idx, value in (changes or {}).items():
             labels[idx] = value
-        return PatientRecord(age=2.5, ei_intra=tuple([5.0] * 12), ei_1m=tuple(labels))
+        return labels
 
     def test_boundary_min_is_inclusive(self):
         # published min of channel 1 is 4.48
-        report = validate_cohort(Cohort(records=(self.label_record({0: 4.48}),)))
+        report = validate_cohort(patients(self.label_row({0: 4.48})))
         assert report.ok and not report.warnings
 
     def test_above_max_warns(self):
-        report = validate_cohort(Cohort(records=(self.label_record({0: 17.00}),)))
+        report = validate_cohort(patients(self.label_row({0: 17.00})))
         assert report.ok
         assert len(report.warnings) == 1
         row, column, message = report.warnings[0]
@@ -125,35 +159,36 @@ class TestValidate:
         assert "above published max 16.86" in message
 
     def test_below_min_warns(self):
-        report = validate_cohort(Cohort(records=(self.label_record({9: 1.0}),)))
+        report = validate_cohort(patients(self.label_row({9: 1.0})))
         assert any("below published min" in w[2] for w in report.warnings)
 
     def test_unlabeled_record_has_no_range_warnings(self):
-        rec = PatientRecord(age=2.5, ei_intra=tuple([5.0] * 12))
-        report = validate_cohort(Cohort(records=(rec,)))
+        report = validate_cohort(Cohort([2.5], [[5.0] * 12]))
         assert report.ok and not report.warnings
 
+    def test_wrong_intra_width_rejected_by_constructor(self):
+        with pytest.raises(ValueError):
+            Cohort([2.5], [[5.0] * 11])
+
     def test_structural_errors(self):
-        bad = PatientRecord(age=float("nan"), ei_intra=tuple([5.0] * 11), ei_1m=None)
-        report = validate_cohort(Cohort(records=(bad,)))
+        report = validate_cohort(Cohort([float("nan")], [[5.0] * 12]))
         assert not report.ok
-        columns = {e[1] for e in report.errors}
-        assert "age" in columns and "ei_intra" in columns
+        assert report.errors == [(1, "age", "non-finite value: nan")]
 
     def test_nonpositive_label_is_error(self):
-        report = validate_cohort(Cohort(records=(self.label_record({2: -3.0}),)))
+        report = validate_cohort(patients(self.label_row({2: -3.0})))
         assert any(e[1] == "ei_1m_3" for e in report.errors)
+        assert (1, "ei_1m_3", "must be > 0, got -3.0") in report.errors
 
     def test_monotone_in_records(self):
-        bad = self.label_record({0: 17.00})
-        one = validate_cohort(Cohort(records=(bad,)))
-        two = validate_cohort(Cohort(records=(bad, self.label_record())))
+        bad = self.label_row({0: 17.00})
+        one = validate_cohort(patients(bad))
+        two = validate_cohort(patients(bad, self.label_row()))
         assert set(one.warnings) <= set(two.warnings)
         assert set(one.errors) <= set(two.errors)
 
     def test_report_sorted_by_row_then_column(self):
-        records = (self.label_record({9: 1.0, 0: 17.0}), self.label_record({0: 17.0}))
-        report = validate_cohort(Cohort(records=records))
+        report = validate_cohort(patients(self.label_row({9: 1.0, 0: 17.0}), self.label_row({0: 17.0})))
         assert report.warnings == sorted(report.warnings, key=lambda w: (w[0], w[1]))
 
 
@@ -169,14 +204,13 @@ class TestSyntheticCohort:
     def test_labels_clipped_to_published_bounds(self):
         cohort = generate_synthetic_cohort(80, 7)
         lo, hi = published_range(10).min, published_range(10).max
-        for rec in cohort.records:
-            assert lo <= rec.ei_1m[9] <= hi
+        for label in cohort.labels[:, 9].tolist():
+            assert lo <= label <= hi
 
     def test_intra_to_one_month_correlation(self):
         # brute-force correlation over a large sample for every channel
         cohort = generate_synthetic_cohort(1000, 1)
-        intra = np.array([r.ei_intra for r in cohort.records])
-        labels = np.array([r.ei_1m for r in cohort.records])
+        intra, labels = cohort.intra, cohort.labels
         for c in CHANNELS:
             r = np.corrcoef(intra[:, c - 1], labels[:, c - 1])[0, 1]
             assert r > 0.5, f"channel {c} correlation {r:.3f}"
@@ -236,23 +270,27 @@ class TestSplit:
         base = generate_synthetic_cohort(200, 11)
         rng = np.random.default_rng(0)
         for n in range(2, 201):
-            cohort = Cohort(records=base.records[:n])
+            cohort = base.take(range(n))
             for _ in range(20):
                 frac = float(rng.uniform(0.05, 0.95))
                 seed = int(rng.integers(0, 2**63))
                 train, test = split_cohort(cohort, SplitSpec(frac, seed))
                 assert len(test) == held_out_count(n, frac)
                 assert len(train) + len(test) == n
-                train_set = {id(r) for r in train.records}
-                test_set = {id(r) for r in test.records}
-                assert not train_set & test_set
-                assert train_set | test_set == {id(r) for r in cohort.records}
+                # every synthetic age is distinct, so an age names its row
+                row_of = {age: i for i, age in enumerate(cohort.ages.tolist())}
+                assert len(row_of) == n
+                train_rows = [row_of[age] for age in train.ages.tolist()]
+                test_rows = [row_of[age] for age in test.ages.tolist()]
+                assert not set(train_rows) & set(test_rows)
+                assert set(train_rows) | set(test_rows) == set(range(n))
+                assert train_rows == sorted(train_rows) and test_rows == sorted(test_rows)
+                assert train == cohort.take(train_rows) and test == cohort.take(test_rows)
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             split_cohort(generate_synthetic_cohort(1, 1), SplitSpec(0.3, 1))
 
     def test_unlabeled_rejected(self):
-        rec = PatientRecord(age=2.5, ei_intra=tuple([5.0] * 12))
         with pytest.raises(UnlabeledCohortError):
-            split_cohort(Cohort(records=(rec, rec)), SplitSpec(0.3, 1))
+            split_cohort(Cohort([2.5, 2.5], [[5.0] * 12] * 2), SplitSpec(0.3, 1))

@@ -6,8 +6,6 @@ from impforecast.domain import (
     FeatureGroup,
     KIND_ORDER,
     ModelKind,
-    PatientRecord,
-    assemble_features,
     check_channel,
     feature_matrix,
     label_vector,
@@ -16,9 +14,10 @@ from impforecast.domain import (
 )
 
 
-def make_record(age=2.5, intra=None, labels=None):
-    intra = tuple(intra) if intra is not None else tuple(5.0 for _ in CHANNELS)
-    return PatientRecord(age=age, ei_intra=intra, ei_1m=labels)
+def make_patient(age=2.5, intra=None, labels=None):
+    """A one-patient cohort."""
+    intra = list(intra) if intra is not None else [5.0 for _ in CHANNELS]
+    return Cohort([age], [intra], None if labels is None else [labels])
 
 
 class TestPublishedRanges:
@@ -48,28 +47,43 @@ class TestPublishedRanges:
 
 
 class TestAssembleFeatures:
+    """Feature rows of the two groups, built by ``feature_matrix``."""
+
     def test_group1_is_age_only(self):
-        v = assemble_features(make_record(age=2.5), FeatureGroup.G1)
-        assert v.tolist() == [2.5]
+        X = feature_matrix(make_patient(age=2.5), FeatureGroup.G1)
+        assert X.tolist() == [[2.5]]
 
     def test_group2_layout(self):
         intra = tuple(5.0 + 0.1 * i for i in range(12))
-        v = assemble_features(make_record(age=2.5, intra=intra), FeatureGroup.G2)
-        assert v.shape == (13,)
-        assert v[0] == 2.5
-        assert v[1:].tolist() == list(intra)
+        X = feature_matrix(make_patient(age=2.5, intra=intra), FeatureGroup.G2)
+        assert X.shape == (1, 13)
+        assert X[0, 0] == 2.5
+        assert X[0, 1:].tolist() == list(intra)
 
     def test_group2_length_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            rec = make_record(age=float(rng.uniform(1, 6)), intra=rng.uniform(2, 9, 12))
-            assert assemble_features(rec, FeatureGroup.G2).shape == (13,)
+            patient = make_patient(age=float(rng.uniform(1, 6)), intra=rng.uniform(2, 9, 12))
+            assert feature_matrix(patient, FeatureGroup.G2).shape == (1, 13)
 
     def test_pure_function(self):
-        rec = make_record()
-        a = assemble_features(rec, FeatureGroup.G2)
-        b = assemble_features(rec, FeatureGroup.G2)
+        patient = make_patient()
+        a = feature_matrix(patient, FeatureGroup.G2)
+        b = feature_matrix(patient, FeatureGroup.G2)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("group", [FeatureGroup.G1, FeatureGroup.G2], ids=lambda g: g.value)
+    def test_layout_is_the_stack_of_row_vectors(self, group):
+        """Same values, shape and C layout as stacking one feature vector
+        per patient, so standardization and matrix products keep their bits."""
+        rng = np.random.default_rng(4)
+        cohort = Cohort(rng.uniform(1, 6, 30), rng.uniform(2, 17, (30, 12)))
+        X = feature_matrix(cohort, group)
+        rows = [[a] if group is FeatureGroup.G1 else [a, *v]
+                for a, v in zip(cohort.ages.tolist(), cohort.intra.tolist())]
+        stacked = np.stack([np.array(r) for r in rows])
+        assert X.shape == stacked.shape and X.flags["C_CONTIGUOUS"]
+        assert X.tobytes() == stacked.tobytes()
 
     def test_group_dimensions(self):
         assert FeatureGroup.G1.dimension == 1
@@ -89,19 +103,71 @@ def test_kind_order_is_the_five_kinds():
 
 
 def test_feature_matrix_and_labels():
-    recs = tuple(
-        make_record(age=1.0 + i, labels=tuple(float(10 * i + c) for c in CHANNELS))
-        for i in range(3)
+    cohort = Cohort(
+        ages=[1.0 + i for i in range(3)],
+        intra=[[5.0] * 12 for _ in range(3)],
+        labels=[[float(10 * i + c) for c in CHANNELS] for i in range(3)],
     )
-    cohort = Cohort(records=recs)
     X = feature_matrix(cohort, FeatureGroup.G2)
     assert X.shape == (3, 13)
     assert X[:, 0].tolist() == [1.0, 2.0, 3.0]
     y = label_vector(cohort, 4)
     assert y.tolist() == [4.0, 14.0, 24.0]
+    assert y.flags["C_CONTIGUOUS"] and y.flags["WRITEABLE"]
 
 
 def test_labeled_flag_tracks_records():
-    full = Cohort(records=(make_record(labels=tuple(5.0 for _ in CHANNELS)),))
-    partial = Cohort(records=(make_record(labels=None),))
+    full = make_patient(labels=[5.0 for _ in CHANNELS])
+    partial = make_patient(labels=None)
     assert full.labeled and not partial.labeled
+
+
+def test_unlabeled_cohort_has_no_label_vector():
+    with pytest.raises(ValueError):
+        label_vector(make_patient(), 1)
+
+
+class TestCohort:
+    @pytest.mark.parametrize(
+        "ages, intra, labels",
+        [
+            ([2.5], [[5.0] * 11], None),
+            ([2.5], [[5.0] * 12], [[6.0] * 11]),
+            ([2.5, 3.0], [[5.0] * 12], None),
+            ([2.5], [[5.0] * 12], [[6.0] * 12, [6.0] * 12]),
+            (2.5, [[5.0] * 12], None),
+            ([[2.5]], [[5.0] * 12], None),
+            ([2.5], [5.0] * 12, None),
+        ],
+    )
+    def test_constructor_rejects_shapes(self, ages, intra, labels):
+        with pytest.raises(ValueError):
+            Cohort(ages, intra, labels)
+
+    def test_arrays_are_read_only_float64_copies(self):
+        ages, intra = np.array([2, 3]), np.full((2, 12), 5.0)
+        cohort = Cohort(ages, intra, intra)
+        intra[0, 0] = 99.0
+        assert cohort.intra[0, 0] == 5.0 and cohort.labels[0, 0] == 5.0
+        for array in (cohort.ages, cohort.intra, cohort.labels):
+            assert array.dtype == np.float64 and array.flags["C_CONTIGUOUS"]
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_take_returns_the_rows_in_order(self):
+        cohort = Cohort([1.0, 2.0, 3.0], np.arange(36.0).reshape(3, 12), np.ones((3, 12)))
+        part = cohort.take([2, 0])
+        assert part.ages.tolist() == [3.0, 1.0]
+        assert part.intra.tolist() == [cohort.intra[2].tolist(), cohort.intra[0].tolist()]
+        assert part.labeled and len(part) == 2
+        assert len(cohort.take([])) == 0
+        assert cohort.take([True, False, True]) == cohort.take([0, 2])
+        with pytest.raises(IndexError):
+            cohort.take([1.0])
+
+    def test_equality_and_hash_follow_the_bytes(self):
+        a = Cohort([2.5], [[5.0] * 12])
+        assert a == Cohort(np.array([2.5]), np.full((1, 12), 5.0))
+        assert hash(a) == hash(Cohort([2.5], [[5.0] * 12]))
+        assert a != Cohort([2.5], [[5.0] * 12], [[5.0] * 12])
+        assert a != Cohort([2.6], [[5.0] * 12])

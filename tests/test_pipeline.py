@@ -173,22 +173,28 @@ class TestRunStudy:
         assert report_to_json(r1) == report_to_json(r2)
         assert len(r1.entries) == 12
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("selection", "inner_valdation"), ("selection", None), ("test_fraction", 0.0),
+         ("test_fraction", 1.0), ("test_fraction", 1.5), ("test_fraction", float("nan")),
+         ("test_fraction", True), ("test_fraction", "0.3")],
+    )
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(**{field: value})
+
     def test_rejects_tiny_cohorts(self):
         with pytest.raises(TooSmallError):
             run_study(generate_synthetic_cohort(5, 1), FAST_CONFIG)
 
     def test_validation_errors_block_training(self):
-        from impforecast.domain import Cohort, PatientRecord
+        from impforecast.domain import Cohort
         from impforecast.errors import CohortValidationError
 
         base = generate_synthetic_cohort(20, 2)
-        broken = base.records[0]
-        bad = PatientRecord(
-            age=broken.age,
-            ei_intra=broken.ei_intra,
-            ei_1m=(float("nan"),) + broken.ei_1m[1:],
-        )
-        cohort = Cohort(records=(bad,) + base.records[1:])
+        labels = base.labels.copy()
+        labels[0, 0] = float("nan")
+        cohort = Cohort(base.ages, base.intra, labels)
         with pytest.raises(CohortValidationError):
             run_study(cohort, FAST_CONFIG)
 
@@ -196,18 +202,18 @@ class TestRunStudy:
 class TestPredictOne:
     def test_memorized_point_within_error_budget(self, small_cohort, small_study):
         _, models = small_study
-        record = small_cohort.records[0]
-        for pred in predict_one(models, record):
-            label = record.ei_1m[pred.channel - 1]
+        patient = small_cohort.take([0])
+        for pred in predict_one(models, patient):
+            label = patient.labels[0, pred.channel - 1]
             entry_rmse = models.model_for(pred.channel).rmse
             assert abs(pred.value - label) <= 3.0 * entry_rmse
 
     def test_unlabeled_record_gets_finite_predictions(self, small_study):
         _, models = small_study
-        from impforecast.domain import PatientRecord
+        from impforecast.domain import Cohort
 
-        record = PatientRecord(age=3.0, ei_intra=tuple([5.0] * 12))
-        predictions = predict_one(models, record)
+        patient = Cohort([3.0], [[5.0] * 12])
+        predictions = predict_one(models, patient)
         assert len(predictions) == 12
         assert all(np.isfinite(p.value) for p in predictions)
 
@@ -217,16 +223,22 @@ class TestPredictOne:
         bundle = ModelBundle(models=tuple(
             entry if m.channel == 10 else m for m in models.models
         ))
-        record = generate_synthetic_cohort(1, 0).records[0]
-        pred = predict_one(bundle, record)[9]
+        patient = generate_synthetic_cohort(1, 0)
+        pred = predict_one(bundle, patient)[9]
         assert pred.rmse_hint == "RMSE 0.87 kΩ"
 
     def test_missing_channel_is_incompatible(self, small_study):
         _, models = small_study
         partial = ModelBundle(models=tuple(m for m in models.models if m.channel != 4))
-        record = generate_synthetic_cohort(1, 0).records[0]
+        patient = generate_synthetic_cohort(1, 0)
         with pytest.raises(IncompatibleBundleError):
-            predict_one(partial, record)
+            predict_one(partial, patient)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_needs_exactly_one_patient(self, small_study, n):
+        _, models = small_study
+        with pytest.raises(ValueError):
+            predict_one(models, generate_synthetic_cohort(2, 0).take(range(n)))
 
 
 def test_report_json_roundtrip(small_study):

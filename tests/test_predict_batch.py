@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impforecast import load_bundle, predict_batch, predict_one, save_bundle
-from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, Cohort, ModelKind, PatientRecord
+from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, Cohort, ModelKind
 from impforecast.regressors.neural import unpack_params
 
 # ages in years and impedances in kOhm, a little beyond the synthetic ranges
 values = st.floats(0.1, 100.0, allow_nan=False, allow_infinity=False)
 cohorts = st.lists(st.lists(values, min_size=13, max_size=13), min_size=1, max_size=40).map(
-    lambda rows: Cohort(records=tuple(PatientRecord(age=r[0], ei_intra=tuple(r[1:])) for r in rows))
+    lambda rows: Cohort([r[0] for r in rows], [r[1:] for r in rows])
 )
 
 
 def sub_cohort(cohort: Cohort, lo: int, hi: int) -> Cohort:
-    return Cohort(records=cohort.records[lo:hi])
+    return cohort.take(range(lo, hi))
 
 
 @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
@@ -62,14 +62,14 @@ def test_bundle_round_trip_predicts_same_bits(mixed_bundle, reloaded, cohort):
 def test_predict_batch_equals_predict_one_row_by_row(mixed_bundle, cohort):
     P = predict_batch(mixed_bundle, cohort)
     assert P.shape == (len(cohort), len(CHANNELS))
-    for record, row in zip(cohort.records, P.tolist()):
-        predictions = predict_one(mixed_bundle, record)
+    for i, row in enumerate(P.tolist()):
+        predictions = predict_one(mixed_bundle, cohort.take([i]))
         assert [p.channel for p in predictions] == list(CHANNELS)
         assert [p.value for p in predictions] == row
 
 
 def test_empty_cohort_predicts_no_rows(mixed_bundle):
-    assert predict_batch(mixed_bundle, Cohort(records=())).shape == (0, len(CHANNELS))
+    assert predict_batch(mixed_bundle, Cohort(np.empty(0), np.empty((0, 12)))).shape == (0, len(CHANNELS))
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.BLR, ModelKind.NNR], ids=lambda k: k.value)
