@@ -36,18 +36,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as the random generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="impforecast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic labeled cohort CSV")
     gen.add_argument("--n", type=int, default=80, help="number of patients (default 80)")
-    gen.add_argument("--seed", type=int, default=42, help="generator seed (default 42)")
+    gen.add_argument("--seed", type=_seed, default=42, help="generator seed (default 42)")
     gen.add_argument("--out", required=True, help="output CSV path")
 
     study = sub.add_parser("study", help="run the per-channel selection study")
     study.add_argument("--data", required=True, help="labeled cohort CSV path")
-    study.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    study.add_argument("--seed", type=_seed, default=42, help="master seed (default 42)")
     study.add_argument(
         "--test-fraction", type=float, default=0.30,
         help="held-out fraction of the cohort (default 0.30)",

@@ -86,6 +86,10 @@ class NonFiniteLossError(FitError):
     """Training loss became NaN/inf (step size too large)."""
 
 
+class NonFinitePredictionError(FitError):
+    """A fitted model predicted NaN or inf, so it cannot be scored."""
+
+
 class MetricError(ImpforecastError):
     pass
 

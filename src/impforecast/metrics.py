@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError
+from .errors import EmptyInputError, LengthMismatchError, NonFinitePredictionError
 
 # Absolute-error bin edges in kOhm: [0,1), [1,2), [2,3), [3, inf)
 BAND_EDGES = (1.0, 2.0, 3.0)
@@ -28,11 +28,16 @@ def _check_pair(y_hat, y):
         )
     if y_hat.shape[0] == 0:
         raise EmptyInputError("need at least one prediction")
+    finite = np.isfinite(y_hat)
+    if not finite.all():
+        bad = y_hat.shape[0] - int(np.count_nonzero(finite))
+        raise NonFinitePredictionError(f"{bad} of {y_hat.shape[0]} predictions are not finite")
     return y_hat, y
 
 
 def rmse(y_hat, y) -> float:
-    """Root mean squared error."""
+    """Root mean squared error; NonFinitePredictionError (a FitError) if a
+    prediction is NaN or inf."""
     y_hat, y = _check_pair(y_hat, y)
     diff = y_hat - y
     return float(np.sqrt(diff @ diff / diff.shape[0]))
@@ -90,7 +95,8 @@ class ErrorBands:
 
 
 def error_bands(y_hat, y) -> ErrorBands:
-    """Bin absolute prediction errors into the four kOhm bands."""
+    """Bin absolute prediction errors into the four kOhm bands;
+    NonFinitePredictionError (a FitError) if a prediction is NaN or inf."""
     y_hat, y = _check_pair(y_hat, y)
     err = np.abs(y_hat - y)
     bins = np.minimum(np.floor(err), N_BANDS - 1).astype(int)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
-from .regressors.hyper import _is_number, _require
+from .regressors.hyper import _is_count, _is_number, _require
 from .seeding import derive_seed
 
 REPORT_FORMAT_VERSION = 1
@@ -63,6 +63,7 @@ class StudyConfig:
 
     def __post_init__(self):
         f, s = self.test_fraction, self.selection
+        _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
         _require(_is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
         _require(s in ("test", "inner_validation"), "selection", "'test' or 'inner_validation'", s)
 
@@ -111,7 +112,8 @@ def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests)
     """Fit ``kind`` on each column of ``Y_train`` (column j with ``seeds[j]``)
     in one ``fit_columns`` call and score column j on ``y_tests[j]``.
 
-    Returns one CandidateResult or FitError per column.
+    Returns one CandidateResult or FitError per column; a model that
+    predicts a non-finite value is recorded by the FitError of its score.
     """
     estimators = [make_regressor(kind, hyper, seed) for seed in seeds]
     fitted = ESTIMATOR_CLASSES[kind].fit_columns(estimators, X_train, Y_train)
@@ -121,10 +123,13 @@ def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests)
             outcomes.append(model)
             continue
         y_hat = model.predict(X_test)
-        outcomes.append(CandidateResult(
-            kind=kind, group=group, rmse=rmse(y_hat, y_test),
-            bands=error_bands(y_hat, y_test), model=model,
-        ))
+        try:
+            outcomes.append(CandidateResult(
+                kind=kind, group=group, rmse=rmse(y_hat, y_test),
+                bands=error_bands(y_hat, y_test), model=model,
+            ))
+        except FitError as exc:
+            outcomes.append(exc)
     return outcomes
 
 

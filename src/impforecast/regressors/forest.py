@@ -9,15 +9,17 @@ import numpy as np
 from ..domain import ModelKind
 from .base import BaseRegressor, check_fit_inputs
 from .scaling import Standardizer
-from .tree import TreeTable, build_tree, check_tree_count
+from .tree import TreeTable, check_tree_count, grow_forest
 
 
 class DecisionForestRegressor(BaseRegressor):
     """Average of ``trees`` CART trees, each grown on a bootstrap resample.
 
     ``feature_subset`` features are considered at every split (default
-    ceil(sqrt(d))). Predictions are the plain mean over trees, so they can
-    never leave [min(y_train), max(y_train)].
+    ceil(sqrt(d))), chosen per node by a key derived from ``seed``, the
+    tree and the node's path (see ``tree.grow_forest``). Predictions are
+    the plain mean over trees, so they can never leave
+    [min(y_train), max(y_train)].
     """
 
     kind = ModelKind.DFR
@@ -44,28 +46,20 @@ class DecisionForestRegressor(BaseRegressor):
         check_tree_count(self.trees)
         self.standardizer_ = Standardizer().fit(X)
         Xs = self.standardizer_.transform(X)
-        n, d = Xs.shape
+        d = Xs.shape[1]
         subset = (
             math.ceil(math.sqrt(d)) if self.feature_subset is None else int(self.feature_subset)
         )
-        rng = np.random.default_rng(self.seed)
-        trees = []
-        for _ in range(self.trees):
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                Xt, yt = Xs[sample], y[sample]
-            else:
-                Xt, yt = Xs, y
-            trees.append(
-                build_tree(
-                    Xt,
-                    yt,
-                    max_depth=self.max_depth,
-                    min_leaf=self.min_leaf,
-                    feature_subset=subset if subset < d else None,
-                    rng=rng,
-                )
-            )
+        trees = grow_forest(
+            Xs,
+            y,
+            self.trees,
+            max_depth=self.max_depth,
+            min_leaf=self.min_leaf,
+            feature_subset=subset,
+            seed=self.seed,
+            rng=np.random.default_rng(self.seed) if self.bootstrap else None,
+        )
         self.table_ = TreeTable(trees)
         self.n_features_ = d
         return self

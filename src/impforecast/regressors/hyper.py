@@ -70,6 +70,7 @@ class ForestConfig:
         _check_tree_sizes("dfr", self)
         fs = self.feature_subset
         _require(fs is None or (_is_count(fs) and fs >= 1), "dfr.feature_subset", "None or an integer >= 1", fs)
+        _require(isinstance(self.bootstrap, bool), "dfr.bootstrap", "true or false", self.bootstrap)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,29 @@
 """Binary regression trees with variance-reduction (squared error) splits.
 
-The builder is shared by the decision forest and the boosted ensemble. It
-uses the pre-sorting scheme of SLIQ (Mehta, Agrawal & Rissanen, 1996),
-which is also the exact greedy split search of XGBoost (Chen & Guestrin,
-2016, section 3.1): every feature is sorted once per training matrix
-(``presort``), each node carries its rows as a (d, m) block of those
+Both builders use the pre-sorting scheme of SLIQ (Mehta, Agrawal &
+Rissanen, 1996), which is also the exact greedy split search of XGBoost
+(Chen & Guestrin, 2016, section 3.1): every feature is sorted once per
+training matrix, each node carries its rows as a (d, m) block of those
 sorted orders, and a split partitions the block stably, so no node sorts
 again. All candidate features of a node are scored in one vectorised pass
-over cumulative sums, so a node costs a fixed number of numpy calls on
-O(d_sub * m) elements. Trees grow depth-first with nodes numbered in
-pre-order. Tie-breaking is deterministic: among equal-gain splits the
-lowest feature index wins, then the lowest threshold, and only strictly
-positive gains split.
+over cumulative sums. Tie-breaking is deterministic: among equal-gain
+splits the lowest feature index wins, then the lowest threshold, and only
+strictly positive gains split.
+
+``grow_forest`` grows all the trees of a decision forest together, level
+by level: one pass per depth scores every open node of every tree, so a
+forest takes at most ``max_depth + 1`` passes whatever its tree count. The
+open nodes of a level sit side by side in one (d + 1, rows) block. Nodes
+within a factor of two in size are scored as one padded (nodes, features,
+width) array, whose cumulative sums run along the padded axis, and nodes
+of equal size are summed as one (nodes, size) block, so every node sum,
+cumulative sum and mean has the bits of a node-by-node build. Where a node
+considers only some of the features, they are drawn by a key that depends
+on the forest's seed, the tree and the node's path from the root (see
+``grow_forest``), not on the order in which nodes grow. ``build_tree``
+grows one tree depth-first with every feature, for boosting, whose trees
+follow one another. Both number the nodes of a tree in depth-first
+pre-order.
 
 Ensembles keep their trees in one flat node table (``TreeTable``), in which
 leaves point to themselves, so prediction descends every tree at once for a
@@ -23,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateInputError, IncompatibleBundleError
+from ..seeding import derive_seed, splitmix64_array
 
 # Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
 PREDICT_BLOCK_ROWS = 256
@@ -230,7 +243,7 @@ def _find_split(xs: np.ndarray, ys: np.ndarray, total, min_leaf: int, sizes: np.
     # only between distinct values
     score[xs[:, min_leaf - 1 : last] >= xs[:, min_leaf : last + 1]] = -np.inf
     pos = score.argmax(axis=1)  # first max -> lowest threshold on ties
-    gain = score[sizes[: xs.shape[0]], pos] - total * total / m
+    gain = score.max(axis=1) - total * total / m
     j = int(gain.argmax())  # first max -> lowest feature on ties
     if not gain[j] > 0.0:
         return None
@@ -243,23 +256,19 @@ def build_tree(
     *,
     max_depth: int,
     min_leaf: int,
-    feature_subset: int | None = None,
-    rng: np.random.Generator | None = None,
     train_pred: np.ndarray | None = None,
     order: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Grow a depth-first CART tree on (X, y).
+    """Grow a depth-first CART tree on (X, y), every feature considered at
+    every split.
 
-    ``feature_subset`` limits how many features are considered per split
-    (drawn without replacement from ``rng``); None means all. When
-    ``train_pred`` is given it is filled in place with the leaf value of
+    When ``train_pred`` is given it is filled in place with the leaf value of
     every training row. ``order`` is ``presort(X)``, for callers that grow
     several trees on the same X.
     """
     n, d = X.shape
-    features = np.arange(d)
+    features = np.arange(d)[:, None]
     sizes = np.arange(n + 1)
-    subset = d if feature_subset is None else min(int(feature_subset), d)
     XT = np.ascontiguousarray(X.T)
     if order is None:
         order = presort(X)
@@ -287,12 +296,8 @@ def build_tree(
             and y_node[y_node.argmin()] < y_node[y_node.argmax()]  # min < max
         )
         if splittable:
-            if subset < d:
-                feats = np.sort(rng.choice(d, size=subset, replace=False))
-            else:
-                feats = features
-            sorted_rows = block[feats]
-            xs = XT[feats[:, None], sorted_rows]
+            sorted_rows = block[:d]
+            xs = XT[features, sorted_rows]
             split = _find_split(xs, y[sorted_rows], total, min_leaf, sizes)
         if split is None:
             mean = float(total / m)  # y_node.mean(), bit for bit
@@ -305,13 +310,200 @@ def build_tree(
         thr = 0.5 * (lo + hi)
         if not thr < hi:  # midpoint rounded up to hi: fall back to lo
             thr = lo
-        f = int(feats[j])
-        feature[node] = f
+        feature[node] = j
         threshold[node] = float(thr)
-        goes_left = (XT[f] <= thr)[block]  # stable partition of every row
+        goes_left = (XT[j] <= thr)[block]  # stable partition of every row
         left[node] = grow(block[goes_left].reshape(d + 1, n_left), depth + 1)
         right[node] = grow(block[~goes_left].reshape(d + 1, m - n_left), depth + 1)
         return node
 
     grow(root, 0)
     return RegressionTree(feature, threshold, left, right, value)
+
+
+def _node_features(keys: np.ndarray, d: int, subset: int) -> np.ndarray:
+    """(nodes, subset) features of each node, ascending: the ``subset``
+    features f with the smallest ``splitmix64(key ^ (3 + f))``, ties broken
+    toward the lower f."""
+    priority = splitmix64_array(keys[:, None] ^ np.arange(3, 3 + d, dtype=np.uint64))
+    return np.sort(np.argsort(priority, axis=1, kind="stable")[:, :subset], axis=1)
+
+
+def _node_sums(values: np.ndarray, start: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``values[start[k] : start[k] + m[k]].sum()`` for every node k, bit
+    for bit: the nodes of one size are summed as one (nodes, size) block,
+    which numpy reduces row by row exactly as it reduces one row alone."""
+    total = np.empty(m.shape[0])
+    order = np.argsort(m, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(m[order])) + 1):
+        total[group] = values[start[group, None] + np.arange(m[group[0]])].sum(axis=1)
+    return total
+
+
+def _best_splits(xs, ys, total, m, min_leaf: int):
+    """Best split of each of c nodes over its candidate features at once.
+
+    Row j of node k in the (c, s, width) arrays ``xs``/``ys`` holds the
+    node's values of its j-th candidate feature and its targets, both
+    sorted by that feature, in the first ``m[k]`` columns; the rest is
+    padding. Gain is the decrease in summed squared error. Returns, per
+    node, the candidate j and left count of the first maximal gain, and
+    whether that gain is strictly positive.
+    """
+    width = xs.shape[2]
+    n_left = np.arange(min_leaf, width - min_leaf + 1)
+    n_right = m[:, None, None] - n_left
+    left_sum = ys.cumsum(axis=2)[:, :, min_leaf - 1 : width - min_leaf]
+    # left_sum**2 / n_left + (total - left_sum)**2 / n_right, in place
+    score = np.square(left_sum)
+    score /= n_left
+    right = np.subtract(total[:, None, None], left_sum, out=left_sum)
+    np.square(right, out=right)
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding; masked below
+        right /= n_right
+    score += right
+    # only between distinct values, and with min_leaf rows on the right
+    score[(n_right < min_leaf)
+          | (xs[:, :, min_leaf - 1 : width - min_leaf] >= xs[:, :, min_leaf : width - min_leaf + 1])
+          ] = -np.inf
+    pos = score.argmax(axis=2)  # first max -> lowest threshold on ties
+    gain = score.max(axis=2) - (total * total / m)[:, None]
+    j = gain.argmax(axis=1)  # first max -> lowest feature on ties
+    nodes = np.arange(j.shape[0])
+    return j, min_leaf + pos[nodes, j], gain[nodes, j] > 0.0
+
+
+def grow_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    trees: int,
+    *,
+    max_depth: int,
+    min_leaf: int,
+    feature_subset: int | None = None,
+    seed: int = 0,
+    rng: np.random.Generator | None = None,
+) -> list[RegressionTree]:
+    """Grow ``trees`` CART trees on (X, y) together, one pass per depth.
+
+    With ``rng``, tree t grows on the bootstrap sample
+    ``rng.integers(0, n, size=n)``, all drawn tree by tree before any tree
+    grows; without it every tree grows on all rows.
+
+    ``feature_subset`` below d limits each split to that many features,
+    chosen by a key: tree t's root has key ``derive_seed(seed, t)``, a
+    node with key k gives its children ``splitmix64(k ^ 1)`` (left) and
+    ``splitmix64(k ^ 2)`` (right), and considers the ``feature_subset``
+    features f with the smallest ``splitmix64(k ^ (3 + f))``. None means
+    every feature. Each tree equals ``build_tree`` on its sample when every
+    feature is considered.
+    """
+    n, d = X.shape
+    subset = d if feature_subset is None else min(int(feature_subset), d)
+    if rng is None:
+        samples = np.broadcast_to(np.arange(n), (trees, n))
+    else:
+        samples = np.stack([rng.integers(0, n, size=n) for _ in range(trees)])
+    # The open nodes of a level side by side: columns start[k] .. start[k] + m[k]
+    # hold node k's rows (as rows of X), row f sorted by feature f, stably,
+    # and the last row in the order of the tree's sample, the order in
+    # which a node's sum is taken.
+    block = np.empty((d + 1, trees * n), dtype=np.min_scalar_type(-n))
+    for f in range(d):
+        order = np.argsort(X[samples, f], axis=1, kind="stable")
+        block[f] = np.take_along_axis(samples, order, axis=1).ravel()
+    block[d] = samples.ravel()
+    tree = np.arange(trees)
+    m = np.full(trees, n)
+    if subset < d:
+        key = np.array([derive_seed(seed, t) for t in range(trees)], dtype=np.uint64)
+    levels = []
+    for depth in range(max_depth + 1):
+        start = np.cumsum(m) - m
+        y_rows = y[block[d]]
+        total = _node_sums(y_rows, start, m)
+        feature = np.full(m.shape[0], -1)
+        threshold = np.zeros(m.shape[0])
+        n_left = np.zeros(m.shape[0], dtype=np.intp)
+        if depth < max_depth:
+            candidates = np.flatnonzero(
+                (m >= 2 * min_leaf)
+                & (np.minimum.reduceat(y_rows, start) < np.maximum.reduceat(y_rows, start))
+            )
+            # nodes within a factor of two in size are scored together
+            _, size_class = np.frexp(m[candidates] - 1)
+            for c in np.unique(size_class):
+                nodes = candidates[size_class == c]
+                width = m[nodes].max()
+                columns = np.minimum(start[nodes, None] + np.arange(width), block.shape[1] - 1)
+                if subset < d:
+                    feats = _node_features(key[nodes], d, subset)
+                else:
+                    feats = np.broadcast_to(np.arange(d), (nodes.shape[0], d))
+                rows = block[feats[:, :, None], columns[:, None, :]]
+                xs = X[rows, feats[:, :, None]]
+                j, nl, ok = _best_splits(xs, y[rows], total[nodes], m[nodes], min_leaf)
+                k = np.arange(nodes.shape[0])
+                lo, hi = xs[k, j, nl - 1], xs[k, j, nl]
+                thr = 0.5 * (lo + hi)
+                thr = np.where(thr < hi, thr, lo)  # midpoint rounded up to hi: fall back to lo
+                won = nodes[ok]
+                feature[won] = feats[k, j][ok]
+                threshold[won] = thr[ok]
+                n_left[won] = nl[ok]
+        split = feature >= 0
+        levels.append((tree, feature, threshold, np.where(split, 0.0, total / m), split))
+        if not split.any():
+            break
+        # Stable partition of every row: the rows of all left children, in
+        # the order of their parents, then those of all right children; the
+        # rows of leaves go.
+        in_split = np.repeat(split, m)
+        split_feature, split_threshold = np.repeat(feature, m), np.repeat(threshold, m)
+        kept = np.empty((d + 1, m[split].sum()), dtype=block.dtype)
+        for r, rows in enumerate(block):  # row by row: O(rows) temporaries
+            goes_left = X[rows, split_feature] <= split_threshold
+            left = rows[goes_left & in_split]
+            kept[r, : left.shape[0]] = left
+            kept[r, left.shape[0] :] = rows[in_split & ~goes_left]
+        block = kept
+        m = np.concatenate([n_left[split], m[split] - n_left[split]])
+        tree = np.tile(tree[split], 2)
+        if subset < d:
+            key = np.concatenate([key[split] ^ np.uint64(1), key[split] ^ np.uint64(2)])
+            key = splitmix64_array(key)
+    return _preorder_trees(levels, trees)
+
+
+def _preorder_trees(levels, trees: int) -> list[RegressionTree]:
+    """The trees grown level by level, each numbered in DFS pre-order.
+
+    ``levels[L]`` is ``(tree, feature, threshold, value, split)`` of the
+    nodes at depth L. If S nodes split there, the children of the r-th of
+    them are nodes r (left) and S + r (right) of depth L + 1.
+    """
+    sizes = [np.ones(level[0].shape[0], dtype=np.int64) for level in levels]
+    for L in range(len(levels) - 2, -1, -1):
+        left, right = np.split(sizes[L + 1], 2)
+        sizes[L][levels[L][4]] += left + right
+    # position in its tree: the left child right after its parent, the
+    # right child after the left child's subtree
+    pre = [np.zeros(trees, dtype=np.int64)]
+    for L in range(len(levels) - 1):
+        after_parent = pre[L][levels[L][4]] + 1
+        pre.append(np.concatenate([after_parent, after_parent + np.split(sizes[L + 1], 2)[0]]))
+    offset = np.cumsum(sizes[0]) - sizes[0]
+    n_nodes = int(sizes[0].sum())
+    feature = np.empty(n_nodes, dtype=np.int64)
+    threshold, value = np.empty(n_nodes), np.empty(n_nodes)
+    left, right = np.full(n_nodes, -1, dtype=np.int64), np.full(n_nodes, -1, dtype=np.int64)
+    for L, (tree, f, thr, val, split) in enumerate(levels):
+        at = offset[tree] + pre[L]
+        feature[at], threshold[at], value[at] = f, thr, val
+        if L + 1 < len(levels):
+            left[at[split]], right[at[split]] = np.split(pre[L + 1], 2)
+    bounds = np.append(offset, n_nodes).tolist()
+    return [
+        RegressionTree(feature[s:e], threshold[s:e], left[s:e], right[s:e], value[s:e])
+        for s, e in zip(bounds, bounds[1:])
+    ]

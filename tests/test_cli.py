@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
@@ -55,6 +59,14 @@ class TestGenerate:
 
     def test_invalid_count_is_data_error(self, tmp_path):
         assert run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "-5", "1.5", "x"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.csv"
+        assert run(["generate", "--n", "5", "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestStudy:
@@ -149,6 +161,24 @@ class TestStudy:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: test_fraction") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_fewer_training_rows_than_features(self, tmp_path, n):
+        cohort = tmp_path / "small.csv"
+        assert run(["generate", "--n", str(n), "--seed", "3", "--out", str(cohort)]) == 0
+        report, _ = study_files(tmp_path, cohort, "small")
+        assert len(json.loads(report.read_text())["entries"]) == 12
+
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_is_usage_error(self, tmp_path, cohort_csv, capsys, seed):
+        code = run(
+            ["study", "--data", str(cohort_csv), "--seed", seed, "--out-report",
+             str(tmp_path / "r.json"), "--out-models", str(tmp_path / "m.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--seed" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.json").exists()
 
     def test_unlabeled_data_is_data_error(self, tmp_path):
@@ -367,3 +397,120 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+# --- random hyperparameters -------------------------------------------------------
+
+# Valid values of every --hyper key. Ensemble sizes and epochs stay tiny so
+# a study takes a fraction of a second; everything else spans its range,
+# extreme values included, since a fit that fails must only be recorded.
+_positive = st.floats(min_value=1e-6, max_value=1e3)
+VALID_HYPER = {
+    "lr.ridge": st.floats(min_value=0.0, max_value=1e6),
+    "blr.alpha": _positive,
+    "blr.beta": _positive,
+    "blr.evidence_iters": st.integers(0, 5),
+    "dfr.trees": st.integers(1, 3),
+    "dfr.max_depth": st.integers(0, 8),
+    "dfr.min_leaf": st.integers(1, 4),
+    "dfr.feature_subset": st.one_of(st.none(), st.integers(1, 20)),
+    "dfr.bootstrap": st.booleans(),
+    "bdtr.trees": st.integers(1, 3),
+    "bdtr.max_depth": st.integers(0, 4),
+    "bdtr.learning_rate": _positive,
+    "bdtr.min_leaf": st.integers(1, 4),
+    "nnr.hidden_units": st.integers(1, 4),
+    "nnr.epochs": st.integers(1, 5),
+    "nnr.step": _positive,
+    "nnr.momentum": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    "nnr.init_scale": _positive,
+}
+TINY = ("dfr.trees", "bdtr.trees", "nnr.epochs")
+
+_not_finite = st.sampled_from(["nan", "inf", "-inf"])
+_fraction = st.floats(min_value=0.01, max_value=0.99).map(lambda f: f + 1)
+_count_below = lambda low: st.one_of(  # noqa: E731
+    st.integers(-1000, low - 1).map(str), _fraction.map(repr), st.sampled_from(["true", "none"])
+)
+_not_positive = st.one_of(st.floats(max_value=0.0, allow_nan=False).map(repr), _not_finite)
+INVALID_HYPER = {
+    "lr.ridge": st.one_of(st.floats(max_value=-1e-9, allow_nan=False).map(repr), _not_finite),
+    "blr.alpha": _not_positive,
+    "blr.beta": _not_positive,
+    "blr.evidence_iters": _count_below(0),
+    "dfr.trees": _count_below(1),
+    "dfr.max_depth": _count_below(0),
+    "dfr.min_leaf": _count_below(1),
+    "dfr.feature_subset": st.one_of(st.integers(-1000, 0).map(str), _fraction.map(repr)),
+    "dfr.bootstrap": st.one_of(st.integers().map(str), _fraction.map(repr), st.just("none")),
+    "bdtr.trees": _count_below(1),
+    "bdtr.max_depth": _count_below(0),
+    "bdtr.learning_rate": _not_positive,
+    "bdtr.min_leaf": _count_below(1),
+    "nnr.hidden_units": _count_below(1),
+    "nnr.epochs": _count_below(1),
+    "nnr.step": _not_positive,
+    "nnr.momentum": st.one_of(
+        st.floats(min_value=1.0, allow_infinity=False).map(repr),
+        st.floats(max_value=-1e-9, allow_infinity=False).map(repr),
+        _not_finite,
+    ),
+    "nnr.init_scale": _not_positive,
+}
+
+
+def _text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value)
+
+
+@st.composite
+def valid_hyper_args(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(VALID_HYPER))))
+    args = []
+    for key in sorted(set(keys) | set(TINY)):
+        args += ["--hyper", f"{key}={_text(draw(VALID_HYPER[key]))}"]
+    return args
+
+
+@pytest.fixture(scope="module")
+def twenty_patients(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hyper") / "cohort.csv"
+    assert run(["generate", "--n", "20", "--seed", "9", "--out", str(path)]) == 0
+    return path
+
+
+def _study(cohort, out_dir, hyper_args):
+    report, models = out_dir / "r.json", out_dir / "m.json"
+    for path in (report, models):
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["study", "--data", str(cohort), "--out-report", str(report),
+                    "--out-models", str(models), *hyper_args])
+    return code, err.getvalue(), report, models
+
+
+@settings(max_examples=20, deadline=None)
+@given(hyper_args=valid_hyper_args())
+def test_random_valid_hypers_never_crash(twenty_patients, hyper_args):
+    code, err, report, models = _study(twenty_patients, twenty_patients.parent, hyper_args)
+    assert code == 0, err
+    assert len(json.loads(report.read_text())["entries"]) == 12
+    assert models.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_invalid_hypers_exit_1(twenty_patients, data):
+    key = data.draw(st.sampled_from(sorted(INVALID_HYPER)))
+    value = data.draw(INVALID_HYPER[key])
+    code, err, _, models = _study(
+        twenty_patients, twenty_patients.parent, ["--hyper", f"{key}={value}"]
+    )
+    assert code == 1
+    assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
+    assert not models.exists()

@@ -55,9 +55,9 @@ TREE_GOLDEN = {
         "6690b4b9fd24c2417495310d7c2eec35eb9dd23fc85beeac9737e5831c14359d",
     ),
     ("DFR", "G2"): (
-        "602f559d60c01e2880177d5f7d13ef795e4d06a9283506c0a0e3140ad8ff63c2",
-        "3942fc87d1831c475e9e090652cfe2b188133b1e213a0617eddb00bf5d314e7d",
-        "3942fc87d1831c475e9e090652cfe2b188133b1e213a0617eddb00bf5d314e7d",
+        "84be08e32a517b5bec12255c36bca7f00459d088408f7e88a4913b7752535068",
+        "8c25d0d51de85e37bd76787f208ae760a43896709f005b0a6c1185e47ce5a231",
+        "8c25d0d51de85e37bd76787f208ae760a43896709f005b0a6c1185e47ce5a231",
     ),
     ("BDTR", "G1"): (
         "25165cb73c7586f875ead4fec57c9332a01e6e332c34cc93bb45e9d425ae8efc",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from impforecast.errors import EmptyInputError, LengthMismatchError
+from impforecast.errors import EmptyInputError, FitError, LengthMismatchError, NonFinitePredictionError
 from impforecast.metrics import ErrorBands, error_bands, pct_of, rmse
 
 
@@ -35,6 +35,13 @@ class TestRmse:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             rmse([], [])
+
+    @pytest.mark.parametrize("score", [rmse, error_bands])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_is_a_fit_error(self, score, bad):
+        with pytest.raises(NonFinitePredictionError) as info:
+            score([bad, 1.0], [1.0, 1.0])
+        assert isinstance(info.value, FitError)
 
 
 class TestRounding:

@@ -6,7 +6,7 @@ import pytest
 from impforecast.bundle import ModelBundle, bundle_to_json
 from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohort
 from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
-from impforecast.errors import IncompatibleBundleError, TooSmallError
+from impforecast.errors import IncompatibleBundleError, NonFinitePredictionError, TooSmallError
 from impforecast.metrics import rmse
 from impforecast.pipeline import (
     StudyConfig,
@@ -20,7 +20,7 @@ from impforecast.pipeline import (
     report_to_json,
     run_study,
 )
-from impforecast.regressors import HyperParams, make_regressor
+from impforecast.regressors import HyperParams, LinearRegressor, make_regressor
 
 # trimmed ensembles/epochs: pipeline behavior is identical, tests run fast
 FAST = HyperParams().with_overrides(
@@ -109,6 +109,19 @@ class TestSelectBest:
         assert kind is ModelKind.LR
         assert group is FeatureGroup.G1
 
+    def test_non_finite_predictions_are_a_recorded_failure(self, monkeypatch, small_split):
+        train, test = small_split
+        monkeypatch.setattr(LinearRegressor, "predict", lambda self, X: np.full(X.shape[0], np.nan))
+        grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
+        for channel in CHANNELS:
+            results = grid[channel]
+            for group in FeatureGroup:
+                assert isinstance(results[(ModelKind.LR, group)], NonFinitePredictionError)
+            kind, group, winner = pick_winner(results)
+            assert kind is not ModelKind.LR
+            scored = [r.rmse for r in results.values() if not isinstance(r, Exception)]
+            assert len(scored) == 8 and winner.rmse == min(scored)
+
     def test_linear_generator_favors_linear_family(self, linear_cohort_factory):
         cohort = linear_cohort_factory(80, 4, sigma=0.1)
         train, test = split_cohort(cohort, SplitSpec(0.30, 42))
@@ -177,7 +190,7 @@ class TestRunStudy:
         "field, value",
         [("selection", "inner_valdation"), ("selection", None), ("test_fraction", 0.0),
          ("test_fraction", 1.0), ("test_fraction", 1.5), ("test_fraction", float("nan")),
-         ("test_fraction", True), ("test_fraction", "0.3")],
+         ("test_fraction", True), ("test_fraction", "0.3"), ("seed", -1), ("seed", 2.0)],
     )
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):

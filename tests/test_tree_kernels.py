@@ -1,19 +1,24 @@
-"""The presorted tree builder and the flat-table predict against plain
+"""The presorted tree builders and the flat-table predict against plain
 reference implementations: a recursive builder that sorts every feature at
 every node, and a per-row, per-tree descent. Results must be equal bit for
-bit, and so must the random stream the forest draws feature subsets from.
+bit. The level-synchronous forest grower must equal the reference built
+tree by tree, with the same bootstrap draws and the same keyed feature
+subsets.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.errors import IncompatibleBundleError
 from impforecast.regressors import BoostedTreesRegressor, DecisionForestRegressor
-from impforecast.regressors.tree import PREDICT_BLOCK_ROWS, TreeTable, build_tree
+from impforecast.regressors.tree import PREDICT_BLOCK_ROWS, TreeTable, build_tree, grow_forest
+from impforecast.seeding import _splitmix64, derive_seed, splitmix64_array
 
 
 # --- reference builder: argsort per feature per node ------------------------------
@@ -53,12 +58,20 @@ def _reference_best_split(X, y, idx, feature_ids, min_leaf):
     return best
 
 
-def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, rng=None, train_pred=None):
+def reference_features(key, d, subset):
+    """The keyed subset rule, for one node, in Python integers: the
+    ``subset`` features with the smallest splitmix64(key ^ (3 + f)), ties
+    to the lower f, ascending."""
+    priority = {f: _splitmix64(key ^ (3 + f)) for f in range(d)}
+    return np.array(sorted(sorted(range(d), key=lambda f: (priority[f], f))[:subset]))
+
+
+def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, key=None, train_pred=None):
     n, d = X.shape
     subset = d if feature_subset is None else min(int(feature_subset), d)
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def grow(idx, depth):
+    def grow(idx, depth, key):
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -69,7 +82,7 @@ def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, rng=None,
         mean = float(y_node.mean())
         best = None
         if depth < max_depth and idx.shape[0] >= 2 * min_leaf and y_node.min() < y_node.max():
-            feats = np.sort(rng.choice(d, size=subset, replace=False)) if subset < d else np.arange(d)
+            feats = reference_features(key, d, subset) if subset < d else np.arange(d)
             best = _reference_best_split(X, y, idx, feats, min_leaf)
         if best is None:
             value[node] = mean
@@ -80,11 +93,11 @@ def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, rng=None,
         feature[node] = f
         threshold[node] = thr
         mask = X[idx, f] <= thr
-        left[node] = grow(idx[mask], depth + 1)
-        right[node] = grow(idx[~mask], depth + 1)
+        left[node] = grow(idx[mask], depth + 1, _splitmix64(key ^ 1))
+        right[node] = grow(idx[~mask], depth + 1, _splitmix64(key ^ 2))
         return node
 
-    grow(np.arange(n), 0)
+    grow(np.arange(n), 0, key)
     return {
         "feature": np.array(feature, dtype=np.int64),
         "threshold": np.array(threshold, dtype=float),
@@ -92,6 +105,22 @@ def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, rng=None,
         "right": np.array(right, dtype=np.int64),
         "value": np.array(value, dtype=float),
     }
+
+
+def reference_forest(X, y, trees, *, seed, rng, **kwargs):
+    """Tree by tree: draw tree t's bootstrap sample from ``rng`` (all rows
+    when None), then grow it with root key derive_seed(seed, t). Returns
+    each tree's table, training matrix and leaf value per training row."""
+    n = X.shape[0]
+    out = []
+    for t in range(trees):
+        sample = np.arange(n) if rng is None else rng.integers(0, n, size=n)
+        fill = np.full(n, np.nan)
+        tree = reference_build(
+            X[sample], y[sample], key=derive_seed(seed, t), train_pred=fill, **kwargs
+        )
+        out.append((tree, X[sample], y[sample], fill))
+    return out
 
 
 def reference_leaf_values(trees, X):
@@ -112,7 +141,42 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# --- builder ----------------------------------------------------------------------
+def assert_forest_matches_reference(X, y, trees, *, seed, bootstrap, min_nodes=1, **kwargs):
+    """grow_forest equals the reference bit for bit: every tree's node
+    table, the leaf value of every training row, and the rng state after
+    the bootstrap draws. Where every feature is considered, so does
+    build_tree on each tree's sample. Returns the reference trees."""
+    ref_rng = np.random.default_rng(seed) if bootstrap else None
+    new_rng = np.random.default_rng(seed) if bootstrap else None
+    expected = reference_forest(X, y, trees, seed=seed, rng=ref_rng, **kwargs)
+    grown = grow_forest(X, y, trees, seed=seed, rng=new_rng, **kwargs)
+    assert len(grown) == trees
+    every_feature = kwargs.get("feature_subset") is None or kwargs["feature_subset"] >= X.shape[1]
+    for tree, (ref, Xt, yt, ref_fill) in zip(grown, expected):
+        for name, value in ref.items():
+            assert same_bits(getattr(tree, name), value), name
+        assert ref["feature"].shape[0] >= min_nodes
+        assert same_bits(tree.predict(Xt), ref_fill)
+        if every_feature:
+            fill = np.full(Xt.shape[0], np.nan)
+            depth_first = build_tree(Xt, yt, train_pred=fill, **{
+                k: v for k, v in kwargs.items() if k != "feature_subset"
+            })
+            for name, value in ref.items():
+                assert same_bits(getattr(depth_first, name), value), name
+            assert same_bits(fill, ref_fill)
+    if bootstrap:
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    return [ref for ref, *_ in expected]
+
+
+# --- builders ---------------------------------------------------------------------
+
+
+def test_splitmix64_array_matches_scalar():
+    values = [0, 1, 2, 3, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789]
+    got = splitmix64_array(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [_splitmix64(v) for v in values]
 
 
 @pytest.mark.parametrize("d", [1, 4, 13])
@@ -124,24 +188,11 @@ def test_build_tree_matches_reference(d, subset, bootstrap, min_leaf):
     n = 56
     X = data.normal(size=(n, d))
     y = np.sin(2.0 * X[:, 0]) + X[:, -1] + 0.3 * data.normal(size=n)
-    for tree_index in range(8):
-        seed = 1000 + tree_index
-        ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if bootstrap:  # duplicated rows, as the forest's resamples have
-            sample = ref_rng.integers(0, n, size=n)
-            assert same_bits(sample, new_rng.integers(0, n, size=n))
-            Xt, yt = X[sample], y[sample]
-        else:
-            Xt, yt = X, y
-        ref_fill, new_fill = np.full(n, np.nan), np.full(n, np.nan)
-        kwargs = dict(max_depth=8, min_leaf=min_leaf, feature_subset=subset)
-        ref = reference_build(Xt, yt, rng=ref_rng, train_pred=ref_fill, **kwargs)
-        tree = build_tree(Xt, yt, rng=new_rng, train_pred=new_fill, **kwargs)
-        for name, expected in ref.items():
-            assert same_bits(getattr(tree, name), expected), name
-        assert ref["feature"].shape[0] > 1
-        assert same_bits(new_fill, ref_fill)
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    # duplicated rows with bootstrap, as the forest's resamples have
+    assert_forest_matches_reference(
+        X, y, 8, seed=1000, bootstrap=bootstrap, min_nodes=2,
+        max_depth=8, min_leaf=min_leaf, feature_subset=subset,
+    )
 
 
 @pytest.mark.parametrize("subset", [None, 2])
@@ -153,23 +204,86 @@ def test_build_tree_matches_reference_on_tied_values(subset, min_leaf):
     X = data.integers(0, 5, size=(56, 4)).astype(float)
     y = data.integers(0, 4, size=56).astype(float)
     for seed in range(6):
-        ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        kwargs = dict(max_depth=6, min_leaf=min_leaf, feature_subset=subset)
-        ref = reference_build(X, y, rng=ref_rng, **kwargs)
-        tree = build_tree(X, y, rng=new_rng, **kwargs)
-        for name, expected in ref.items():
-            assert same_bits(getattr(tree, name), expected), name
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        for bootstrap in (False, True):
+            assert_forest_matches_reference(
+                X, y, 3, seed=seed, bootstrap=bootstrap,
+                max_depth=6, min_leaf=min_leaf, feature_subset=subset,
+            )
 
 
 def test_build_tree_depth_limit_matches_reference():
     data = np.random.default_rng(5)
     X, y = data.normal(size=(40, 3)), data.normal(size=40)
     for max_depth in range(0, 5):
-        ref = reference_build(X, y, max_depth=max_depth, min_leaf=2)
-        tree = build_tree(X, y, max_depth=max_depth, min_leaf=2)
-        for name, expected in ref.items():
-            assert same_bits(getattr(tree, name), expected), name
+        assert_forest_matches_reference(
+            X, y, 2, seed=max_depth, bootstrap=False, max_depth=max_depth, min_leaf=2
+        )
+
+
+def test_more_features_than_rows_matches_reference():
+    data = np.random.default_rng(12)
+    X, y = data.normal(size=(6, 13)), data.normal(size=6)
+    for bootstrap in (False, True):
+        assert_forest_matches_reference(
+            X, y, 4, seed=3, bootstrap=bootstrap, min_nodes=2, max_depth=4, min_leaf=1
+        )
+
+
+@st.composite
+def forest_problems(draw):
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 13))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few distinct values give tied features, targets and split scores;
+    # features one ulp apart give midpoints that round up to the upper
+    # value; rows drawn from a small pool repeat whole rows
+    levels = draw(st.sampled_from([2, 3, 5, "ulp", None]))
+    pool = draw(st.integers(1, n))
+    if levels is None:
+        X, y = data.normal(size=(pool, d)), data.normal(size=pool)
+    elif levels == "ulp":
+        X = 1.0 + data.integers(0, 4, size=(pool, d)) * np.finfo(float).eps
+        y = data.integers(0, 3, size=pool).astype(float)
+    else:
+        X = data.integers(0, levels, size=(pool, d)).astype(float)
+        y = data.integers(0, levels, size=pool).astype(float)
+    rows = data.integers(0, pool, size=n)
+    params = dict(
+        trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(0, 8)),
+        min_leaf=draw(st.integers(1, 4)),
+        feature_subset=draw(st.one_of(st.none(), st.integers(1, d))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        bootstrap=draw(st.booleans()),
+    )
+    return X[rows], y[rows], params
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest_problems())
+def test_grow_forest_matches_reference_property(problem):
+    X, y, params = problem
+    trees = params.pop("trees")
+    assert_forest_matches_reference(X, y, trees, **params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(forest_problems())
+def test_forest_fit_grows_the_reference_trees(problem):
+    X, y, params = problem
+    model = DecisionForestRegressor(**params).fit(X, y)
+    d = X.shape[1]
+    subset = params["feature_subset"] or int(np.ceil(np.sqrt(d)))
+    expected = reference_forest(
+        model.standardizer_.transform(X), y, params["trees"], seed=params["seed"],
+        rng=np.random.default_rng(params["seed"]) if params["bootstrap"] else None,
+        max_depth=params["max_depth"], min_leaf=params["min_leaf"], feature_subset=subset,
+    )
+    fitted = model.fitted_params()["trees"]
+    assert len(fitted) == len(expected)
+    for tree, (ref, *_) in zip(fitted, expected):
+        for name, value in ref.items():
+            assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
 
 
 # --- predict ----------------------------------------------------------------------
