@@ -259,7 +259,7 @@ def forest_problems(draw):
     return X[rows], y[rows], params
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(forest_problems())
 def test_grow_forest_matches_reference_property(problem):
     X, y, params = problem
@@ -267,7 +267,7 @@ def test_grow_forest_matches_reference_property(problem):
     assert_forest_matches_reference(X, y, trees, **params)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(forest_problems())
 def test_forest_fit_grows_the_reference_trees(problem):
     X, y, params = problem
