@@ -66,7 +66,7 @@ class ChannelModel:
                     f"group {group.value} has {group.dimension} features but the "
                     f"standardizer has {standardizer.means_.shape[0]}"
                 )
-            estimator = ESTIMATOR_CLASSES[kind](seed=int(d.get("seed", 0)), **d["hyper"])
+            estimator = ESTIMATOR_CLASSES[kind](seed=d.get("seed", 0), **d["hyper"])
             estimator.load_fitted_params(d["params"], standardizer)
             rmse = float(loaded_numbers(d["rmse"], "rmse", ()))
         except KeyError as exc:

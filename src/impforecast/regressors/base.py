@@ -3,19 +3,24 @@
 All five regressors follow the familiar fit/predict estimator contract:
 constructor keyword arguments are the hyperparameters (introspectable via
 ``get_params``/``set_params``), ``fit(X, y)`` returns ``self``, and fitted
-state lives in trailing-underscore attributes. No scikit-learn dependency;
-the algorithms are implemented here from scratch.
+state lives in trailing-underscore attributes. Each kind names its
+hyperparameters, defaults and ranges once, in its ``Config`` dataclass
+(see ``hyper``); an estimator holds a validated instance as ``hyper``, so
+the constructor, ``set_params`` and a loaded bundle all raise ValueError
+on the values ``--hyper`` rejects. No scikit-learn dependency; the
+algorithms are implemented here from scratch.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import asdict, fields, replace
 from typing import ClassVar
 
 import numpy as np
 
 from ..domain import ModelKind
 from ..errors import DegenerateInputError, DimensionMismatchError, FitError, IncompatibleBundleError
+from .hyper import _is_count, _require
 
 __all__ = [
     "BaseRegressor",
@@ -98,25 +103,34 @@ def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
 
 
 class BaseRegressor:
-    """Base class providing get_params/set_params and prediction plumbing."""
+    """Base class providing get_params/set_params and prediction plumbing.
+
+    ``Config`` is the kind's hyperparameter dataclass. ``seed`` is held on
+    every kind, used or not, so that a bundle records each candidate's
+    seed the same way whatever its kind.
+    """
 
     kind: ClassVar[ModelKind]
+    Config: ClassVar[type]
+
+    def __init__(self, *, seed: int = 0, **hyper):
+        self._configure(seed, self.Config(**hyper))
+
+    def _configure(self, seed, hyper) -> None:
+        _require(_is_count(seed) and seed >= 0, "seed", "an integer >= 0", seed)
+        self.seed, self.hyper = seed, hyper
 
     def get_params(self) -> dict:
-        """Constructor arguments, by introspection of ``__init__``."""
-        names = [
-            p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
-            if p.name != "self"
-        ]
-        return {name: getattr(self, name) for name in names}
+        """The hyperparameters in ``Config`` field order, then the seed."""
+        return {**asdict(self.hyper), "seed": self.seed}
 
     def set_params(self, **params):
-        known = self.get_params()
-        for name, value in params.items():
-            if name not in known:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
+        """Replace hyperparameters and the seed, under the constructor's checks."""
+        seed = params.pop("seed", self.seed)
+        unknown = params.keys() - {f.name for f in fields(self.Config)}
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {sorted(unknown)} for {type(self).__name__}")
+        self._configure(seed, replace(self.hyper, **params))
         return self
 
     # -- fitted-state helpers -------------------------------------------------

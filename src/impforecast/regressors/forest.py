@@ -8,8 +8,9 @@ import numpy as np
 
 from ..domain import ModelKind
 from .base import BaseRegressor, check_fit_inputs
+from .hyper import ForestConfig
 from .scaling import Standardizer
-from .tree import TreeTable, check_tree_count, grow_forest
+from .tree import TreeTable, grow_forest
 
 
 class DecisionForestRegressor(BaseRegressor):
@@ -23,42 +24,24 @@ class DecisionForestRegressor(BaseRegressor):
     """
 
     kind = ModelKind.DFR
-
-    def __init__(
-        self,
-        trees: int = 100,
-        max_depth: int = 8,
-        min_leaf: int = 2,
-        feature_subset: int | None = None,
-        bootstrap: bool = True,
-        seed: int = 0,
-    ):
-        self.trees = int(trees)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.feature_subset = feature_subset
-        self.bootstrap = bool(bootstrap)
-        self.seed = int(seed)
-        self.n_features_ = None
+    Config = ForestConfig
 
     def fit(self, X, y):
         X, y = check_fit_inputs(X, y)
-        check_tree_count(self.trees)
         self.standardizer_ = Standardizer().fit(X)
         Xs = self.standardizer_.transform(X)
         d = Xs.shape[1]
-        subset = (
-            math.ceil(math.sqrt(d)) if self.feature_subset is None else int(self.feature_subset)
-        )
+        hyper = self.hyper
+        subset = math.ceil(math.sqrt(d)) if hyper.feature_subset is None else hyper.feature_subset
         trees = grow_forest(
             Xs,
             y,
-            self.trees,
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
+            hyper.trees,
+            max_depth=hyper.max_depth,
+            min_leaf=hyper.min_leaf,
             feature_subset=subset,
             seed=self.seed,
-            rng=np.random.default_rng(self.seed) if self.bootstrap else None,
+            rng=np.random.default_rng(self.seed) if hyper.bootstrap else None,
         )
         self.table_ = TreeTable(trees)
         self.n_features_ = d
@@ -73,6 +56,8 @@ class DecisionForestRegressor(BaseRegressor):
         return {"trees": self.table_.to_dicts()}
 
     def load_fitted_params(self, params, standardizer):
-        self.table_ = TreeTable(params["trees"], n_features=standardizer.means_.shape[0])
+        self.table_ = TreeTable(
+            params["trees"], n_features=standardizer.means_.shape[0], n_trees=self.hyper.trees
+        )
         self.standardizer_ = standardizer
         self.n_features_ = standardizer.means_.shape[0]

@@ -1,8 +1,14 @@
 """Hyperparameter blocks for the five regressor kinds.
 
+Each block is the only definition of its kind's hyperparameters: their
+names, defaults, types and ranges. An estimator holds a block as
+``hyper`` (see ``base.BaseRegressor``), so the estimator constructors,
+``set_params``, the CLI ``--hyper`` flags and the ``hyper`` block of a
+loaded model bundle all go through the same ``__post_init__`` checks,
+which raise ValueError.
+
 None of these settings come from published results; they are standard
-defaults sized for a small (tens of rows) tabular cohort and every field
-can be overridden via the library API or the CLI ``--hyper`` flags.
+defaults sized for a small (tens of rows) tabular cohort.
 """
 
 from __future__ import annotations

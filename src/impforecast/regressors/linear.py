@@ -13,6 +13,7 @@ import numpy as np
 from ..domain import ModelKind
 from ..errors import DegenerateInputError
 from .base import BaseRegressor, check_fit_inputs, loaded_numbers
+from .hyper import BayesConfig, LinearConfig
 from .scaling import Standardizer
 
 _TINY = 1e-300
@@ -44,17 +45,13 @@ class LinearRegressor(BaseRegressor):
     """
 
     kind = ModelKind.LR
-
-    def __init__(self, ridge: float = 1e-8, seed: int = 0):
-        self.ridge = float(ridge)
-        self.seed = int(seed)  # unused; accepted for interface uniformity
-        self.n_features_ = None
+    Config = LinearConfig
 
     def fit(self, X, y):
         X, y = check_fit_inputs(X, y)
         self.standardizer_ = Standardizer().fit(X)
         Z = _design(self.standardizer_.transform(X))
-        A = Z.T @ Z + self.ridge * np.eye(Z.shape[1])
+        A = Z.T @ Z + self.hyper.ridge * np.eye(Z.shape[1])
         try:
             w = np.linalg.solve(A, Z.T @ y)
         except np.linalg.LinAlgError as exc:
@@ -92,19 +89,7 @@ class BayesianLinearRegressor(BaseRegressor):
     """
 
     kind = ModelKind.BLR
-
-    def __init__(
-        self,
-        alpha: float = 1e-2,
-        beta: float = 1.0,
-        evidence_iters: int = 30,
-        seed: int = 0,
-    ):
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.evidence_iters = int(evidence_iters)
-        self.seed = int(seed)  # unused; accepted for interface uniformity
-        self.n_features_ = None
+    Config = BayesConfig
 
     @staticmethod
     def _posterior_mean(ZtZ, Zty, D, alpha, beta):
@@ -122,9 +107,9 @@ class BayesianLinearRegressor(BaseRegressor):
         ZtZ = Z.T @ Z
         Zty = Z.T @ y
 
-        alpha, beta = self.alpha, self.beta
+        alpha, beta = float(self.hyper.alpha), float(self.hyper.beta)
         A, m = self._posterior_mean(ZtZ, Zty, D, alpha, beta)
-        for _ in range(self.evidence_iters):
+        for _ in range(self.hyper.evidence_iters):
             A_inv = np.linalg.inv(A)
             tr_pen = float(np.diag(A_inv)[:d].sum())
             gamma_pen = d - alpha * tr_pen  # effective dof among penalized weights

@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    FitError,
-    IncompatibleBundleError,
-    NonFiniteLossError,
-)
+from ..errors import DimensionMismatchError, FitError, NonFiniteLossError
 from .base import (
     BaseRegressor,
     as_matrix,
@@ -28,6 +22,7 @@ from .base import (
     check_fit_inputs,
     loaded_numbers,
 )
+from .hyper import NeuralConfig
 from .scaling import Standardizer
 
 
@@ -148,29 +143,13 @@ class NeuralNetRegressor(BaseRegressor):
     """
 
     kind = ModelKind.NNR
-
-    def __init__(
-        self,
-        hidden_units: int = 16,
-        epochs: int = 2000,
-        step: float = 1e-2,
-        momentum: float = 0.9,
-        init_scale: float = 1.0,
-        seed: int = 0,
-    ):
-        self.hidden_units = int(hidden_units)
-        self.epochs = int(epochs)
-        self.step = float(step)
-        self.momentum = float(momentum)
-        self.init_scale = float(init_scale)
-        self.seed = int(seed)
-        self.n_features_ = None
+    Config = NeuralConfig
 
     def _init_params(self, d: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        h = self.hidden_units
-        s1 = self.init_scale / np.sqrt(d)
-        s2 = self.init_scale / np.sqrt(h)
+        h = self.hyper.hidden_units
+        s1 = self.hyper.init_scale / np.sqrt(d)
+        s2 = self.hyper.init_scale / np.sqrt(h)
         W1 = rng.uniform(-s1, s1, size=(d, h))
         w2 = rng.uniform(-s2, s2, size=h)
         return np.concatenate([W1.ravel(), np.zeros(h), w2, [0.0]])
@@ -202,39 +181,29 @@ class NeuralNetRegressor(BaseRegressor):
         live = [j for j, outcome in enumerate(outcomes) if outcome is None]
         if not live:
             return outcomes
-        hypers = {
-            (e.hidden_units, e.epochs, e.step, e.momentum, e.init_scale)
-            for e in (estimators[j] for j in live)
-        }
-        if len(hypers) > 1:
+        if len({estimators[j].hyper for j in live}) > 1:
             raise ValueError("fit_columns needs networks that differ only in seed")
-        first = estimators[live[0]]
-        if first.hidden_units < 1 or first.epochs < 1:
-            error = DegenerateInputError(
-                f"a network needs hidden_units >= 1 and epochs >= 1, got "
-                f"{first.hidden_units} and {first.epochs}"
-            )
-            return [error if outcome is None else outcome for outcome in outcomes]
+        hyper = estimators[live[0]].hyper
 
         standardizer = Standardizer().fit(X)
         Xs = standardizer.transform(X)
         d = Xs.shape[1]
         block = np.stack([estimators[j]._init_params(d) for j in live])
-        networks = _Networks(block, Xs, np.ascontiguousarray(Y[:, live].T), first.hidden_units)
+        networks = _Networks(block, Xs, np.ascontiguousarray(Y[:, live].T), hyper.hidden_units)
         velocity = np.zeros_like(block)
         diverged = np.zeros(len(live), dtype=bool)
         # divergence is detected via the loss; intermediate overflow in a
         # diverging iterate is expected, not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(first.epochs):
+            for _ in range(hyper.epochs):
                 losses = networks.losses()
                 finite = np.isfinite(losses)
                 if not finite.all():
                     diverged |= ~finite
                     if diverged.all():
                         break
-                networks.grads *= first.step
-                velocity *= first.momentum
+                networks.grads *= hyper.step
+                velocity *= hyper.momentum
                 velocity -= networks.grads
                 block += velocity
 
@@ -242,11 +211,11 @@ class NeuralNetRegressor(BaseRegressor):
             estimator = estimators[j]
             if diverged[row]:
                 outcomes[j] = NonFiniteLossError(
-                    f"training loss diverged (step={estimator.step}); reduce the step size"
+                    f"training loss diverged (step={hyper.step}); reduce the step size"
                 )
             elif not np.all(np.isfinite(block[row])):
                 outcomes[j] = NonFiniteLossError(
-                    f"parameters diverged on the final update (step={estimator.step})"
+                    f"parameters diverged on the final update (step={hyper.step})"
                 )
             else:
                 estimator.params_ = block[row].copy()
@@ -259,14 +228,14 @@ class NeuralNetRegressor(BaseRegressor):
     def predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         Xs = self.standardizer_.transform(X)
-        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hidden_units)
+        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hyper.hidden_units)
         # the training forward pass summed row by row, so that a row's output
         # does not depend on the other rows of the batch; fit keeps the matmuls
         hidden = np.tanh((Xs[:, :, None] * W1).sum(axis=1) + b1)
         return (hidden * w2).sum(axis=1) + b2
 
     def fitted_params(self) -> dict:
-        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hidden_units)
+        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hyper.hidden_units)
         return {
             "w1": W1.tolist(),
             "b1": b1.tolist(),
@@ -276,14 +245,11 @@ class NeuralNetRegressor(BaseRegressor):
         }
 
     def load_fitted_params(self, params, standardizer):
-        W1 = loaded_numbers(params["w1"], "w1", (standardizer.means_.shape[0], None))
-        h = W1.shape[1]
-        if h < 1:
-            raise IncompatibleBundleError("w1 must have at least one hidden unit")
+        h = self.hyper.hidden_units
+        W1 = loaded_numbers(params["w1"], "w1", (standardizer.means_.shape[0], h))
         b1 = loaded_numbers(params["b1"], "b1", (h,))
         w2 = loaded_numbers(params["w2"], "w2", (h,))
         b2 = float(loaded_numbers(params["b2"], "b2", ()))
-        self.hidden_units = h
         self.params_ = np.concatenate([W1.ravel(), b1, w2, [b2]])
         self.final_loss_ = (
             float(loaded_numbers(params["final_loss"], "final_loss", ()))

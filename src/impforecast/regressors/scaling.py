@@ -15,8 +15,7 @@ STD_FLOOR = 1e-9
 class Standardizer:
     """Center and scale columns to zero mean / unit (population) stdev."""
 
-    def __init__(self, std_floor: float = STD_FLOOR):
-        self.std_floor = float(std_floor)
+    def __init__(self):
         self.means_ = None
         self.stdevs_ = None
 
@@ -25,7 +24,7 @@ class Standardizer:
         if X.shape[0] == 0:
             raise EmptyMatrixError("cannot fit a standardizer on 0 rows")
         self.means_ = X.mean(axis=0)
-        self.stdevs_ = np.maximum(X.std(axis=0), self.std_floor)
+        self.stdevs_ = np.maximum(X.std(axis=0), STD_FLOOR)
         return self
 
     def transform(self, X) -> np.ndarray:

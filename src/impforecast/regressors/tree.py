@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInputError, IncompatibleBundleError
+from ..errors import IncompatibleBundleError
 from ..seeding import derive_seed, splitmix64_array
 
 # Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
@@ -86,12 +86,12 @@ class TreeTable:
 
     __slots__ = ("feature", "threshold", "children", "left", "right", "value", "starts", "depth")
 
-    def __init__(self, trees, n_features: int | None = None):
+    def __init__(self, trees, n_features: int | None = None, n_trees: int | None = None):
         """Concatenate ``trees``: RegressionTrees or their dict form.
 
-        Raises IncompatibleBundleError unless every tree is a well-formed
-        pre-order table of finite numbers on fewer than ``n_features``
-        features.
+        Raises IncompatibleBundleError unless there are ``n_trees`` trees
+        and every tree is a well-formed pre-order table of finite numbers
+        on fewer than ``n_features`` features.
         """
         try:
             columns = [[getattr(t, name) if isinstance(t, RegressionTree) else t[name]
@@ -101,6 +101,8 @@ class TreeTable:
                 raise ValueError("node arrays differ in length")
             if sizes.size == 0 or sizes.min() < 1:
                 raise ValueError("an ensemble needs at least one tree of at least one node")
+            if n_trees is not None and sizes.size != n_trees:
+                raise ValueError(f"expected {n_trees} trees, got {sizes.size}")
             feature, left, right = (
                 np.concatenate(columns[i]).astype(np.int64, casting="same_kind")
                 for i in (0, 2, 3)
@@ -189,33 +191,27 @@ class TreeTable:
                 node = self.children[2 * node + goes_left]
             yield slice(lo, lo + Xb.shape[0]), node
 
-    def staged_sums(self, X: np.ndarray, start: float, weights) -> np.ndarray:
+    def staged_sums(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """(rows, n_trees) array whose column t is
-        ``start + w_0 v_0(x) + ... + w_t v_t(x)``, added in tree order
-        like a loop over the trees would."""
+        ``start + w v_0(x) + ... + w v_t(x)``, added in tree order like a
+        loop over the trees would."""
         out = np.empty((X.shape[0], self.n_trees), dtype=float)
         for rows, leaf in self.leaves(X):
-            out[rows] = self._cumsum(leaf, start, weights)
+            out[rows] = self._cumsum(leaf, start, weight)
         return out
 
-    def sums(self, X: np.ndarray, start: float, weights) -> np.ndarray:
+    def sums(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """The last column of ``staged_sums``, one block of rows at a time."""
         out = np.empty(X.shape[0], dtype=float)
         for rows, leaf in self.leaves(X):
-            out[rows] = self._cumsum(leaf, start, weights)[:, -1]
+            out[rows] = self._cumsum(leaf, start, weight)[:, -1]
         return out
 
-    def _cumsum(self, leaf: np.ndarray, start: float, weights) -> np.ndarray:
+    def _cumsum(self, leaf: np.ndarray, start: float, weight: float) -> np.ndarray:
         terms = np.empty((leaf.shape[0], self.n_trees + 1), dtype=float)
         terms[:, 0] = start
-        np.multiply(weights, self.value[leaf], out=terms[:, 1:])
+        np.multiply(weight, self.value[leaf], out=terms[:, 1:])
         return np.cumsum(terms, axis=1)[:, 1:]
-
-
-def check_tree_count(trees: int) -> None:
-    """An ensemble's node table needs at least one tree."""
-    if trees < 1:
-        raise DegenerateInputError(f"an ensemble needs at least one tree, got trees={trees}")
 
 
 def presort(X: np.ndarray) -> np.ndarray:

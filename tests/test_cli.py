@@ -244,12 +244,19 @@ class TestPredict:
             "channel_13",
             "zero_stdev",
             "string_weights",
+            "string_hyper",
+            "bool_tree_count",
+            "negative_min_leaf",
+            "nan_hyper",
+            "unknown_hyper",
+            "hidden_units_not_w1_width",
         ],
     )
     def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
         doc = json.loads(bundle_to_json(mixed_bundle))
-        lr_g2, bdtr = doc["models"][5], doc["models"][3]  # channels 6 (LR G2) and 4 (BDTR G2)
-        assert (lr_g2["kind"], lr_g2["group"], bdtr["kind"]) == ("LR", "G2", "BDTR")
+        # channels 6 (LR G2), 4 (BDTR G2) and 5 (NNR G1)
+        lr_g2, bdtr, nnr = doc["models"][5], doc["models"][3], doc["models"][4]
+        assert (lr_g2["kind"], lr_g2["group"], bdtr["kind"], nnr["kind"]) == ("LR", "G2", "BDTR", "NNR")
         if probe == "no_standardizer":
             del lr_g2["standardizer"]
         elif probe == "nan_weight":
@@ -268,6 +275,18 @@ class TestPredict:
             lr_g2["standardizer"]["stdevs"][0] = 0.0
         elif probe == "string_weights":
             lr_g2["params"]["weights"] = ["1.0"] * 13
+        elif probe == "string_hyper":
+            lr_g2["hyper"]["ridge"] = "1e-8"
+        elif probe == "bool_tree_count":
+            bdtr["hyper"]["trees"] = True
+        elif probe == "negative_min_leaf":
+            bdtr["hyper"]["min_leaf"] = -7
+        elif probe == "nan_hyper":
+            nnr["hyper"]["step"] = float("nan")
+        elif probe == "unknown_hyper":
+            lr_g2["hyper"]["banana"] = 1
+        elif probe == "hidden_units_not_w1_width":
+            nnr["hyper"]["hidden_units"] += 1
         models, out = tmp_path / "models.json", tmp_path / "p.csv"
         models.write_text(json.dumps(doc))
         code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
@@ -514,3 +533,64 @@ def test_random_invalid_hypers_exit_1(twenty_patients, data):
     assert code == 1
     assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
     assert not models.exists()
+
+
+# --- random bundle corruptions -----------------------------------------------------
+
+# Replacements for one value of a bundle: every kind of wrong type, a
+# non-finite number, and numbers outside any range a field allows.
+CORRUPTIONS = {
+    "string": st.sampled_from(["", "1", "1e-8", "nan", "G1", "LR"]),
+    "bool": st.booleans(),
+    "nan": st.just(float("nan")),
+    "negative": st.one_of(st.integers(-(10**6), -1), st.floats(-1e6, -1e-9)),
+    "huge": st.sampled_from([10**30, 2**64, 1e300, -1e300]),
+}
+
+
+def _corrupt(doc, data) -> None:
+    """Delete one key or item of ``doc``, replace one value by a value of
+    ``CORRUPTIONS``, or, if the value is a list, cut it short. The value is
+    found by walking from the root to a leaf, then picking a depth along
+    that path, so corruptions hit every level of the document and not
+    mostly tree nodes."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    path = path[: data.draw(st.integers(1, len(path)), label="depth")]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    how = data.draw(st.sampled_from(["delete", "cut", *CORRUPTIONS]), label="how")
+    if how == "delete":
+        del parent[key]
+    elif how == "cut" and isinstance(parent[key], list) and parent[key]:
+        del parent[key][data.draw(st.integers(0, len(parent[key]) - 1)):]
+    elif how != "cut":
+        parent[key] = data.draw(CORRUPTIONS[how])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_bundle_corruptions_exit_0_or_2(twenty_patients, mixed_bundle, data):
+    doc = json.loads(bundle_to_json(mixed_bundle))
+    _corrupt(doc, data)
+    models, out = twenty_patients.parent / "corrupt.json", twenty_patients.parent / "p.csv"
+    models.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["predict", "--models", str(models), "--data", str(twenty_patients),
+                    "--out", str(out)])
+    if code == 0:
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert np.all(np.isfinite(np.array([row.split(",") for row in rows], dtype=float)))
+    else:
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("data error: ")
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert not out.exists()

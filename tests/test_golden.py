@@ -60,12 +60,12 @@ TREE_GOLDEN = {
         "8c25d0d51de85e37bd76787f208ae760a43896709f005b0a6c1185e47ce5a231",
     ),
     ("BDTR", "G1"): (
-        "25165cb73c7586f875ead4fec57c9332a01e6e332c34cc93bb45e9d425ae8efc",
+        "5327d526eae1ede582a13610b47e0945d1c7371bac970ec244acb11a085f7c7c",
         "559aca32289425ee1f058199507fc96f18a1879a1c67044d400e4f368ebcba48",
         "559aca32289425ee1f058199507fc96f18a1879a1c67044d400e4f368ebcba48",
     ),
     ("BDTR", "G2"): (
-        "6d82f13b561e0217499be9dd618b95e665b56201ace0fdd935870127de47d39d",
+        "c9b23412f62cbee3e1de4df2054caaced788f266d6a0daf75757e3f0ff0b6dcb",
         "bc667854b19b16086f2ea4ecca74f259431a2d70e12b7fb40fca4bf5b8a01995",
         "bc667854b19b16086f2ea4ecca74f259431a2d70e12b7fb40fca4bf5b8a01995",
     ),

@@ -308,8 +308,8 @@ def reference_predict(model, X):
         return [acc / values.shape[1]]
     acc = np.full(X.shape[0], model.base_value_)
     stages = []
-    for w, t in zip(model.fitted_params()["tree_weights"], range(values.shape[1])):
-        acc += w * values[:, t]
+    for t in range(values.shape[1]):
+        acc += model.hyper.learning_rate * values[:, t]
         stages.append(acc.copy())
     return stages
 
@@ -399,6 +399,23 @@ def test_ragged_or_empty_tables_rejected():
         with pytest.raises(IncompatibleBundleError):
             TreeTable(trees, n_features=4)
     assert TreeTable([stump()], n_features=4).depth == 1
+
+
+def test_boosting_bundle_with_tree_weights_predicts_same_bits():
+    """Older bundles list learning_rate once per tree as tree_weights."""
+    _, boost = fitted_ensembles()
+    saved = ChannelModel(
+        channel=1, kind=ModelKind.BDTR, group=FeatureGroup.G2, rmse=0.0, estimator=boost
+    ).to_dict()
+    assert "tree_weights" not in saved["params"]
+    saved["params"]["tree_weights"] = [boost.hyper.learning_rate] * boost.hyper.trees
+    old = ChannelModel.from_dict(json.loads(json.dumps(saved))).estimator
+    X = np.random.default_rng(5).normal(size=(300, 13))
+    np.testing.assert_array_equal(old.predict(X), boost.predict(X))
+    np.testing.assert_array_equal(old.predict(X), round_trip(boost).predict(X))
+    saved["params"]["tree_weights"][-1] = 2 * boost.hyper.learning_rate
+    with pytest.raises(IncompatibleBundleError):
+        ChannelModel.from_dict(saved)
 
 
 @pytest.mark.parametrize("weights", [[0.1], ["x"] * 40, None])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from impforecast.errors import FitError
 from impforecast.regressors import (
     BoostedTreesRegressor,
     DecisionForestRegressor,
@@ -122,9 +121,9 @@ class TestBoostedTrees:
         X, y = problem()
         model = BoostedTreesRegressor(trees=1, learning_rate=1.0).fit(X, y)
         assert np.all(np.isfinite(model.predict(X)))
-        for estimator in (BoostedTreesRegressor(trees=0), DecisionForestRegressor(trees=0)):
-            with pytest.raises(FitError):
-                estimator.fit(X, y)
+        for cls in (BoostedTreesRegressor, DecisionForestRegressor):
+            with pytest.raises(ValueError):
+                cls(trees=0)
 
     def test_base_value_is_target_mean(self):
         X, y = problem(seed=3)
