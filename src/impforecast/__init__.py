@@ -30,7 +30,6 @@ from .pipeline import (
     SelectionEntry,
     StudyConfig,
     StudyReport,
-    evaluate_candidate,
     evaluate_grid,
     pick_winner,
     predict_batch,
@@ -79,7 +78,6 @@ __all__ = [
     "bundle_from_json",
     "bundle_to_json",
     "error_bands",
-    "evaluate_candidate",
     "evaluate_grid",
     "export_study",
     "generate_synthetic_cohort",

@@ -103,7 +103,7 @@ def bundle_to_json(bundle: ModelBundle) -> str:
         "format_version": BUNDLE_FORMAT_VERSION,
         "models": [m.to_dict() for m in sorted(bundle.models, key=lambda m: m.channel)],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:

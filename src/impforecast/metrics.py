@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, LengthMismatchError, NonFinitePredictionError
+from .regressors.hyper import _is_count, _require
 
 # Absolute-error bin edges in kOhm: [0,1), [1,2), [2,3), [3, inf)
 BAND_EDGES = (1.0, 2.0, 3.0)
@@ -91,7 +92,14 @@ class ErrorBands:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorBands":
-        return cls.from_counts(d["counts"], d["n_test"])
+        """Bands read from a persisted report. Raises ValueError unless
+        ``counts`` is a list of integers >= 0 and ``n_test`` an integer:
+        not bools, strings or fractions."""
+        counts, n_test = d["counts"], d["n_test"]
+        ok = isinstance(counts, list) and all(_is_count(c) and c >= 0 for c in counts)
+        _require(ok, "bands.counts", "a list of integers >= 0", counts)
+        _require(_is_count(n_test), "bands.n_test", "an integer", n_test)
+        return cls.from_counts(counts, n_test)
 
 
 def error_bands(y_hat, y) -> ErrorBands:

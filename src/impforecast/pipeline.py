@@ -13,6 +13,7 @@ the call.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
+from .regressors.base import loaded_numbers
 from .regressors.hyper import _is_count, _is_number, _require
 from .seeding import derive_seed
 
@@ -131,27 +133,6 @@ def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests)
         except FitError as exc:
             outcomes.append(exc)
     return outcomes
-
-
-def evaluate_candidate(
-    kind: ModelKind,
-    group: FeatureGroup,
-    channel: int,
-    train: Cohort,
-    test: Cohort,
-    hyper: HyperParams,
-    seed: int,
-) -> CandidateResult:
-    """Fit one candidate on the training cohort, score it on the test cohort."""
-    channel = check_channel(channel)
-    (outcome,) = _fit_and_score(
-        kind, group, hyper, [seed],
-        feature_matrix(train, group), label_vector(train, channel)[:, None],
-        feature_matrix(test, group), [label_vector(test, channel)],
-    )
-    if isinstance(outcome, FitError):
-        raise outcome
-    return outcome
 
 
 def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
@@ -320,18 +301,28 @@ def report_to_json(report: StudyReport) -> str:
         ],
         "histogram": report.histogram,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_number(token: str) -> float:
+    """JSON parse hook for number tokens and NaN/Infinity: the finite float,
+    else ValueError, so every number read can be written back as JSON."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
 
 
 def report_from_json(text: str | bytes) -> StudyReport:
-    """Raises IncompatibleBundleError unless ``text`` is a JSON report of
-    the current format with well-formed ``entries`` (at most one per
-    channel 1..12), ``histogram`` and ``config``."""
+    """Raises IncompatibleBundleError unless ``text`` is standard JSON with
+    finite numbers, and a report of the current format with well-formed
+    ``entries`` (at most one per channel 1..12), ``histogram`` and
+    ``config``."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # a JSONDecodeError or a non-finite number
         raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise IncompatibleBundleError("report document must be a JSON object")
@@ -345,7 +336,7 @@ def report_from_json(text: str | bytes) -> StudyReport:
                 channel=check_channel(e["channel"]),
                 kind=ModelKind(e["kind"]),
                 group=FeatureGroup(e["group"]),
-                rmse=float(e["rmse"]),
+                rmse=float(loaded_numbers(e["rmse"], "rmse", ())),
                 bands=ErrorBands.from_dict(e["bands"]),
             )
             for e in doc["entries"]

@@ -19,7 +19,6 @@ from .hyper import (
 from .linear import BayesianLinearRegressor, LinearRegressor
 from .neural import NeuralNetRegressor, check_gradient, nn_loss_and_gradient
 from .scaling import Standardizer
-from .tree import RegressionTree, build_tree
 
 ESTIMATOR_CLASSES = {
     ModelKind.LR: LinearRegressor,
@@ -51,9 +50,7 @@ __all__ = [
     "LinearRegressor",
     "NeuralConfig",
     "NeuralNetRegressor",
-    "RegressionTree",
     "Standardizer",
-    "build_tree",
     "check_gradient",
     "make_regressor",
     "nn_loss_and_gradient",

@@ -46,7 +46,7 @@ class BoostedTreesRegressor(BaseRegressor):
             )
             residual = residual - hyper.learning_rate * stage_pred
             trees.append(tree)
-        self.table_ = TreeTable(trees)
+        self.table_ = TreeTable(trees, n_features=Xs.shape[1], n_trees=hyper.trees)
         self.n_features_ = Xs.shape[1]
         return self
 

@@ -43,7 +43,7 @@ class DecisionForestRegressor(BaseRegressor):
             seed=self.seed,
             rng=np.random.default_rng(self.seed) if hyper.bootstrap else None,
         )
-        self.table_ = TreeTable(trees)
+        self.table_ = TreeTable(trees, n_features=d, n_trees=hyper.trees)
         self.n_features_ = d
         return self
 

@@ -251,9 +251,6 @@ class NeuralNetRegressor(BaseRegressor):
         w2 = loaded_numbers(params["w2"], "w2", (h,))
         b2 = float(loaded_numbers(params["b2"], "b2", ()))
         self.params_ = np.concatenate([W1.ravel(), b1, w2, [b2]])
-        self.final_loss_ = (
-            float(loaded_numbers(params["final_loss"], "final_loss", ()))
-            if "final_loss" in params else np.nan
-        )
+        self.final_loss_ = float(loaded_numbers(params["final_loss"], "final_loss", ()))
         self.standardizer_ = standardizer
         self.n_features_ = W1.shape[0]

@@ -22,12 +22,14 @@ considers only some of the features, they are drawn by a key that depends
 on the forest's seed, the tree and the node's path from the root (see
 ``grow_forest``), not on the order in which nodes grow. ``build_tree``
 grows one tree depth-first with every feature, for boosting, whose trees
-follow one another. Both number the nodes of a tree in depth-first
-pre-order.
+follow one another. Both return each tree as the dict a bundle stores: the
+five node arrays ``feature``, ``threshold``, ``left``, ``right`` and
+``value``, with the nodes numbered in depth-first pre-order and tree-local
+child indices.
 
 Ensembles keep their trees in one flat node table (``TreeTable``), in which
 leaves point to themselves, so prediction descends every tree at once for a
-block of rows.
+block of rows. Its one constructor checks every table, grown or loaded.
 """
 
 from __future__ import annotations
@@ -43,37 +45,6 @@ PREDICT_BLOCK_ROWS = 256
 _FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
-class RegressionTree:
-    """Flat-array binary tree: node i is a leaf iff ``feature[i] < 0``."""
-
-    __slots__ = _FIELDS
-
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=float)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        table = TreeTable([self])
-        out = np.empty(X.shape[0], dtype=float)
-        for rows, leaf in table.leaves(X):
-            out[rows] = table.value[leaf[:, 0]]
-        return out
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
-
-
 class TreeTable:
     """The trees of one ensemble as one flat node table.
 
@@ -86,22 +57,21 @@ class TreeTable:
 
     __slots__ = ("feature", "threshold", "children", "left", "right", "value", "starts", "depth")
 
-    def __init__(self, trees, n_features: int | None = None, n_trees: int | None = None):
-        """Concatenate ``trees``: RegressionTrees or their dict form.
+    def __init__(self, trees, *, n_features: int, n_trees: int):
+        """Concatenate ``trees``, each a dict of the five node arrays.
 
         Raises IncompatibleBundleError unless there are ``n_trees`` trees
         and every tree is a well-formed pre-order table of finite numbers
         on fewer than ``n_features`` features.
         """
         try:
-            columns = [[getattr(t, name) if isinstance(t, RegressionTree) else t[name]
-                        for t in trees] for name in _FIELDS]
+            columns = [[t[name] for t in trees] for name in _FIELDS]
             sizes = np.array([len(f) for f in columns[0]], dtype=np.int64)
             if any(len(c) != s for col in columns[1:] for c, s in zip(col, sizes)):
                 raise ValueError("node arrays differ in length")
             if sizes.size == 0 or sizes.min() < 1:
                 raise ValueError("an ensemble needs at least one tree of at least one node")
-            if n_trees is not None and sizes.size != n_trees:
+            if sizes.size != n_trees:
                 raise ValueError(f"expected {n_trees} trees, got {sizes.size}")
             feature, left, right = (
                 np.concatenate(columns[i]).astype(np.int64, casting="same_kind")
@@ -124,9 +94,8 @@ class TreeTable:
             (~leaf & ((left <= local) | (right <= local)
                       | (left + offset >= end) | (right + offset >= end)),
              "a child must come after its parent within the tree"),
+            (feature >= n_features, f"feature index must be < {n_features}"),
         ]
-        if n_features is not None:
-            problems.append((feature >= n_features, f"feature index must be < {n_features}"))
         for bad, message in problems:
             if bad.any():
                 tree = int(np.searchsorted(starts, np.flatnonzero(bad)[0], side="right")) - 1
@@ -162,7 +131,9 @@ class TreeTable:
         return self.starts.shape[0]
 
     def to_dicts(self) -> list[dict]:
-        """Each tree in ``RegressionTree.to_dict`` form (local child indices)."""
+        """Each tree as a dict of the five node arrays, as lists, with
+        tree-local child indices: the form the growers return and a bundle
+        stores."""
         leaf = self.feature < 0
         offset = np.repeat(self.starts, np.diff(np.append(self.starts, leaf.shape[0])))
         arrays = {
@@ -252,22 +223,19 @@ def build_tree(
     *,
     max_depth: int,
     min_leaf: int,
-    train_pred: np.ndarray | None = None,
-    order: np.ndarray | None = None,
-) -> RegressionTree:
+    train_pred: np.ndarray,
+    order: np.ndarray,
+) -> dict:
     """Grow a depth-first CART tree on (X, y), every feature considered at
-    every split.
+    every split, and return its dict of node lists.
 
-    When ``train_pred`` is given it is filled in place with the leaf value of
-    every training row. ``order`` is ``presort(X)``, for callers that grow
-    several trees on the same X.
+    ``train_pred`` is filled in place with the leaf value of every training
+    row. ``order`` is ``presort(X)``, shared by the trees grown on one X.
     """
     n, d = X.shape
     features = np.arange(d)[:, None]
     sizes = np.arange(n + 1)
     XT = np.ascontiguousarray(X.T)
-    if order is None:
-        order = presort(X)
     # The last row of a block lists the node's rows in ascending order, the
     # order in which node sums and means are taken.
     root = np.vstack([order, np.arange(n)])
@@ -298,8 +266,7 @@ def build_tree(
         if split is None:
             mean = float(total / m)  # y_node.mean(), bit for bit
             value[node] = mean
-            if train_pred is not None:
-                train_pred[rows] = mean
+            train_pred[rows] = mean
             return node
         j, n_left = split
         lo, hi = xs[j, n_left - 1], xs[j, n_left]
@@ -314,7 +281,8 @@ def build_tree(
         return node
 
     grow(root, 0)
-    return RegressionTree(feature, threshold, left, right, value)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "value": value}
 
 
 def _node_features(keys: np.ndarray, d: int, subset: int) -> np.ndarray:
@@ -379,8 +347,9 @@ def grow_forest(
     feature_subset: int | None = None,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-) -> list[RegressionTree]:
-    """Grow ``trees`` CART trees on (X, y) together, one pass per depth.
+) -> list[dict]:
+    """Grow ``trees`` CART trees on (X, y) together, one pass per depth, and
+    return each tree's dict of node arrays.
 
     With ``rng``, tree t grows on the bootstrap sample
     ``rng.integers(0, n, size=n)``, all drawn tree by tree before any tree
@@ -471,8 +440,9 @@ def grow_forest(
     return _preorder_trees(levels, trees)
 
 
-def _preorder_trees(levels, trees: int) -> list[RegressionTree]:
-    """The trees grown level by level, each numbered in DFS pre-order.
+def _preorder_trees(levels, trees: int) -> list[dict]:
+    """The trees grown level by level, each numbered in DFS pre-order, as
+    dicts of slices of one set of flat node arrays.
 
     ``levels[L]`` is ``(tree, feature, threshold, value, split)`` of the
     nodes at depth L. If S nodes split there, the children of the r-th of
@@ -498,8 +468,6 @@ def _preorder_trees(levels, trees: int) -> list[RegressionTree]:
         feature[at], threshold[at], value[at] = f, thr, val
         if L + 1 < len(levels):
             left[at[split]], right[at[split]] = np.split(pre[L + 1], 2)
+    arrays = dict(zip(_FIELDS, (feature, threshold, left, right, value)))
     bounds = np.append(offset, n_nodes).tolist()
-    return [
-        RegressionTree(feature[s:e], threshold[s:e], left[s:e], right[s:e], value[s:e])
-        for s, e in zip(bounds, bounds[1:])
-    ]
+    return [{name: a[s:e] for name, a in arrays.items()} for s, e in zip(bounds, bounds[1:])]

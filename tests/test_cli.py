@@ -28,6 +28,13 @@ ENTRY_TEMPLATE = (
 )
 
 
+def bad_entry(old, new):
+    """A one-entry report whose entry has ``old`` replaced by ``new``."""
+    entry = ENTRY_TEMPLATE % 1
+    assert old in entry
+    return REPORT_TEMPLATE % entry.replace(old, new)
+
+
 def run(args):
     return run_cli(list(args))
 
@@ -250,6 +257,7 @@ class TestPredict:
             "nan_hyper",
             "unknown_hyper",
             "hidden_units_not_w1_width",
+            "no_final_loss",
         ],
     )
     def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
@@ -287,6 +295,8 @@ class TestPredict:
             lr_g2["hyper"]["banana"] = 1
         elif probe == "hidden_units_not_w1_width":
             nnr["hyper"]["hidden_units"] += 1
+        elif probe == "no_final_loss":
+            del nnr["params"]["final_loss"]
         models, out = tmp_path / "models.json", tmp_path / "p.csv"
         models.write_text(json.dumps(doc))
         code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
@@ -344,14 +354,27 @@ class TestReport:
             '{"format_version": 1, "config": {}, "histogram": {}}',
             REPORT_TEMPLATE % ENTRY_TEMPLATE % 13,
             REPORT_TEMPLATE % ", ".join([ENTRY_TEMPLATE % 1] * 2),
+            bad_entry('"rmse": 1.0', '"rmse": "nan"'),
+            bad_entry('"rmse": 1.0', '"rmse": "0.5"'),
+            bad_entry('"rmse": 1.0', '"rmse": true'),
+            bad_entry('"rmse": 1.0', '"rmse": 1e999'),
+            bad_entry('"counts": [1, 0, 0, 0]', '"counts": ["1", "0", "0", "0"]'),
+            bad_entry('"counts": [1, 0, 0, 0]', '"counts": [1.5, 0, 0, 0]'),
+            bad_entry('"counts": [1, 0, 0, 0]', '"counts": [2, -1, 0, 0]'),
+            bad_entry('"n_test": 1', '"n_test": true'),
+            bad_entry('"n_test": 1', '"n_test": "1"'),
+            REPORT_TEMPLATE.replace('"config": {}', '"config": {"seed": NaN}') % ENTRY_TEMPLATE % 1,
         ],
-        ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry"],
+        ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
+             "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
+             "fractional_count", "negative_count", "bool_n_test", "string_n_test", "nan_config"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"
         bad.write_text(text)
         assert run(["report", "--in", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestUsage:

@@ -6,12 +6,11 @@ import pytest
 from impforecast.bundle import ModelBundle, bundle_to_json
 from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohort
 from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
-from impforecast.errors import IncompatibleBundleError, NonFinitePredictionError, TooSmallError
+from impforecast.errors import FitError, IncompatibleBundleError, NonFinitePredictionError, TooSmallError
 from impforecast.metrics import rmse
 from impforecast.pipeline import (
     StudyConfig,
     candidate_seed,
-    evaluate_candidate,
     evaluate_grid,
     histogram_of_kinds,
     pick_winner,
@@ -51,19 +50,27 @@ def small_study(small_cohort):
     return run_study(small_cohort, FAST_CONFIG)
 
 
+def one_candidate(kind, group, channel, train, test):
+    """``evaluate_grid`` for one channel and one candidate."""
+    outcome = evaluate_grid((channel,), train, test, FAST_CONFIG, ((kind, group),))
+    assert list(outcome) == [channel] and list(outcome[channel]) == [(kind, group)]
+    assert not isinstance(outcome[channel][(kind, group)], FitError)
+    return outcome[channel][(kind, group)]
+
+
 class TestEvaluateCandidate:
+    """One candidate for one channel, fit and scored through ``evaluate_grid``."""
+
     def test_contract_shape(self, small_split):
         train, test = small_split
-        res = evaluate_candidate(
-            ModelKind.LR, FeatureGroup.G2, 3, train, test, FAST, seed=1
-        )
+        res = one_candidate(ModelKind.LR, FeatureGroup.G2, 3, train, test)
         assert res.rmse >= 0.0
         assert res.bands.n_test == len(test)
 
     def test_deterministic(self, small_split):
         train, test = small_split
-        a = evaluate_candidate(ModelKind.DFR, FeatureGroup.G2, 5, train, test, FAST, seed=9)
-        b = evaluate_candidate(ModelKind.DFR, FeatureGroup.G2, 5, train, test, FAST, seed=9)
+        a = one_candidate(ModelKind.DFR, FeatureGroup.G2, 5, train, test)
+        b = one_candidate(ModelKind.DFR, FeatureGroup.G2, 5, train, test)
         assert (a.rmse, a.bands) == (b.rmse, b.bands)
 
     def test_linear_truth_within_noise_budget(self, linear_cohort_factory):
@@ -72,9 +79,7 @@ class TestEvaluateCandidate:
         cohort = linear_cohort_factory(80, 11, sigma=0.1)
         train, test = split_cohort(cohort, SplitSpec(0.30, 11))
         for channel in CHANNELS:
-            res = evaluate_candidate(
-                ModelKind.LR, FeatureGroup.G2, channel, train, test, FAST, seed=1
-            )
+            res = one_candidate(ModelKind.LR, FeatureGroup.G2, channel, train, test)
             assert res.rmse <= 0.15
 
 

@@ -17,7 +17,13 @@ from impforecast.bundle import ChannelModel
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.errors import IncompatibleBundleError
 from impforecast.regressors import BoostedTreesRegressor, DecisionForestRegressor
-from impforecast.regressors.tree import PREDICT_BLOCK_ROWS, TreeTable, build_tree, grow_forest
+from impforecast.regressors.tree import (
+    PREDICT_BLOCK_ROWS,
+    TreeTable,
+    build_tree,
+    grow_forest,
+    presort,
+)
 from impforecast.seeding import _splitmix64, derive_seed, splitmix64_array
 
 
@@ -136,6 +142,23 @@ def reference_leaf_values(trees, X):
     return out
 
 
+NODE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+               "value": float}
+
+
+def table_leaf_values(table, X):
+    """(rows, trees) leaf values read through ``TreeTable.leaves``."""
+    out = np.empty((X.shape[0], table.n_trees))
+    for rows, leaf in table.leaves(X):
+        out[rows] = table.value[leaf]
+    return out
+
+
+def tree_predict(tree, X):
+    """The leaf value of every row of X in one tree dict."""
+    return table_leaf_values(TreeTable([tree], n_features=X.shape[1], n_trees=1), X)[:, 0]
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -154,16 +177,16 @@ def assert_forest_matches_reference(X, y, trees, *, seed, bootstrap, min_nodes=1
     every_feature = kwargs.get("feature_subset") is None or kwargs["feature_subset"] >= X.shape[1]
     for tree, (ref, Xt, yt, ref_fill) in zip(grown, expected):
         for name, value in ref.items():
-            assert same_bits(getattr(tree, name), value), name
+            assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
         assert ref["feature"].shape[0] >= min_nodes
-        assert same_bits(tree.predict(Xt), ref_fill)
+        assert same_bits(tree_predict(tree, Xt), ref_fill)
         if every_feature:
             fill = np.full(Xt.shape[0], np.nan)
-            depth_first = build_tree(Xt, yt, train_pred=fill, **{
+            depth_first = build_tree(Xt, yt, train_pred=fill, order=presort(Xt), **{
                 k: v for k, v in kwargs.items() if k != "feature_subset"
             })
             for name, value in ref.items():
-                assert same_bits(getattr(depth_first, name), value), name
+                assert same_bits(np.asarray(depth_first[name], dtype=value.dtype), value), name
             assert same_bits(fill, ref_fill)
     if bootstrap:
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -339,10 +362,10 @@ def test_predict_matches_per_row_per_tree_descent(rows):
 def test_single_tree_predict_matches_descent():
     data = np.random.default_rng(8)
     X, y = data.normal(size=(50, 4)), data.normal(size=50)
-    tree = build_tree(X, y, max_depth=6, min_leaf=1)
+    tree = build_tree(X, y, max_depth=6, min_leaf=1, train_pred=np.empty(50), order=presort(X))
     Xq = data.normal(size=(PREDICT_BLOCK_ROWS + 3, 4))
-    expected = reference_leaf_values([tree.to_dict()], Xq)[:, 0]
-    assert same_bits(tree.predict(Xq), expected)
+    expected = reference_leaf_values([tree], Xq)[:, 0]
+    assert same_bits(tree_predict(tree, Xq), expected)
 
 
 def test_empty_batch_predicts_nothing():
@@ -352,9 +375,23 @@ def test_empty_batch_predicts_nothing():
 
 
 def test_table_round_trips_tree_dicts():
-    forest, _ = fitted_ensembles()
-    dicts = forest.fitted_params()["trees"]
-    assert TreeTable(dicts, n_features=13).to_dicts() == dicts
+    """The trees of both growers, through to_dicts, JSON and back, keep
+    every node array and every leaf value bit for bit."""
+    X = np.random.default_rng(2).normal(scale=1.5, size=(PREDICT_BLOCK_ROWS + 3, 13))
+    for model in fitted_ensembles():
+        table = model.table_
+        dicts = table.to_dicts()
+        loaded = TreeTable(json.loads(json.dumps(dicts)), n_features=13, n_trees=table.n_trees)
+        for name in ("feature", "threshold", "left", "right", "value", "starts"):
+            assert same_bits(getattr(loaded, name), getattr(table, name)), name
+        again = loaded.to_dicts()
+        assert len(again) == len(dicts)
+        for tree, ref in zip(again, dicts):
+            assert list(tree) == list(ref)
+            for name, dtype in NODE_DTYPES.items():
+                assert same_bits(np.asarray(tree[name], dtype=dtype),
+                                 np.asarray(ref[name], dtype=dtype)), name
+        assert same_bits(table_leaf_values(loaded, X), table_leaf_values(table, X))
 
 
 # --- validation of persisted tables ------------------------------------------------
@@ -389,7 +426,7 @@ def test_malformed_tree_rejected(field, index, value):
     tree = stump()
     tree[field][index] = value
     with pytest.raises(IncompatibleBundleError):
-        TreeTable([stump(), tree], n_features=4)
+        TreeTable([stump(), tree], n_features=4, n_trees=2)
 
 
 def test_ragged_or_empty_tables_rejected():
@@ -397,8 +434,10 @@ def test_ragged_or_empty_tables_rejected():
     short["value"] = short["value"][:2]
     for trees in ([short], [], [{k: [] for k in stump()}], [{"feature": [-1]}]):
         with pytest.raises(IncompatibleBundleError):
-            TreeTable(trees, n_features=4)
-    assert TreeTable([stump()], n_features=4).depth == 1
+            TreeTable(trees, n_features=4, n_trees=len(trees))
+    with pytest.raises(IncompatibleBundleError):  # one tree fewer than the count
+        TreeTable([stump()], n_features=4, n_trees=2)
+    assert TreeTable([stump()], n_features=4, n_trees=1).depth == 1
 
 
 def test_boosting_bundle_with_tree_weights_predicts_same_bits():

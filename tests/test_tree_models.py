@@ -5,7 +5,7 @@ from impforecast.regressors import (
     BoostedTreesRegressor,
     DecisionForestRegressor,
 )
-from impforecast.regressors.tree import RegressionTree, build_tree
+from impforecast.regressors.tree import TreeTable, build_tree, presort
 
 
 def problem(n=40, d=5, seed=0, noise=0.3):
@@ -15,37 +15,52 @@ def problem(n=40, d=5, seed=0, noise=0.3):
     return X, y
 
 
+def grow(X, y, **kwargs):
+    """build_tree's dict and the leaf value it recorded for every training row."""
+    fill = np.full(len(y), np.nan)
+    return build_tree(X, y, train_pred=fill, order=presort(X), **kwargs), fill
+
+
+def tree_predict(tree, X):
+    """The leaf value of every row of X, read through ``TreeTable.leaves``."""
+    table = TreeTable([tree], n_features=X.shape[1], n_trees=1)
+    out = np.empty(X.shape[0])
+    for rows, leaf in table.leaves(X):
+        out[rows] = table.value[leaf[:, 0]]
+    return out
+
+
 class TestTreeBuilder:
     def test_depth_zero_is_the_mean(self):
         X, y = problem()
-        tree = build_tree(X, y, max_depth=0, min_leaf=1)
-        assert tree.n_nodes == 1
-        np.testing.assert_array_equal(tree.predict(X), np.full(len(y), y.mean()))
+        tree, _ = grow(X, y, max_depth=0, min_leaf=1)
+        assert len(tree["feature"]) == 1
+        np.testing.assert_array_equal(tree_predict(tree, X), np.full(len(y), y.mean()))
 
     def test_train_fill_matches_predict(self):
         # leaf assignment recorded during building must agree with routing
         # through the finished tree
         for seed in range(5):
             X, y = problem(seed=seed)
-            fill = np.empty(len(y))
-            tree = build_tree(X, y, max_depth=6, min_leaf=2, train_pred=fill)
-            np.testing.assert_array_equal(fill, tree.predict(X))
+            tree, fill = grow(X, y, max_depth=6, min_leaf=2)
+            np.testing.assert_array_equal(fill, tree_predict(tree, X))
 
     def test_pure_node_stops(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.full(10, 3.25)
-        tree = build_tree(X, y, max_depth=5, min_leaf=1)
-        assert tree.n_nodes == 1
+        tree, _ = grow(X, y, max_depth=5, min_leaf=1)
+        assert len(tree["feature"]) == 1
 
     def test_min_leaf_respected(self):
         X, y = problem(n=30)
-        tree = build_tree(X, y, max_depth=10, min_leaf=5)
+        tree, _ = grow(X, y, max_depth=10, min_leaf=5)
+        feature, threshold, left, right = (tree[k] for k in ("feature", "threshold", "left", "right"))
         # every leaf must hold >= 5 training rows
         leaf_of_row = np.empty(len(y), dtype=int)
         for i in range(len(y)):
             node = 0
-            while tree.feature[node] >= 0:
-                node = tree.left[node] if X[i, tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            while feature[node] >= 0:
+                node = left[node] if X[i, feature[node]] <= threshold[node] else right[node]
             leaf_of_row[i] = node
         _, counts = np.unique(leaf_of_row, return_counts=True)
         assert counts.min() >= 5
@@ -53,14 +68,8 @@ class TestTreeBuilder:
     def test_perfect_split_found(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
-        tree = build_tree(X, y, max_depth=1, min_leaf=1)
-        np.testing.assert_array_equal(tree.predict(X), y)
-
-    def test_serialization_roundtrip(self):
-        X, y = problem(seed=2)
-        tree = build_tree(X, y, max_depth=4, min_leaf=2)
-        clone = RegressionTree.from_dict(tree.to_dict())
-        np.testing.assert_array_equal(tree.predict(X), clone.predict(X))
+        tree, _ = grow(X, y, max_depth=1, min_leaf=1)
+        np.testing.assert_array_equal(tree_predict(tree, X), y)
 
 
 class TestDecisionForest:
