@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ class TestTreeBuilder:
         y = np.array([1.0, 1.0, 1.0, 9.0, 9.0, 9.0])
         tree, _ = grow(X, y, max_depth=1, min_leaf=1)
         np.testing.assert_array_equal(tree_predict(tree, X), y)
+
+    def test_serialization_roundtrip(self):
+        X, y = problem(seed=2)
+        tree, _ = grow(X, y, max_depth=4, min_leaf=2)
+        clone = json.loads(json.dumps(tree))
+        table = TreeTable([clone], n_features=X.shape[1], n_trees=1)
+        assert table.to_dicts() == [clone]
+        np.testing.assert_array_equal(tree_predict(tree, X), tree_predict(clone, X))
 
 
 class TestDecisionForest:
