@@ -13,9 +13,10 @@ import json
 from dataclasses import dataclass
 
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
-from .errors import DataInputError, IncompatibleBundleError
+from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
 from .regressors.base import loaded_numbers
+from .textio import read_text, write_text
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -139,18 +140,9 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     """Raises DataInputError if ``path`` cannot be written."""
-    text = bundle_to_json(bundle)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataInputError(f"cannot write {path}: {exc}") from None
+    write_text(path, bundle_to_json(bundle))
 
 
 def load_bundle(path) -> ModelBundle:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataInputError(f"cannot read {path}: {exc}") from None
-    return bundle_from_json(text)
+    """Raises DataInputError if ``path`` cannot be read or is not a bundle."""
+    return bundle_from_json(read_text(path))

@@ -5,6 +5,10 @@ select per channel, write report JSON and model bundle), ``predict``
 (per-channel predictions for new patients), ``report`` (render a saved
 study). Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 internal failure. Diagnostics go to stderr, results to files/stdout.
+
+This module holds the parser, the dispatch and ``report``. The other
+commands live in ``commands``, imported on first use, so ``--help`` and
+``report`` load neither numpy nor the estimators.
 """
 
 from __future__ import annotations
@@ -12,21 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundle import load_bundle, save_bundle
-from .dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
-from .domain import CHANNELS
-from .errors import DataInputError, ImpforecastError
-from .pipeline import StudyConfig, predict_batch, report_from_json, report_to_json, run_study
-from .report import FORMATS, RenderOptions, export_study
+from .errors import DataInputError, ImpforecastError, UsageError
+from .report import FORMATS, RenderOptions, export_study, report_from_json
+from .textio import read_text, write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,96 +83,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce_override(raw: str) -> tuple[str, object]:
-    key, sep, value = raw.partition("=")
-    if not sep or not key or not value:
-        raise UsageError(f"--hyper expects KIND.FIELD=VALUE, got {raw!r}")
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return key.strip(), lowered == "true"
-    if lowered in ("none", "null"):
-        return key.strip(), None
-    try:
-        return key.strip(), int(text)
-    except ValueError:
-        pass
-    try:
-        return key.strip(), float(text)
-    except ValueError:
-        raise UsageError(f"--hyper value for {key!r} is not a number/bool: {text!r}") from None
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataInputError(f"cannot read {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataInputError(f"cannot write {path}: {exc}") from exc
-
-
-def _cmd_generate(args) -> int:
-    cohort = generate_synthetic_cohort(args.n, args.seed)
-    _write_text(args.out, serialize_cohort_csv(cohort))
-    print(f"wrote {len(cohort)} synthetic records to {args.out}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_study(args) -> int:
-    overrides = dict(_coerce_override(item) for item in args.hyper)
-    try:
-        config = StudyConfig(
-            seed=args.seed,
-            test_fraction=args.test_fraction,
-            selection=args.selection,
-            hyper=StudyConfig().hyper.with_overrides(overrides),
-        )
-    except (KeyError, ValueError) as exc:
-        raise UsageError(str(exc.args[0])) from exc
-    cohort = parse_cohort_csv(_read_text(args.data))
-    report, models = run_study(cohort, config)
-    _write_text(args.out_report, report_to_json(report))
-    save_bundle(models, args.out_models)
-    print(
-        f"study complete: report -> {args.out_report}, models -> {args.out_models}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
-def _cmd_predict(args) -> int:
-    bundle = load_bundle(args.models).check_complete()
-    cohort = parse_cohort_csv(_read_text(args.data))
-    P = predict_batch(bundle, cohort)
-    lines = [",".join(f"pred_ei_1m_{c}" for c in CHANNELS)]
-    lines += [",".join(map(repr, row)) for row in P.tolist()]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"wrote predictions for {len(cohort)} records to {args.out}", file=sys.stderr)
-    return EXIT_OK
-
-
 def _cmd_report(args) -> int:
-    report = report_from_json(_read_text(args.in_path))
+    report = report_from_json(read_text(args.in_path))
     rendered = export_study(report, RenderOptions(format=args.format)).decode("utf-8")
     if args.out:
-        _write_text(args.out, rendered)
+        write_text(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
 
 
+def _cmd_elsewhere(args) -> int:
+    """``generate``, ``study`` and ``predict``, from the module that holds them."""
+    from . import commands  # loads numpy and the estimators
+
+    return commands.COMMANDS[args.command](args)
+
+
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "study": _cmd_study,
-    "predict": _cmd_predict,
+    "generate": _cmd_elsewhere,
+    "study": _cmd_elsewhere,
+    "predict": _cmd_elsewhere,
     "report": _cmd_report,
 }
 

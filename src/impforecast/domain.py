@@ -3,14 +3,17 @@ impedance ranges, and feature-vector assembly for the two feature groups.
 
 All types are immutable values and safe to share between threads.
 Impedances are kilo-ohms throughout; ages are decimal years.
+
+The module imports without numpy: only the functions that build arrays
+load it, so code that needs the schema alone (the report reader) stays
+light.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 N_CHANNELS = 12
 CHANNELS = tuple(range(1, N_CHANNELS + 1))
@@ -66,6 +69,8 @@ def group_index(group: FeatureGroup) -> int:
 
 def _frozen(name: str, values, shape: tuple) -> np.ndarray:
     """A read-only C-contiguous float64 copy of ``values``, which must have ``shape``."""
+    import numpy as np
+
     array = np.array(values, dtype=np.float64, order="C")
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
@@ -89,6 +94,8 @@ class Cohort:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if np.ndim(self.ages) != 1:
             raise ValueError(f"ages must be one-dimensional, got shape {np.shape(self.ages)}")
         rows = (len(self.ages), N_CHANNELS)
@@ -107,6 +114,8 @@ class Cohort:
     def take(self, idx) -> Cohort:
         """The rows that ``idx`` selects (integer indices, in their order, or
         a boolean mask), as a new cohort."""
+        import numpy as np
+
         rows = np.arange(len(self))[idx]
         labels = None if self.labels is None else self.labels[rows]
         return Cohort(self.ages[rows], self.intra[rows], labels)
@@ -157,7 +166,7 @@ PUBLISHED_RANGES = {
 
 def check_channel(channel: int) -> int:
     """Validate a channel id (1..12) and return it."""
-    if not isinstance(channel, (int, np.integer)) or isinstance(channel, bool):
+    if not isinstance(channel, numbers.Integral) or isinstance(channel, bool):
         raise ValueError(f"channel must be an integer, got {channel!r}")
     if not 1 <= channel <= N_CHANNELS:
         raise ValueError(f"channel must be in 1..{N_CHANNELS}, got {channel}")
@@ -174,6 +183,8 @@ def feature_matrix(cohort: Cohort, group: FeatureGroup) -> np.ndarray:
     view of the cohort), ``[age, intra 1..12]`` for G2."""
     if group is FeatureGroup.G1:
         return cohort.ages[:, None]
+    import numpy as np
+
     return np.column_stack([cohort.ages, cohort.intra])
 
 

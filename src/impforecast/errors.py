@@ -3,8 +3,13 @@
 ``DataInputError`` subclasses mark problems in user-supplied data (CSV
 schemas, bad cells, undersized cohorts); everything else under
 ``ImpforecastError`` is an internal/model failure. The CLI maps these to
-exit codes 2 and 3 respectively.
+exit codes 2 and 3 respectively, and ``UsageError`` to exit code 1.
 """
+
+
+class UsageError(Exception):
+    """A bad command line. Raised by the command-line modules only, so it is
+    not an ``ImpforecastError``."""
 
 
 class ImpforecastError(Exception):

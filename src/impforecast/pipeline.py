@@ -12,13 +12,12 @@ the call.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import ChannelModel, ModelBundle
+from .checks import is_count, is_number, require
 from .dataio import SplitSpec, split_cohort, validate_cohort
 from .domain import (
     CHANNELS,
@@ -33,21 +32,12 @@ from .domain import (
     kind_index,
     label_vector,
 )
-from .errors import (
-    AllCandidatesFailedError,
-    CohortValidationError,
-    FitError,
-    IncompatibleBundleError,
-    MetricError,
-    TooSmallError,
-)
+from .errors import AllCandidatesFailedError, CohortValidationError, FitError, TooSmallError
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
-from .regressors.base import loaded_numbers
-from .regressors.hyper import _is_count, _is_number, _require
+# The report document lives in ``report``; its JSON functions stay importable from here.
+from .report import SelectionEntry, StudyReport, histogram_of_kinds, report_from_json, report_to_json
 from .seeding import derive_seed
-
-REPORT_FORMAT_VERSION = 1
 
 # Canonical candidate order; also the tie-breaking order (simpler first).
 CANDIDATES = tuple((kind, group) for kind in KIND_ORDER for group in GROUP_ORDER)
@@ -65,9 +55,9 @@ class StudyConfig:
 
     def __post_init__(self):
         f, s = self.test_fraction, self.selection
-        _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
-        _require(_is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
-        _require(s in ("test", "inner_validation"), "selection", "'test' or 'inner_validation'", s)
+        require(is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
+        require(is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
+        require(s in ("test", "inner_validation"), "selection", "'test' or 'inner_validation'", s)
 
     def echo(self) -> dict:
         """Reproducibility echo for reports."""
@@ -86,24 +76,6 @@ class CandidateResult:
     rmse: float
     bands: ErrorBands
     model: object
-
-
-@dataclass(frozen=True)
-class SelectionEntry:
-    """Per-channel winner, mirroring one selection-table row."""
-
-    channel: int
-    kind: ModelKind
-    group: FeatureGroup
-    rmse: float
-    bands: ErrorBands
-
-
-@dataclass(frozen=True)
-class StudyReport:
-    entries: tuple[SelectionEntry, ...]
-    histogram: dict[str, int]
-    config: dict
 
 
 def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: FeatureGroup) -> int:
@@ -162,14 +134,6 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
         for channel, outcome in zip(channels, outcomes):
             results[channel][(kind, group)] = outcome
     return results
-
-
-def histogram_of_kinds(kinds) -> dict[str, int]:
-    """Tally winning kinds; all five kinds appear, zero counts included."""
-    counts = {kind.value: 0 for kind in KIND_ORDER}
-    for kind in kinds:
-        counts[kind.value] += 1
-    return counts
 
 
 def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:
@@ -280,76 +244,3 @@ def predict_one(bundle: ModelBundle, patient: Cohort) -> list[ChannelPrediction]
         ChannelPrediction(channel=c, value=v, rmse=bundle.model_for(c).rmse)
         for c, v in zip(CHANNELS, values)
     ]
-
-
-# --- report (de)serialization ----------------------------------------------------
-
-
-def report_to_json(report: StudyReport) -> str:
-    doc = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "config": report.config,
-        "entries": [
-            {
-                "channel": e.channel,
-                "kind": e.kind.value,
-                "group": e.group.value,
-                "rmse": e.rmse,
-                "bands": e.bands.to_dict(),
-            }
-            for e in sorted(report.entries, key=lambda e: e.channel)
-        ],
-        "histogram": report.histogram,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _finite_number(token: str) -> float:
-    """JSON parse hook for number tokens and NaN/Infinity: the finite float,
-    else ValueError, so every number read can be written back as JSON."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token} is not a finite number")
-    return value
-
-
-def report_from_json(text: str | bytes) -> StudyReport:
-    """Raises IncompatibleBundleError unless ``text`` is standard JSON with
-    finite numbers, and a report of the current format with well-formed
-    ``entries`` (at most one per channel 1..12), ``histogram`` and
-    ``config``."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
-    except ValueError as exc:  # a JSONDecodeError or a non-finite number
-        raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise IncompatibleBundleError("report document must be a JSON object")
-    if doc.get("format_version") != REPORT_FORMAT_VERSION:
-        raise IncompatibleBundleError(
-            f"unsupported report format_version {doc.get('format_version')!r}"
-        )
-    try:
-        entries = tuple(
-            SelectionEntry(
-                channel=check_channel(e["channel"]),
-                kind=ModelKind(e["kind"]),
-                group=FeatureGroup(e["group"]),
-                rmse=float(loaded_numbers(e["rmse"], "rmse", ())),
-                bands=ErrorBands.from_dict(e["bands"]),
-            )
-            for e in doc["entries"]
-        )
-        histogram, config = dict(doc["histogram"]), dict(doc["config"])
-    except KeyError as exc:
-        raise IncompatibleBundleError(f"report lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
-        raise IncompatibleBundleError(f"malformed report: {exc}") from None
-    channels = [e.channel for e in entries]
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
-        raise IncompatibleBundleError(
-            "report has more than one entry for channel(s): " + ", ".join(map(str, repeated))
-        )
-    return StudyReport(entries=entries, histogram=histogram, config=config)

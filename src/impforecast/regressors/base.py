@@ -18,9 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..checks import is_count, require
 from ..domain import ModelKind
 from ..errors import DegenerateInputError, DimensionMismatchError, FitError, IncompatibleBundleError
-from .hyper import _is_count, _require
 
 __all__ = [
     "BaseRegressor",
@@ -117,7 +117,7 @@ class BaseRegressor:
         self._configure(seed, self.Config(**hyper))
 
     def _configure(self, seed, hyper) -> None:
-        _require(_is_count(seed) and seed >= 0, "seed", "an integer >= 0", seed)
+        require(is_count(seed) and seed >= 0, "seed", "an integer >= 0", seed)
         self.seed, self.hyper = seed, hyper
 
     def get_params(self) -> dict:

@@ -14,23 +14,10 @@ defaults sized for a small (tens of rows) tabular cohort.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
+from ..checks import is_count, is_number, require
 from ..domain import ModelKind
-
-
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{key} must be {rule}, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_tree_sizes(kind: str, block) -> None:
@@ -38,7 +25,7 @@ def _check_tree_sizes(kind: str, block) -> None:
     at least one row."""
     for name, low in (("trees", 1), ("max_depth", 0), ("min_leaf", 1)):
         value = getattr(block, name)
-        _require(_is_count(value) and value >= low, f"{kind}.{name}", f"an integer >= {low}", value)
+        require(is_count(value) and value >= low, f"{kind}.{name}", f"an integer >= {low}", value)
 
 
 @dataclass(frozen=True)
@@ -47,7 +34,7 @@ class LinearConfig:
 
     def __post_init__(self):
         r = self.ridge
-        _require(_is_number(r) and r >= 0, "lr.ridge", "finite and >= 0", r)
+        require(is_number(r) and r >= 0, "lr.ridge", "finite and >= 0", r)
 
 
 @dataclass(frozen=True)
@@ -59,9 +46,9 @@ class BayesConfig:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            _require(_is_number(value) and value > 0, f"blr.{name}", "finite and > 0", value)
+            require(is_number(value) and value > 0, f"blr.{name}", "finite and > 0", value)
         n = self.evidence_iters
-        _require(_is_count(n) and n >= 0, "blr.evidence_iters", "an integer >= 0", n)
+        require(is_count(n) and n >= 0, "blr.evidence_iters", "an integer >= 0", n)
 
 
 @dataclass(frozen=True)
@@ -75,8 +62,8 @@ class ForestConfig:
     def __post_init__(self):
         _check_tree_sizes("dfr", self)
         fs = self.feature_subset
-        _require(fs is None or (_is_count(fs) and fs >= 1), "dfr.feature_subset", "None or an integer >= 1", fs)
-        _require(isinstance(self.bootstrap, bool), "dfr.bootstrap", "true or false", self.bootstrap)
+        require(fs is None or (is_count(fs) and fs >= 1), "dfr.feature_subset", "None or an integer >= 1", fs)
+        require(isinstance(self.bootstrap, bool), "dfr.bootstrap", "true or false", self.bootstrap)
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,7 @@ class BoostConfig:
     def __post_init__(self):
         _check_tree_sizes("bdtr", self)
         lr = self.learning_rate
-        _require(_is_number(lr) and lr > 0, "bdtr.learning_rate", "finite and > 0", lr)
+        require(is_number(lr) and lr > 0, "bdtr.learning_rate", "finite and > 0", lr)
 
 
 @dataclass(frozen=True)
@@ -103,12 +90,12 @@ class NeuralConfig:
     def __post_init__(self):
         for name in ("hidden_units", "epochs"):
             value = getattr(self, name)
-            _require(_is_count(value) and value >= 1, f"nnr.{name}", "an integer >= 1", value)
+            require(is_count(value) and value >= 1, f"nnr.{name}", "an integer >= 1", value)
         for name in ("step", "init_scale"):
             value = getattr(self, name)
-            _require(_is_number(value) and value > 0, f"nnr.{name}", "finite and > 0", value)
+            require(is_number(value) and value > 0, f"nnr.{name}", "finite and > 0", value)
         m = self.momentum
-        _require(_is_number(m) and 0 <= m < 1, "nnr.momentum", "finite and in [0, 1)", m)
+        require(is_number(m) and 0 <= m < 1, "nnr.momentum", "finite and in [0, 1)", m)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,12 @@ FAST_HYPER = [
 ]
 
 
-# a report document with its entries left to fill in, and one entry
-REPORT_TEMPLATE = '{"format_version": 1, "config": {}, "histogram": {}, "entries": [%s]}'
+# a report document with its entries left to fill in, and one entry; with
+# that entry filled in, the document is valid
+REPORT_TEMPLATE = (
+    '{"format_version": 1, "config": {},'
+    ' "histogram": {"LR": 1, "BLR": 0, "DFR": 0, "BDTR": 0, "NNR": 0}, "entries": [%s]}'
+)
 ENTRY_TEMPLATE = (
     '{"channel": %d, "kind": "LR", "group": "G1", "rmse": 1.0,'
     ' "bands": {"counts": [1, 0, 0, 0], "n_test": 1}}'
@@ -33,6 +37,14 @@ def bad_entry(old, new):
     entry = ENTRY_TEMPLATE % 1
     assert old in entry
     return REPORT_TEMPLATE % entry.replace(old, new)
+
+
+def bad_histogram(histogram):
+    """The one-entry report with its histogram replaced by ``histogram``."""
+    doc = REPORT_TEMPLATE % ENTRY_TEMPLATE % 1
+    good = '{"LR": 1, "BLR": 0, "DFR": 0, "BDTR": 0, "NNR": 0}'
+    assert good in doc
+    return doc.replace(good, histogram)
 
 
 def run(args):
@@ -345,6 +357,12 @@ class TestReport:
         assert run(["report", "--in", str(report), "--format", "csv", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 13
 
+    def test_report_template_is_valid(self, tmp_path, capsys):
+        """The malformed reports below each break one part of this document."""
+        good = tmp_path / "report.json"
+        good.write_text(REPORT_TEMPLATE % ENTRY_TEMPLATE % 1)
+        assert run(["report", "--in", str(good), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("EI_1M_1,LR,1,1.000000,1,")
 
     @pytest.mark.parametrize(
         "text",
@@ -364,10 +382,21 @@ class TestReport:
             bad_entry('"n_test": 1', '"n_test": true'),
             bad_entry('"n_test": 1', '"n_test": "1"'),
             REPORT_TEMPLATE.replace('"config": {}', '"config": {"seed": NaN}') % ENTRY_TEMPLATE % 1,
+            bad_entry('"rmse": 1.0', '"rmse": -1.0'),
+            bad_histogram('{"LR": "x", "ZZ": -4}'),
+            bad_histogram('{"LR": true, "BLR": 0, "DFR": 0, "BDTR": 0, "NNR": 0}'),
+            bad_histogram('{"LR": 1.0, "BLR": 0, "DFR": 0, "BDTR": 0, "NNR": 0}'),
+            bad_histogram('{"LR": 0, "BLR": 1, "DFR": 0, "BDTR": 0, "NNR": 0}'),
+            bad_histogram('{"LR": 1}'),
+            bad_histogram('[["LR", 1], ["BLR", 0], ["DFR", 0], ["BDTR", 0], ["NNR", 0]]'),
+            REPORT_TEMPLATE.replace('"config": {}', '"config": [["seed", 1]]') % ENTRY_TEMPLATE % 1,
         ],
         ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
              "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
-             "fractional_count", "negative_count", "bool_n_test", "string_n_test", "nan_config"],
+             "fractional_count", "negative_count", "bool_n_test", "string_n_test", "nan_config",
+             "negative_rmse", "histogram_of_strings", "histogram_bool_count",
+             "histogram_float_count", "histogram_wrong_kind", "histogram_missing_kinds",
+             "histogram_pairs", "config_pairs"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"
@@ -412,13 +441,13 @@ class TestUsage:
         assert err.startswith("data error: cannot write ") and len(err.strip().splitlines()) == 1
 
     def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch):
-        import impforecast.cli as cli
+        import impforecast.commands as commands
         from impforecast.errors import AllCandidatesFailedError
 
         def boom(cohort, config):
             raise AllCandidatesFailedError("every candidate failed")
 
-        monkeypatch.setattr(cli, "run_study", boom)
+        monkeypatch.setattr(commands, "run_study", boom)
         code = run(
             ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
              "--out-models", str(tmp_path / "m.json")]

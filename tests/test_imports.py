@@ -1,0 +1,117 @@
+"""What each entry point imports, checked in fresh interpreters, and the
+``python -m impforecast.cli`` route.
+
+``import impforecast``, ``--help`` and ``report`` must not load numpy or
+the estimators; the package's public names load on first access.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import impforecast
+from impforecast.domain import FeatureGroup, ModelKind
+from impforecast.report import ErrorBands, SelectionEntry, StudyReport, histogram_of_kinds, report_to_json
+
+SRC = str(Path(impforecast.__file__).resolve().parent.parent)
+HEAVY = ("numpy", "impforecast.regressors")
+
+
+def python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """The HEAVY modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    proc = python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def saved_report(tmp_path_factory):
+    entries = tuple(
+        SelectionEntry(channel=c, kind=kind, group=FeatureGroup.G2, rmse=0.5 + c / 100,
+                       bands=ErrorBands.from_counts((20, 3, 1, 0), 24))
+        for c, kind in zip(range(1, 13), [ModelKind.BLR, ModelKind.NNR, ModelKind.LR] * 4)
+    )
+    report = StudyReport(entries=entries, histogram=histogram_of_kinds(e.kind for e in entries),
+                         config={"seed": 1})
+    path = tmp_path_factory.mktemp("imports") / "report.json"
+    path.write_text(report_to_json(report), encoding="utf-8")
+    return path
+
+
+def test_import_package_is_light():
+    assert heavy_modules_after("import impforecast") == []
+
+
+def test_help_is_light():
+    code = "from impforecast.cli import run_cli\ntry:\n    run_cli(['--help'])\nexcept SystemExit:\n    pass"
+    assert heavy_modules_after(code) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_report_is_light(saved_report, tmp_path, fmt):
+    out = tmp_path / f"report.{fmt}"
+    argv = ["report", "--in", str(saved_report), "--format", fmt, "--out", str(out)]
+    code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
+    assert heavy_modules_after(code) == []
+    assert out.stat().st_size > 0
+
+
+def test_study_loads_the_estimators():
+    """The guard above is not vacuous: the other commands do load them."""
+    assert heavy_modules_after("import impforecast.commands") == list(HEAVY)
+
+
+def test_public_names_resolve():
+    for name in impforecast.__all__:
+        value = getattr(impforecast, name)
+        if name != "__version__":
+            source = sys.modules[f"impforecast.{impforecast._SOURCE[name]}"]
+            assert value is getattr(source, name)
+    assert set(impforecast.__all__) <= set(dir(impforecast))
+    namespace = {}
+    exec("from impforecast import *", namespace)
+    assert set(impforecast.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        impforecast.no_such_name
+
+
+class TestModuleRoute:
+    """``python -m impforecast.cli``, the route the benchmark takes: there
+    ``cli.py`` runs as ``__main__``."""
+
+    def test_report_renders(self, saved_report):
+        proc = python("-m", "impforecast.cli", "report", "--in", str(saved_report), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == [
+            f"EI_1M_{c}" for c in range(1, 13)
+        ]
+
+    def test_unknown_hyper_key_is_usage_error(self, tmp_path):
+        proc = python(
+            "-m", "impforecast.cli", "study", "--data", str(tmp_path / "cohort.csv"),
+            "--out-report", str(tmp_path / "r.json"), "--out-models", str(tmp_path / "m.json"),
+            "--hyper", "bogus.key=1",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
+        assert "bogus.key" in proc.stderr
+
+    def test_missing_report_is_data_error(self, tmp_path):
+        proc = python("-m", "impforecast.cli", "report", "--in", str(tmp_path / "missing.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: cannot read ")
+        assert len(proc.stderr.strip().splitlines()) == 1
