@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .checks import is_count
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
@@ -19,6 +20,13 @@ from .regressors.base import loaded_numbers
 from .textio import read_text, write_text
 
 BUNDLE_FORMAT_VERSION = 1
+
+
+def _current_format(doc) -> bool:
+    """``doc`` is a JSON object whose ``format_version`` is the integer
+    BUNDLE_FORMAT_VERSION: ``true`` and ``1.0`` are refused."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    return is_count(version) and version == BUNDLE_FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class ChannelModel:
         """Raises IncompatibleBundleError on a missing key, a value of the
         wrong type, a non-finite number, a channel outside 1..12, or a
         standardizer whose width is not the feature group's."""
-        if not isinstance(d, dict) or d.get("format_version") != BUNDLE_FORMAT_VERSION:
+        if not _current_format(d):
             raise IncompatibleBundleError(
                 f"unsupported model format_version {d.get('format_version')!r}"
                 if isinstance(d, dict)
@@ -114,7 +122,7 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IncompatibleBundleError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != BUNDLE_FORMAT_VERSION:
+    if not _current_format(doc):
         raise IncompatibleBundleError(
             f"unsupported bundle format_version {doc.get('format_version')!r}"
             if isinstance(doc, dict)

@@ -186,11 +186,13 @@ class TreeTable:
 
 
 def presort(X: np.ndarray) -> np.ndarray:
-    """Row order of every feature of X, ascending: a (d, n) array.
+    """The root block of ``build_tree`` on X: a (d + 1, n) array whose row f
+    is the row order of feature f, ascending, and whose last row is
+    ``arange(n)``.
 
     The sort is stable, so equal values keep ascending row order.
     """
-    return np.argsort(X, axis=0, kind="stable").T
+    return np.vstack([np.argsort(X, axis=0, kind="stable").T, np.arange(X.shape[0])])
 
 
 def _find_split(xs: np.ndarray, ys: np.ndarray, total, min_leaf: int, sizes: np.ndarray):
@@ -236,19 +238,26 @@ def build_tree(
     features = np.arange(d)[:, None]
     sizes = np.arange(n + 1)
     XT = np.ascontiguousarray(X.T)
-    # The last row of a block lists the node's rows in ascending order, the
-    # order in which node sums and means are taken.
-    root = np.vstack([order, np.arange(n)])
 
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def grow(block: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
+    def add_node(f: int, thr: float, mean: float) -> int:
+        feature.append(f)
+        threshold.append(thr)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
+        value.append(mean)
+        return len(feature) - 1
+
+    def leaf(rows: np.ndarray, total) -> int:
+        """A leaf for ``rows``, ascending, whose targets sum to ``total``."""
+        mean = float(total / rows.shape[0])  # y[rows].mean(), bit for bit
+        train_pred[rows] = mean
+        return add_node(-1, 0.0, mean)
+
+    # The last row of a block lists the node's rows in ascending order, the
+    # order in which node sums and means are taken.
+    def grow(block: np.ndarray, depth: int) -> int:
         rows = block[-1]
         m = rows.shape[0]
         y_node = y[rows]
@@ -264,23 +273,24 @@ def build_tree(
             xs = XT[features, sorted_rows]
             split = _find_split(xs, y[sorted_rows], total, min_leaf, sizes)
         if split is None:
-            mean = float(total / m)  # y_node.mean(), bit for bit
-            value[node] = mean
-            train_pred[rows] = mean
-            return node
+            return leaf(rows, total)
         j, n_left = split
         lo, hi = xs[j, n_left - 1], xs[j, n_left]
         thr = 0.5 * (lo + hi)
         if not thr < hi:  # midpoint rounded up to hi: fall back to lo
             thr = lo
-        feature[node] = j
-        threshold[node] = float(thr)
+        node = add_node(j, float(thr), 0.0)
+        if depth + 1 == max_depth:  # both children are leaves: no block to partition
+            goes_left = XT[j][rows] <= thr
+            for side, child in ((left, rows[goes_left]), (right, rows[~goes_left])):
+                side[node] = leaf(child, y[child].sum())
+            return node
         goes_left = (XT[j] <= thr)[block]  # stable partition of every row
         left[node] = grow(block[goes_left].reshape(d + 1, n_left), depth + 1)
         right[node] = grow(block[~goes_left].reshape(d + 1, m - n_left), depth + 1)
         return node
 
-    grow(root, 0)
+    grow(order, 0)
     return {"feature": feature, "threshold": threshold, "left": left, "right": right,
             "value": value}
 

@@ -171,9 +171,10 @@ def report_from_json(text: str | bytes) -> StudyReport:
         raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise IncompatibleBundleError("report document must be a JSON object")
-    if doc.get("format_version") != REPORT_FORMAT_VERSION:
+    version = doc.get("format_version")
+    if not (is_count(version) and version == REPORT_FORMAT_VERSION):  # not true, not 1.0
         raise IncompatibleBundleError(
-            f"unsupported report format_version {doc.get('format_version')!r}"
+            f"unsupported report format_version {version!r}"
         )
     try:
         entries = tuple(

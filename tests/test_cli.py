@@ -270,6 +270,8 @@ class TestPredict:
             "unknown_hyper",
             "hidden_units_not_w1_width",
             "no_final_loss",
+            "bool_format_version",
+            "float_model_format_version",
         ],
     )
     def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
@@ -309,6 +311,10 @@ class TestPredict:
             nnr["hyper"]["hidden_units"] += 1
         elif probe == "no_final_loss":
             del nnr["params"]["final_loss"]
+        elif probe == "bool_format_version":
+            doc["format_version"] = True
+        elif probe == "float_model_format_version":
+            lr_g2["format_version"] = 1.0
         models, out = tmp_path / "models.json", tmp_path / "p.csv"
         models.write_text(json.dumps(doc))
         code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
@@ -390,13 +396,15 @@ class TestReport:
             bad_histogram('{"LR": 1}'),
             bad_histogram('[["LR", 1], ["BLR", 0], ["DFR", 0], ["BDTR", 0], ["NNR", 0]]'),
             REPORT_TEMPLATE.replace('"config": {}', '"config": [["seed", 1]]') % ENTRY_TEMPLATE % 1,
+            REPORT_TEMPLATE.replace('"format_version": 1', '"format_version": true') % ENTRY_TEMPLATE % 1,
+            REPORT_TEMPLATE.replace('"format_version": 1', '"format_version": 1.0') % ENTRY_TEMPLATE % 1,
         ],
         ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
              "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
              "fractional_count", "negative_count", "bool_n_test", "string_n_test", "nan_config",
              "negative_rmse", "histogram_of_strings", "histogram_bool_count",
              "histogram_float_count", "histogram_wrong_kind", "histogram_missing_kinds",
-             "histogram_pairs", "config_pairs"],
+             "histogram_pairs", "config_pairs", "bool_format_version", "float_format_version"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

@@ -2,7 +2,8 @@
 ``python -m impforecast.cli`` route.
 
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
-the estimators; the package's public names load on first access.
+the estimators; the package's public names load on first access. Only a
+study loads the worker pool's modules: ``predict`` and ``report`` do not.
 """
 
 import json
@@ -14,11 +15,13 @@ from pathlib import Path
 import pytest
 
 import impforecast
+from impforecast.cli import run_cli
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.report import ErrorBands, SelectionEntry, StudyReport, histogram_of_kinds, report_to_json
 
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
+POOL = ("multiprocessing", "concurrent.futures")
 
 
 def python(*args, cwd=None) -> subprocess.CompletedProcess:
@@ -30,9 +33,9 @@ def python(*args, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def heavy_modules_after(code: str) -> list[str]:
-    """The HEAVY modules loaded once ``code`` has run in a fresh interpreter."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def modules_after(code: str, modules=HEAVY) -> list[str]:
+    """The ``modules`` loaded once ``code`` has run in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     proc = python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -53,12 +56,12 @@ def saved_report(tmp_path_factory):
 
 
 def test_import_package_is_light():
-    assert heavy_modules_after("import impforecast") == []
+    assert modules_after("import impforecast") == []
 
 
 def test_help_is_light():
     code = "from impforecast.cli import run_cli\ntry:\n    run_cli(['--help'])\nexcept SystemExit:\n    pass"
-    assert heavy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -66,13 +69,26 @@ def test_report_is_light(saved_report, tmp_path, fmt):
     out = tmp_path / f"report.{fmt}"
     argv = ["report", "--in", str(saved_report), "--format", fmt, "--out", str(out)]
     code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
-    assert heavy_modules_after(code) == []
+    assert modules_after(code, HEAVY + POOL) == []
     assert out.stat().st_size > 0
+
+
+def test_predict_loads_no_pool(tmp_path):
+    cohort, report, models = (tmp_path / name for name in ("c.csv", "r.json", "m.json"))
+    assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
+    assert run_cli(["study", "--data", str(cohort), "--out-report", str(report),
+                    "--out-models", str(models), "--hyper", "dfr.trees=5",
+                    "--hyper", "bdtr.trees=5", "--hyper", "nnr.epochs=20"]) == 0
+    out = tmp_path / "p.csv"
+    argv = ["predict", "--models", str(models), "--data", str(cohort), "--out", str(out)]
+    code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
+    assert modules_after(code, POOL) == []
+    assert len(out.read_text().splitlines()) == 21
 
 
 def test_study_loads_the_estimators():
     """The guard above is not vacuous: the other commands do load them."""
-    assert heavy_modules_after("import impforecast.commands") == list(HEAVY)
+    assert modules_after("import impforecast.commands") == list(HEAVY)
 
 
 def test_public_names_resolve():

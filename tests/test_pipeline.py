@@ -1,4 +1,6 @@
 import dataclasses
+import os
+from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ import pytest
 from impforecast.bundle import ModelBundle, bundle_to_json
 from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohort
 from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
-from impforecast.errors import FitError, IncompatibleBundleError, NonFinitePredictionError, TooSmallError
+from impforecast.cli import run_cli
+from impforecast.errors import (
+    FitError,
+    IncompatibleBundleError,
+    NonFiniteLossError,
+    NonFinitePredictionError,
+    TooSmallError,
+)
 from impforecast.metrics import rmse
 from impforecast.pipeline import (
     StudyConfig,
@@ -19,7 +28,7 @@ from impforecast.pipeline import (
     report_to_json,
     run_study,
 )
-from impforecast.regressors import HyperParams, LinearRegressor, make_regressor
+from impforecast.regressors import BoostedTreesRegressor, HyperParams, LinearRegressor, make_regressor
 
 # trimmed ensembles/epochs: pipeline behavior is identical, tests run fast
 FAST = HyperParams().with_overrides(
@@ -215,6 +224,68 @@ class TestRunStudy:
         cohort = Cohort(base.ages, base.intra, labels)
         with pytest.raises(CohortValidationError):
             run_study(cohort, FAST_CONFIG)
+
+
+def study_bytes(cohort, config) -> tuple[str, str]:
+    report, models = run_study(cohort, config)
+    return report_to_json(report), bundle_to_json(models)
+
+
+def broken_fit(self, X, y):
+    raise RuntimeError("broken\nfit")
+
+
+class TestWorkerPool:
+    """A study on one CPU runs inline; on two it forks a pool of workers.
+    The outputs must have the same bytes either way."""
+
+    @staticmethod
+    def on_cpus(monkeypatch, n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("selection", ["test", "inner_validation"])
+    def test_same_bytes_inline_and_in_workers(self, monkeypatch, small_cohort, selection):
+        config = dataclasses.replace(FAST_CONFIG, selection=selection)
+        outputs = []
+        for n in (1, 2):
+            self.on_cpus(monkeypatch, n)
+            outputs.append(study_bytes(small_cohort, config))
+        assert outputs[0] == outputs[1]
+
+    def test_fit_errors_come_back_as_values(self, monkeypatch, small_cohort, small_split):
+        train, test = small_split
+        config = StudyConfig(hyper=FAST.with_overrides({"nnr.step": 100}))  # diverges
+        grids, outputs = [], []
+        for n in (1, 2):
+            self.on_cpus(monkeypatch, n)
+            grids.append(evaluate_grid(CHANNELS, train, test, config))
+            outputs.append(study_bytes(small_cohort, config))
+        for channel in CHANNELS:
+            for group in FeatureGroup:
+                inline, pooled = (grid[channel][(ModelKind.NNR, group)] for grid in grids)
+                assert isinstance(pooled, NonFiniteLossError)
+                assert (type(pooled), str(pooled)) == (type(inline), str(inline))
+        assert outputs[0] == outputs[1]
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch, small_cohort):
+        monkeypatch.setattr(BoostedTreesRegressor, "fit", broken_fit)
+        self.on_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="broken") as info:
+            run_study(small_cohort, FAST_CONFIG)
+        assert isinstance(info.value.__cause__, _RemoteTraceback)  # raised in a worker
+
+    def test_worker_exception_is_a_one_line_internal_error(self, monkeypatch, tmp_path, capsys):
+        cohort = tmp_path / "cohort.csv"
+        assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
+        monkeypatch.setattr(BoostedTreesRegressor, "fit", broken_fit)
+        self.on_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        code = run_cli(["study", "--data", str(cohort), "--out-report", str(tmp_path / "r.json"),
+                        "--out-models", str(tmp_path / "m.json"), "--hyper", "nnr.epochs=20"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: RuntimeError: broken fit\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestPredictOne:

@@ -290,6 +290,24 @@ def test_grow_forest_matches_reference_property(problem):
     assert_forest_matches_reference(X, y, trees, **params)
 
 
+@settings(max_examples=200, deadline=None)
+@given(forest_problems(), st.integers(0, 4))
+def test_build_tree_matches_reference_shallow_property(problem, max_depth):
+    # shallow trees, where the nodes at depth max_depth - 1 make both of
+    # their leaves at once
+    X, y, params = problem
+    min_leaf = params["min_leaf"]
+    ref_fill, fill = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
+    expected = reference_build(
+        X, y, max_depth=max_depth, min_leaf=min_leaf, key=0, train_pred=ref_fill
+    )
+    tree = build_tree(X, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=fill,
+                      order=presort(X))
+    for name, value in expected.items():
+        assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
+    assert same_bits(fill, ref_fill)
+
+
 @settings(max_examples=50, deadline=None)
 @given(forest_problems())
 def test_forest_fit_grows_the_reference_trees(problem):
