@@ -28,6 +28,8 @@ __all__ = [
     "as_vector",
     "check_fit_columns",
     "check_fit_inputs",
+    "check_joint_columns",
+    "fit_one_column",
     "loaded_numbers",
 ]
 
@@ -73,6 +75,38 @@ def check_fit_columns(estimators, X, Y) -> tuple[np.ndarray, np.ndarray]:
             f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
         )
     return X, Y
+
+
+def check_joint_columns(estimators, X, Y) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Validate a ``fit_columns`` call that fits all its columns together.
+
+    Returns X and Y as matrices, the outcome list with the FitError
+    ``check_fit_inputs`` raises on each rejected column and None elsewhere,
+    and the indices of the other columns. Raises ValueError unless the
+    estimators of those columns differ only in ``seed``.
+    """
+    X, Y = check_fit_columns(estimators, X, Y)
+    outcomes = []
+    for y in Y.T:
+        try:
+            check_fit_inputs(X, y)
+            outcomes.append(None)
+        except FitError as exc:
+            outcomes.append(exc)
+    live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+    if len({estimators[j].hyper for j in live}) > 1:
+        raise ValueError("fit_columns needs estimators that differ only in seed")
+    return X, Y, outcomes, live
+
+
+def fit_one_column(estimator, X, y):
+    """``fit`` of a kind whose ``fit_columns`` fits its columns together:
+    ``fit_columns`` on the one column ``y``. Returns the estimator, or
+    raises the FitError of its column."""
+    (outcome,) = type(estimator).fit_columns([estimator], X, as_vector(y)[:, None])
+    if isinstance(outcome, FitError):
+        raise outcome
+    return estimator
 
 
 def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:

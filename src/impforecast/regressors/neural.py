@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import DimensionMismatchError, FitError, NonFiniteLossError
+from ..errors import DimensionMismatchError, NonFiniteLossError
 from .base import (
     BaseRegressor,
     as_matrix,
     as_vector,
-    check_fit_columns,
-    check_fit_inputs,
+    check_joint_columns,
+    fit_one_column,
     loaded_numbers,
 )
 from .hyper import NeuralConfig
@@ -154,11 +154,7 @@ class NeuralNetRegressor(BaseRegressor):
         w2 = rng.uniform(-s2, s2, size=h)
         return np.concatenate([W1.ravel(), np.zeros(h), w2, [0.0]])
 
-    def fit(self, X, y):
-        (outcome,) = self.fit_columns([self], X, as_vector(y)[:, None])
-        if isinstance(outcome, FitError):
-            raise outcome
-        return self
+    fit = fit_one_column
 
     @classmethod
     def fit_columns(cls, estimators, X, Y) -> list:
@@ -170,19 +166,9 @@ class NeuralNetRegressor(BaseRegressor):
         non-finite in any epoch, or whose final parameters are non-finite,
         gets a NonFiniteLossError; training stops once every column has one.
         """
-        X, Y = check_fit_columns(estimators, X, Y)
-        outcomes = []
-        for y in Y.T:
-            try:
-                check_fit_inputs(X, y)
-                outcomes.append(None)
-            except FitError as exc:
-                outcomes.append(exc)
-        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+        X, Y, outcomes, live = check_joint_columns(estimators, X, Y)
         if not live:
             return outcomes
-        if len({estimators[j].hyper for j in live}) > 1:
-            raise ValueError("fit_columns needs networks that differ only in seed")
         hyper = estimators[live[0]].hyper
 
         standardizer = Standardizer().fit(X)

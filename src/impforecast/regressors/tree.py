@@ -1,31 +1,39 @@
 """Binary regression trees with variance-reduction (squared error) splits.
 
-Both builders use the pre-sorting scheme of SLIQ (Mehta, Agrawal &
-Rissanen, 1996), which is also the exact greedy split search of XGBoost
-(Chen & Guestrin, 2016, section 3.1): every feature is sorted once per
-training matrix, each node carries its rows as a (d, m) block of those
-sorted orders, and a split partitions the block stably, so no node sorts
-again. All candidate features of a node are scored in one vectorised pass
-over cumulative sums. Tie-breaking is deterministic: among equal-gain
-splits the lowest feature index wins, then the lowest threshold, and only
-strictly positive gains split.
+All candidate features of a node are scored in one vectorised pass over
+the cumulative sums of its targets sorted by each feature. Tie-breaking is
+deterministic: among equal-gain splits the lowest feature index wins, then
+the lowest threshold, and only strictly positive gains split.
 
-``grow_forest`` grows all the trees of a decision forest together, level
-by level: one pass per depth scores every open node of every tree, so a
-forest takes at most ``max_depth + 1`` passes whatever its tree count. The
-open nodes of a level sit side by side in one (d + 1, rows) block. Nodes
-within a factor of two in size are scored as one padded (nodes, features,
-width) array, whose cumulative sums run along the padded axis, and nodes
-of equal size are summed as one (nodes, size) block, so every node sum,
-cumulative sum and mean has the bits of a node-by-node build. Where a node
-considers only some of the features, they are drawn by a key that depends
-on the forest's seed, the tree and the node's path from the root (see
-``grow_forest``), not on the order in which nodes grow. ``build_tree``
-grows one tree depth-first with every feature, for boosting, whose trees
-follow one another. Both return each tree as the dict a bundle stores: the
-five node arrays ``feature``, ``threshold``, ``left``, ``right`` and
-``value``, with the nodes numbered in depth-first pre-order and tree-local
-child indices.
+``build_tree`` grows one tree depth-first with every feature, for
+boosting, whose trees follow one another. It uses the pre-sorting scheme
+of SLIQ (Mehta, Agrawal & Rissanen, 1996), which is also the exact greedy
+split search of XGBoost (Chen & Guestrin, 2016, section 3.1): every
+feature is sorted once per training matrix, each node carries its rows as
+a (d, m) block of those sorted orders, and a split partitions the block
+stably, so no node sorts again.
+
+``grow_forest`` grows all the trees of the decision forests of several
+target columns on one training matrix together, level by level: one pass
+per depth scores every open node of every tree, so the forests take at
+most ``max_depth + 1`` passes whatever their tree and column counts. The
+open nodes of a level sit side by side in one array of row ids, each
+node's rows in the order of its tree's sample, and a split partitions that
+array stably. Nodes within a factor of two in size are scored as padded
+(nodes, features, width) arrays of at most ``SPLIT_BLOCK_NODES`` nodes.
+Each node's rows are sorted, stably, by its candidate features only: a
+forest node considers few of the d features, so this costs less than
+carrying d sorted orders through every partition, and it puts equal
+values in the order the presorted block would. Cumulative sums run along
+the padded axis, and nodes of equal size are summed as one (nodes, size)
+block, so every node sum, cumulative sum and mean has the bits of a
+node-by-node build. Where a node considers only some of the features,
+they are drawn by a key that depends on the forest's seed, the tree and
+the node's path from the root (see ``grow_forest``), not on the order in
+which nodes grow. Both growers return each tree as the dict a bundle
+stores: the five node arrays ``feature``, ``threshold``, ``left``,
+``right`` and ``value``, with the nodes numbered in depth-first pre-order
+and tree-local child indices.
 
 Ensembles keep their trees in one flat node table (``TreeTable``), in which
 leaves point to themselves, so prediction descends every tree at once for a
@@ -41,6 +49,9 @@ from ..seeding import derive_seed, splitmix64_array
 
 # Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
 PREDICT_BLOCK_ROWS = 256
+# Nodes scored together by grow_forest; bounds its (nodes, features, width)
+# work arrays.
+SPLIT_BLOCK_NODES = 256
 
 _FIELDS = ("feature", "threshold", "left", "right", "value")
 
@@ -337,11 +348,13 @@ def _best_splits(xs, ys, total, m, min_leaf: int):
         right /= n_right
     score += right
     # only between distinct values, and with min_leaf rows on the right
-    score[(n_right < min_leaf)
-          | (xs[:, :, min_leaf - 1 : width - min_leaf] >= xs[:, :, min_leaf : width - min_leaf + 1])
-          ] = -np.inf
+    np.copyto(score, -np.inf, where=(
+        (n_right < min_leaf)
+        | (xs[:, :, min_leaf - 1 : width - min_leaf] >= xs[:, :, min_leaf : width - min_leaf + 1])
+    ))
     pos = score.argmax(axis=2)  # first max -> lowest threshold on ties
-    gain = score.max(axis=2) - (total * total / m)[:, None]
+    best = np.take_along_axis(score, pos[:, :, None], axis=2)[:, :, 0]  # score.max(axis=2)
+    gain = best - (total * total / m)[:, None]
     j = gain.argmax(axis=1)  # first max -> lowest feature on ties
     nodes = np.arange(j.shape[0])
     return j, min_leaf + pos[nodes, j], gain[nodes, j] > 0.0
@@ -349,53 +362,62 @@ def _best_splits(xs, ys, total, m, min_leaf: int):
 
 def grow_forest(
     X: np.ndarray,
-    y: np.ndarray,
+    Y: np.ndarray,
     trees: int,
     *,
     max_depth: int,
     min_leaf: int,
     feature_subset: int | None = None,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
-) -> list[dict]:
-    """Grow ``trees`` CART trees on (X, y) together, one pass per depth, and
-    return each tree's dict of node arrays.
+    seeds,
+    rngs=None,
+) -> list[list[dict]]:
+    """Grow ``trees`` CART trees on (X, Y[:, c]) for every column c of Y,
+    all together, one pass per depth, and return each column's trees as
+    dicts of node arrays.
 
-    With ``rng``, tree t grows on the bootstrap sample
-    ``rng.integers(0, n, size=n)``, all drawn tree by tree before any tree
-    grows; without it every tree grows on all rows.
+    With ``rngs``, tree t of column c grows on the bootstrap sample
+    ``rngs[c].integers(0, n, size=n)``, each column's samples drawn tree by
+    tree before any tree grows (as one (trees, n) draw, which numpy fills
+    with the same numbers); without it every tree grows on all rows.
 
     ``feature_subset`` below d limits each split to that many features,
-    chosen by a key: tree t's root has key ``derive_seed(seed, t)``, a
-    node with key k gives its children ``splitmix64(k ^ 1)`` (left) and
-    ``splitmix64(k ^ 2)`` (right), and considers the ``feature_subset``
-    features f with the smallest ``splitmix64(k ^ (3 + f))``. None means
-    every feature. Each tree equals ``build_tree`` on its sample when every
-    feature is considered.
+    chosen by a key: the root of tree t of column c has key
+    ``derive_seed(seeds[c], t)``, a node with key k gives its children
+    ``splitmix64(k ^ 1)`` (left) and ``splitmix64(k ^ 2)`` (right), and
+    considers the ``feature_subset`` features f with the smallest
+    ``splitmix64(k ^ (3 + f))``. None means every feature. Each tree equals
+    ``build_tree`` on its sample when every feature is considered, and no
+    tree depends on the other columns.
     """
     n, d = X.shape
+    columns = Y.shape[1]
     subset = d if feature_subset is None else min(int(feature_subset), d)
-    if rng is None:
-        samples = np.broadcast_to(np.arange(n), (trees, n))
+    # Column c is rows c*n .. c*n + n - 1 of the stacked (X, y), so a node
+    # holds the rows of one column and nothing below knows of columns. The
+    # last row, +inf and 0, pads the nodes scored together to one width.
+    X = np.vstack([np.tile(X, (columns, 1)), np.full(d, np.inf)])
+    y = np.append(Y.T.ravel(), 0.0)
+    count = columns * trees
+    if rngs is None:
+        samples = np.broadcast_to(np.arange(n), (count, n))
     else:
-        samples = np.stack([rng.integers(0, n, size=n) for _ in range(trees)])
-    # The open nodes of a level side by side: columns start[k] .. start[k] + m[k]
-    # hold node k's rows (as rows of X), row f sorted by feature f, stably,
-    # and the last row in the order of the tree's sample, the order in
-    # which a node's sum is taken.
-    block = np.empty((d + 1, trees * n), dtype=np.min_scalar_type(-n))
-    for f in range(d):
-        order = np.argsort(X[samples, f], axis=1, kind="stable")
-        block[f] = np.take_along_axis(samples, order, axis=1).ravel()
-    block[d] = samples.ravel()
-    tree = np.arange(trees)
-    m = np.full(trees, n)
+        samples = np.concatenate([rng.integers(0, n, size=(trees, n)) for rng in rngs])
+    # The open nodes of a level side by side: rows[start[k] : start[k] + m[k]]
+    # are node k's rows (as rows of X) in the order of the tree's sample,
+    # the order in which a node's sum is taken; then the padding row.
+    rows = np.append(samples + np.repeat(np.arange(columns) * n, trees)[:, None], columns * n)
+    del samples
+    tree = np.arange(count)
+    m = np.full(count, n)
     if subset < d:
-        key = np.array([derive_seed(seed, t) for t in range(trees)], dtype=np.uint64)
+        key = np.concatenate([
+            splitmix64_array(np.uint64(derive_seed(s)) ^ np.arange(trees, dtype=np.uint64))
+            for s in seeds
+        ])
     levels = []
     for depth in range(max_depth + 1):
         start = np.cumsum(m) - m
-        y_rows = y[block[d]]
+        y_rows = y[rows]
         total = _node_sums(y_rows, start, m)
         feature = np.full(m.shape[0], -1)
         threshold = np.zeros(m.shape[0])
@@ -405,49 +427,67 @@ def grow_forest(
                 (m >= 2 * min_leaf)
                 & (np.minimum.reduceat(y_rows, start) < np.maximum.reduceat(y_rows, start))
             )
-            # nodes within a factor of two in size are scored together
+            # nodes within a factor of two in size are scored together, at
+            # most SPLIT_BLOCK_NODES at a time
             _, size_class = np.frexp(m[candidates] - 1)
             for c in np.unique(size_class):
-                nodes = candidates[size_class == c]
-                width = m[nodes].max()
-                columns = np.minimum(start[nodes, None] + np.arange(width), block.shape[1] - 1)
-                if subset < d:
-                    feats = _node_features(key[nodes], d, subset)
-                else:
-                    feats = np.broadcast_to(np.arange(d), (nodes.shape[0], d))
-                rows = block[feats[:, :, None], columns[:, None, :]]
-                xs = X[rows, feats[:, :, None]]
-                j, nl, ok = _best_splits(xs, y[rows], total[nodes], m[nodes], min_leaf)
-                k = np.arange(nodes.shape[0])
-                lo, hi = xs[k, j, nl - 1], xs[k, j, nl]
-                thr = 0.5 * (lo + hi)
-                thr = np.where(thr < hi, thr, lo)  # midpoint rounded up to hi: fall back to lo
-                won = nodes[ok]
-                feature[won] = feats[k, j][ok]
-                threshold[won] = thr[ok]
-                n_left[won] = nl[ok]
+                in_class = candidates[size_class == c]
+                for lo in range(0, in_class.shape[0], SPLIT_BLOCK_NODES):
+                    nodes = in_class[lo : lo + SPLIT_BLOCK_NODES]
+                    if subset < d:
+                        feats = _node_features(key[nodes], d, subset)
+                    else:
+                        feats = np.broadcast_to(np.arange(d), (nodes.shape[0], d))
+                    f, thr, nl, ok = _score_nodes(
+                        X, y_rows, rows, start[nodes], m[nodes], feats, total[nodes], min_leaf
+                    )
+                    won = nodes[ok]
+                    feature[won], threshold[won], n_left[won] = f[ok], thr[ok], nl[ok]
         split = feature >= 0
         levels.append((tree, feature, threshold, np.where(split, 0.0, total / m), split))
         if not split.any():
             break
-        # Stable partition of every row: the rows of all left children, in
-        # the order of their parents, then those of all right children; the
-        # rows of leaves go.
+        # Stable partition: the rows of all left children, in the order of
+        # their parents, then those of all right children; the rows of
+        # leaves go.
+        body = rows[:-1]
         in_split = np.repeat(split, m)
-        split_feature, split_threshold = np.repeat(feature, m), np.repeat(threshold, m)
-        kept = np.empty((d + 1, m[split].sum()), dtype=block.dtype)
-        for r, rows in enumerate(block):  # row by row: O(rows) temporaries
-            goes_left = X[rows, split_feature] <= split_threshold
-            left = rows[goes_left & in_split]
-            kept[r, : left.shape[0]] = left
-            kept[r, left.shape[0] :] = rows[in_split & ~goes_left]
-        block = kept
+        goes_left = X[body, np.repeat(feature, m)] <= np.repeat(threshold, m)
+        rows = np.concatenate([body[in_split & goes_left], body[in_split & ~goes_left], rows[-1:]])
         m = np.concatenate([n_left[split], m[split] - n_left[split]])
         tree = np.tile(tree[split], 2)
         if subset < d:
             key = np.concatenate([key[split] ^ np.uint64(1), key[split] ^ np.uint64(2)])
             key = splitmix64_array(key)
-    return _preorder_trees(levels, trees)
+    grown = _preorder_trees(levels, count)
+    return [grown[c * trees : (c + 1) * trees] for c in range(columns)]
+
+
+def _score_nodes(X, y_rows, rows, start, m, feats, total, min_leaf: int):
+    """Best split of each node k whose ``m[k]`` rows are ``rows[start[k]:]``
+    over its candidate features ``feats[k]``: the feature, threshold and
+    left count of the first maximal gain, and whether that gain is
+    strictly positive.
+
+    A node's rows are sorted by each candidate feature here, stably, so
+    rows of equal value keep the order of the tree's sample: the order a
+    presorted block, partitioned stably from the root, would hold them in.
+    """
+    width = m.max()
+    at = start[:, None] + np.arange(width)
+    at = np.where(at < (start + m)[:, None], at, rows.shape[0] - 1)  # padding row
+    xs = X[rows[at][:, None, :], feats[:, :, None]]
+    order = np.argsort(xs, axis=2, kind="stable")  # +inf padding sorts last
+    # take_along_axis by flat indices: one 1-D gather each
+    c, s = xs.shape[:2]
+    xs = xs.take(order + (np.arange(c * s) * width).reshape(c, s, 1))
+    ys = y_rows[at].take(order + (np.arange(c) * width)[:, None, None])
+    j, nl, ok = _best_splits(xs, ys, total, m, min_leaf)
+    k = np.arange(j.shape[0])
+    lo, hi = xs[k, j, nl - 1], xs[k, j, nl]
+    thr = 0.5 * (lo + hi)
+    thr = np.where(thr < hi, thr, lo)  # midpoint rounded up to hi: fall back to lo
+    return feats[k, j], thr, nl, ok
 
 
 def _preorder_trees(levels, trees: int) -> list[dict]:

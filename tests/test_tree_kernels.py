@@ -3,7 +3,8 @@ reference implementations: a recursive builder that sorts every feature at
 every node, and a per-row, per-tree descent. Results must be equal bit for
 bit. The level-synchronous forest grower must equal the reference built
 tree by tree, with the same bootstrap draws and the same keyed feature
-subsets.
+subsets, and the forests of several target columns grown together must
+equal forests fit on each column alone.
 """
 
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel
 from impforecast.domain import FeatureGroup, ModelKind
-from impforecast.errors import IncompatibleBundleError
+from impforecast.errors import DegenerateInputError, IncompatibleBundleError
 from impforecast.regressors import BoostedTreesRegressor, DecisionForestRegressor
 from impforecast.regressors.tree import (
     PREDICT_BLOCK_ROWS,
@@ -72,7 +73,7 @@ def reference_features(key, d, subset):
     return np.array(sorted(sorted(range(d), key=lambda f: (priority[f], f))[:subset]))
 
 
-def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, key=None, train_pred=None):
+def reference_build(X, y, *, max_depth, min_leaf, feature_subset=None, key=0, train_pred=None):
     n, d = X.shape
     subset = d if feature_subset is None else min(int(feature_subset), d)
     feature, threshold, left, right, value = [], [], [], [], []
@@ -172,7 +173,9 @@ def assert_forest_matches_reference(X, y, trees, *, seed, bootstrap, min_nodes=1
     ref_rng = np.random.default_rng(seed) if bootstrap else None
     new_rng = np.random.default_rng(seed) if bootstrap else None
     expected = reference_forest(X, y, trees, seed=seed, rng=ref_rng, **kwargs)
-    grown = grow_forest(X, y, trees, seed=seed, rng=new_rng, **kwargs)
+    (grown,) = grow_forest(
+        X, y[:, None], trees, seeds=[seed], rngs=None if new_rng is None else [new_rng], **kwargs
+    )
     assert len(grown) == trees
     every_feature = kwargs.get("feature_subset") is None or kwargs["feature_subset"] >= X.shape[1]
     for tree, (ref, Xt, yt, ref_fill) in zip(grown, expected):
@@ -298,9 +301,7 @@ def test_build_tree_matches_reference_shallow_property(problem, max_depth):
     X, y, params = problem
     min_leaf = params["min_leaf"]
     ref_fill, fill = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
-    expected = reference_build(
-        X, y, max_depth=max_depth, min_leaf=min_leaf, key=0, train_pred=ref_fill
-    )
+    expected = reference_build(X, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=ref_fill)
     tree = build_tree(X, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=fill,
                       order=presort(X))
     for name, value in expected.items():
@@ -325,6 +326,66 @@ def test_forest_fit_grows_the_reference_trees(problem):
     for tree, (ref, *_) in zip(fitted, expected):
         for name, value in ref.items():
             assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
+
+
+@st.composite
+def forest_columns(draw):
+    """X with 1-4 target columns, one distinct seed per column, forest
+    hyperparameters, and the index of a column given a non-finite target
+    (or None)."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    columns = draw(st.integers(1, 4))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 3, None]))  # few levels: tied values
+    if levels is None:
+        X, Y = data.normal(size=(n, d)), data.normal(size=(n, columns))
+    else:
+        X = data.integers(0, levels, size=(n, d)).astype(float)
+        Y = data.integers(0, levels, size=(n, columns)).astype(float)
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=columns, max_size=columns,
+                          unique=True))
+    hyper = dict(
+        trees=draw(st.integers(1, 5)),
+        max_depth=draw(st.integers(0, 5)),
+        min_leaf=draw(st.integers(1, 3)),
+        feature_subset=draw(st.sampled_from([None, 1, 2])),
+        bootstrap=draw(st.booleans()),
+    )
+    bad = draw(st.one_of(st.none(), st.integers(0, columns - 1)))
+    if bad is not None:
+        Y[draw(st.integers(0, n - 1)), bad] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return X, Y, seeds, hyper, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_columns())
+def test_forest_fit_columns_matches_lone_fits(problem):
+    X, Y, seeds, hyper, bad = problem
+    together = DecisionForestRegressor.fit_columns(
+        [DecisionForestRegressor(seed=s, **hyper) for s in seeds], X, Y
+    )
+    assert len(together) == len(seeds)
+    Xq = np.vstack([X, np.random.default_rng(0).normal(scale=2.0, size=(7, X.shape[1]))])
+    for column, (seed, joint) in enumerate(zip(seeds, together)):
+        lone = DecisionForestRegressor(seed=seed, **hyper)
+        if column == bad:
+            assert isinstance(joint, DegenerateInputError)
+            with pytest.raises(DegenerateInputError):
+                lone.fit(X, Y[:, column])
+            continue
+        lone.fit(X, Y[:, column])
+        for name in ("feature", "threshold", "children", "value", "starts"):
+            assert same_bits(getattr(joint.table_, name), getattr(lone.table_, name)), name
+        assert same_bits(joint.predict(Xq), lone.predict(Xq))
+
+
+def test_forest_fit_columns_needs_shared_hyperparameters():
+    X, Y = np.ones((4, 1)), np.ones((4, 2))
+    with pytest.raises(ValueError):
+        DecisionForestRegressor.fit_columns(
+            [DecisionForestRegressor(trees=5), DecisionForestRegressor(trees=6)], X, Y
+        )
 
 
 # --- predict ----------------------------------------------------------------------
