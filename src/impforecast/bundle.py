@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .checks import is_count
+from .checks import is_count, loaded_rmse
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
-from .regressors.base import loaded_numbers
 from .textio import read_text, write_text
 
 BUNDLE_FORMAT_VERSION = 1
@@ -57,8 +56,8 @@ class ChannelModel:
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelModel":
         """Raises IncompatibleBundleError on a missing key, a value of the
-        wrong type, a non-finite number, a channel outside 1..12, or a
-        standardizer whose width is not the feature group's."""
+        wrong type, a non-finite number, a channel outside 1..12, a negative
+        ``rmse``, or a standardizer whose width is not the feature group's."""
         if not _current_format(d):
             raise IncompatibleBundleError(
                 f"unsupported model format_version {d.get('format_version')!r}"
@@ -77,7 +76,7 @@ class ChannelModel:
                 )
             estimator = ESTIMATOR_CLASSES[kind](seed=d.get("seed", 0), **d["hyper"])
             estimator.load_fitted_params(d["params"], standardizer)
-            rmse = float(loaded_numbers(d["rmse"], "rmse", ()))
+            rmse = loaded_rmse(d["rmse"])
         except KeyError as exc:
             raise IncompatibleBundleError(f"model entry lacks key {exc}") from None
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -23,3 +23,9 @@ def is_number(value) -> bool:
 def is_count(value) -> bool:
     """An int; bools are refused."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def loaded_rmse(value) -> float:
+    """A persisted ``rmse``: a finite number >= 0, else ValueError."""
+    require(is_number(value) and value >= 0, "rmse", "a finite number >= 0", value)
+    return float(value)

@@ -3,8 +3,9 @@ generation, and seeded train/test splitting.
 
 CSV schema (one row per patient, comma separated, decimal point, LF or
 CRLF): ``age,ei_intra_1,...,ei_intra_12[,ei_1m_1,...,ei_1m_12]`` -- the
-twelve label columns are optional but all-or-nothing. Missing values are
-hard errors.
+twelve label columns are optional but all-or-nothing. Missing values, a
+column named twice and a row with more cells than the header are hard
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .domain import CHANNELS, Cohort, N_CHANNELS, published_range
 from .errors import (
     BadNumberError,
+    DuplicateColumnError,
     EmptyFileError,
+    ExtraCellsError,
     InvalidCountError,
     MissingColumnError,
     NonPositiveError,
@@ -73,8 +76,9 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     """Parse cohort CSV text; rows keep their file order.
 
     The returned cohort is labeled iff all twelve ``ei_1m_*`` columns are
-    present. Raises on the first structural problem (missing columns,
-    non-numeric/non-finite cells, non-positive values).
+    present. Raises on the first structural problem (missing or repeated
+    columns, a row with more cells than the header, non-numeric/non-finite
+    cells, non-positive values).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -83,6 +87,9 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     if not rows:
         raise EmptyFileError("no header row found")
     header = [cell.strip() for cell in rows[0]]
+    repeated = sorted({name for name in header if name and header.count(name) > 1})
+    if repeated:
+        raise DuplicateColumnError(repeated)
     position = {name: i for i, name in enumerate(header)}
 
     missing_base = [c for c in BASE_COLUMNS if c not in position]
@@ -96,6 +103,8 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
 
     table = np.empty((len(rows) - 1, len(columns)))
     for row_no, row_cells in enumerate(rows[1:], start=1):
+        if len(row_cells) > len(header):
+            raise ExtraCellsError(row_no, len(row_cells), len(header))
         table[row_no - 1] = [
             _parse_cell(row_cells[i] if i < len(row_cells) else "", row_no, column)
             for i, column in zip(indices, columns)

@@ -39,6 +39,20 @@ class MissingColumnError(DataInputError):
         super().__init__("missing column(s): " + ", ".join(self.columns))
 
 
+class DuplicateColumnError(DataInputError):
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        super().__init__("column(s) named more than once in the header: " + ", ".join(self.columns))
+
+
+class ExtraCellsError(DataInputError):
+    """A CSV row with more cells than its header names."""
+
+    def __init__(self, row, cells, header_cells):
+        self.row = row
+        super().__init__(f"row {row} has {cells} cells but the header has {header_cells}")
+
+
 class BadNumberError(_CellError):
     pass
 

@@ -12,10 +12,6 @@ import numpy as np
 from .errors import EmptyInputError, LengthMismatchError, NonFinitePredictionError
 from .report import N_BANDS, ErrorBands, pct_of
 
-# Absolute-error bin edges in kOhm: [0,1), [1,2), [2,3), [3, inf)
-BAND_EDGES = (1.0, 2.0, 3.0)
-
-
 def _check_pair(y_hat, y):
     y_hat = np.asarray(y_hat, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..domain import ModelKind
-from .base import BaseRegressor
+from .base import BaseRegressor, Standardizer
 from .boosting import BoostedTreesRegressor
 from .forest import DecisionForestRegressor
 from .hyper import (
@@ -18,7 +18,6 @@ from .hyper import (
 )
 from .linear import BayesianLinearRegressor, LinearRegressor
 from .neural import NeuralNetRegressor, check_gradient, nn_loss_and_gradient
-from .scaling import Standardizer
 
 ESTIMATOR_CLASSES = {
     ModelKind.LR: LinearRegressor,

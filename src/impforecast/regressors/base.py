@@ -1,4 +1,4 @@
-"""Shared estimator surface and input validation helpers.
+"""Shared estimator surface, input validation and the one training path.
 
 All five regressors follow the familiar fit/predict estimator contract:
 constructor keyword arguments are the hyperparameters (introspectable via
@@ -9,6 +9,10 @@ hyperparameters, defaults and ranges once, in its ``Config`` dataclass
 the constructor, ``set_params`` and a loaded bundle all raise ValueError
 on the values ``--hyper`` rejects. No scikit-learn dependency; the
 algorithms are implemented here from scratch.
+
+Every kind trains through ``BaseRegressor.fit_columns``: it checks the
+inputs, fits one ``Standardizer`` on X and hands the standardized matrix
+with every accepted target column to the kind's ``_fit_columns``.
 """
 
 from __future__ import annotations
@@ -20,18 +24,26 @@ import numpy as np
 
 from ..checks import is_count, require
 from ..domain import ModelKind
-from ..errors import DegenerateInputError, DimensionMismatchError, FitError, IncompatibleBundleError
+from ..errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    EmptyMatrixError,
+    FitError,
+    IncompatibleBundleError,
+)
 
 __all__ = [
     "BaseRegressor",
+    "Standardizer",
     "as_matrix",
     "as_vector",
-    "check_fit_columns",
     "check_fit_inputs",
-    "check_joint_columns",
-    "fit_one_column",
     "loaded_numbers",
 ]
+
+# Floor for column standard deviations; zero-variance columns are clamped
+# here so transformed values stay finite.
+STD_FLOOR = 1e-9
 
 
 def as_matrix(X) -> np.ndarray:
@@ -67,48 +79,6 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_fit_columns(estimators, X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y as matrices, with one column of Y per estimator."""
-    X, Y = as_matrix(X), as_matrix(Y)
-    if Y.shape[1] != len(estimators):
-        raise DimensionMismatchError(
-            f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
-        )
-    return X, Y
-
-
-def check_joint_columns(estimators, X, Y) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """Validate a ``fit_columns`` call that fits all its columns together.
-
-    Returns X and Y as matrices, the outcome list with the FitError
-    ``check_fit_inputs`` raises on each rejected column and None elsewhere,
-    and the indices of the other columns. Raises ValueError unless the
-    estimators of those columns differ only in ``seed``.
-    """
-    X, Y = check_fit_columns(estimators, X, Y)
-    outcomes = []
-    for y in Y.T:
-        try:
-            check_fit_inputs(X, y)
-            outcomes.append(None)
-        except FitError as exc:
-            outcomes.append(exc)
-    live = [j for j, outcome in enumerate(outcomes) if outcome is None]
-    if len({estimators[j].hyper for j in live}) > 1:
-        raise ValueError("fit_columns needs estimators that differ only in seed")
-    return X, Y, outcomes, live
-
-
-def fit_one_column(estimator, X, y):
-    """``fit`` of a kind whose ``fit_columns`` fits its columns together:
-    ``fit_columns`` on the one column ``y``. Returns the estimator, or
-    raises the FitError of its column."""
-    (outcome,) = type(estimator).fit_columns([estimator], X, as_vector(y)[:, None])
-    if isinstance(outcome, FitError):
-        raise outcome
-    return estimator
-
-
 def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
     """``value`` read from a persisted document, as a float array.
 
@@ -134,6 +104,52 @@ def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise IncompatibleBundleError(f"{name} must be finite")
     return array
+
+
+class Standardizer:
+    """Center and scale columns to zero mean / unit (population) stdev,
+    fitted on training features only."""
+
+    def __init__(self):
+        self.means_ = None
+        self.stdevs_ = None
+
+    def fit(self, X) -> "Standardizer":
+        X = as_matrix(X)
+        if X.shape[0] == 0:
+            raise EmptyMatrixError("cannot fit a standardizer on 0 rows")
+        self.means_ = X.mean(axis=0)
+        self.stdevs_ = np.maximum(X.std(axis=0), STD_FLOOR)
+        return self
+
+    def transform(self, X) -> np.ndarray:
+        if self.means_ is None:
+            raise EmptyMatrixError("standardizer is not fitted")
+        X = as_matrix(X)
+        if X.shape[1] != self.means_.shape[0]:
+            raise DimensionMismatchError(
+                f"standardizer was fit on {self.means_.shape[0]} columns, got {X.shape[1]}"
+            )
+        return (X - self.means_) / self.stdevs_
+
+    def fit_transform(self, X) -> np.ndarray:
+        return self.fit(X).transform(X)
+
+    def to_dict(self) -> dict:
+        return {"means": self.means_.tolist(), "stdevs": self.stdevs_.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Standardizer":
+        """Raises IncompatibleBundleError unless means and stdevs are finite
+        vectors of one length and every stdev is positive."""
+        s = cls()
+        s.means_ = loaded_numbers(d["means"], "standardizer means", (None,))
+        s.stdevs_ = loaded_numbers(d["stdevs"], "standardizer stdevs", s.means_.shape)
+        if s.means_.shape[0] == 0 or not np.all(s.stdevs_ > 0.0):
+            raise IncompatibleBundleError(
+                "standardizer needs at least one column and positive stdevs"
+            )
+        return s
 
 
 class BaseRegressor:
@@ -167,41 +183,74 @@ class BaseRegressor:
         self._configure(seed, replace(self.hyper, **params))
         return self
 
-    # -- fitted-state helpers -------------------------------------------------
-
-    @property
-    def is_fitted(self) -> bool:
-        return getattr(self, "n_features_", None) is not None
-
-    def _check_predict_input(self, X) -> np.ndarray:
-        if not self.is_fitted:
-            raise DegenerateInputError(f"{type(self).__name__} is not fitted")
-        X = as_matrix(X)
-        if X.shape[1] != self.n_features_:
-            raise DimensionMismatchError(
-                f"model was fit with {self.n_features_} features, got {X.shape[1]}"
-            )
-        return X
+    # Each kind's class body rebinds ``fit = BaseRegressor.fit``, because the
+    # benchmark's tracer (perfbench/tracing.py) times only the ``fit`` and
+    # ``predict`` in a class's own ``vars``; the rebinding can go once the
+    # benchmark reads a trace that the package writes itself.
 
     def fit(self, X, y):
-        raise NotImplementedError
+        """``fit_columns`` on the one column ``y``. Returns the estimator, or
+        raises the FitError of its column."""
+        (outcome,) = type(self).fit_columns([self], X, as_vector(y)[:, None])
+        if isinstance(outcome, FitError):
+            raise outcome
+        return self
 
     @classmethod
     def fit_columns(cls, estimators, X, Y) -> list:
         """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of Y.
 
-        Returns, per column, the fitted estimator or the FitError its fit
-        raised. This default fits the columns one by one; a kind that can
-        fit many targets on one X at once overrides it.
+        Returns, per column, the fitted estimator or the FitError of its
+        column. A column that ``check_fit_inputs`` rejects gets that error.
+        The estimators of the other columns must differ only in ``seed``
+        (else ValueError); they share one Standardizer fit on X and are fit
+        in one ``_fit_columns`` call, each with the bits of a fit on its
+        column alone.
         """
-        X, Y = check_fit_columns(estimators, X, Y)
+        X, Y = as_matrix(X), as_matrix(Y)
+        if Y.shape[1] != len(estimators):
+            raise DimensionMismatchError(
+                f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
+            )
         outcomes = []
-        for estimator, y in zip(estimators, np.ascontiguousarray(Y.T)):
+        for y in Y.T:
             try:
-                outcomes.append(estimator.fit(X, y))
+                check_fit_inputs(X, y)
+                outcomes.append(None)
             except FitError as exc:
                 outcomes.append(exc)
+        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+        if len({estimators[j].hyper for j in live}) > 1:
+            raise ValueError("fit_columns needs estimators that differ only in seed")
+        if not live:
+            return outcomes
+        standardizer = Standardizer().fit(X)
+        fitted = cls._fit_columns(
+            [estimators[j] for j in live],
+            standardizer.transform(X),
+            np.ascontiguousarray(Y[:, live].T),
+        )
+        for j, outcome in zip(live, fitted):
+            if not isinstance(outcome, FitError):
+                outcome.standardizer_ = standardizer
+            outcomes[j] = outcome
         return outcomes
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Fit ``estimators[j]`` on standardized features ``Xs`` and target
+        row ``Yt[j]``; the estimators differ only in ``seed``. Returns, per
+        row, the estimator with its kind's fitted state set, or a FitError."""
+        raise NotImplementedError
+
+    def _standardized(self, X) -> np.ndarray:
+        """``X`` standardized as in training; raises DegenerateInputError if
+        the estimator is not fitted and DimensionMismatchError if ``X`` does
+        not have the training width."""
+        standardizer = getattr(self, "standardizer_", None)
+        if standardizer is None:
+            raise DegenerateInputError(f"{type(self).__name__} is not fitted")
+        return standardizer.transform(X)
 
     def predict(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -213,7 +262,14 @@ class BaseRegressor:
         raise NotImplementedError
 
     def load_fitted_params(self, params: dict, standardizer) -> None:
-        """Restore fitted state produced by :meth:`fitted_params`."""
+        """Restore fitted state produced by :meth:`fitted_params`, for
+        features standardized by ``standardizer``."""
+        self._load_params(params, standardizer.means_.shape[0])
+        self.standardizer_ = standardizer
+
+    def _load_params(self, params: dict, d: int) -> None:
+        """Set the kind's fitted state from ``params``, for ``d`` features;
+        raises IncompatibleBundleError on a malformed value."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -8,9 +8,8 @@ import numpy as np
 
 from ..domain import ModelKind
 from ..errors import IncompatibleBundleError
-from .base import BaseRegressor, check_fit_inputs, loaded_numbers
+from .base import BaseRegressor, loaded_numbers
 from .hyper import BoostConfig
-from .scaling import Standardizer
 from .tree import TreeTable, build_tree, presort
 
 
@@ -25,14 +24,20 @@ class BoostedTreesRegressor(BaseRegressor):
     kind = ModelKind.BDTR
     Config = BoostConfig
 
-    def fit(self, X, y):
-        X, y = check_fit_inputs(X, y)
+    fit = BaseRegressor.fit
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Boost every column on one ``presort`` of ``Xs``."""
+        order = presort(Xs)
+        for estimator, y in zip(estimators, Yt):
+            estimator._boost(Xs, y, order)
+        return estimators
+
+    def _boost(self, Xs, y, order) -> None:
         hyper = self.hyper
-        self.standardizer_ = Standardizer().fit(X)
-        Xs = self.standardizer_.transform(X)
         self.base_value_ = float(y.mean())
         residual = y - self.base_value_
-        order = presort(Xs)
         trees = []
         stage_pred = np.empty(Xs.shape[0], dtype=float)
         for _ in range(hyper.trees):
@@ -47,19 +52,15 @@ class BoostedTreesRegressor(BaseRegressor):
             residual = residual - hyper.learning_rate * stage_pred
             trees.append(tree)
         self.table_ = TreeTable(trees, n_features=Xs.shape[1], n_trees=hyper.trees)
-        self.n_features_ = Xs.shape[1]
-        return self
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
-        Xs = self.standardizer_.transform(X)
-        return self.table_.sums(Xs, self.base_value_, self.hyper.learning_rate)
+        return self.table_.sums(self._standardized(X), self.base_value_, self.hyper.learning_rate)
 
     def staged_predict(self, X) -> Iterator[np.ndarray]:
         """Predictions after 1, 2, ..., T trees (copies)."""
-        X = self._check_predict_input(X)
-        Xs = self.standardizer_.transform(X)
-        stages = self.table_.staged_sums(Xs, self.base_value_, self.hyper.learning_rate)
+        stages = self.table_.staged_sums(
+            self._standardized(X), self.base_value_, self.hyper.learning_rate
+        )
         for t in range(stages.shape[1]):
             yield stages[:, t].copy()
 
@@ -69,15 +70,11 @@ class BoostedTreesRegressor(BaseRegressor):
             "trees": self.table_.to_dicts(),
         }
 
-    def load_fitted_params(self, params, standardizer):
-        table = TreeTable(
-            params["trees"], n_features=standardizer.means_.shape[0], n_trees=self.hyper.trees
-        )
+    def _load_params(self, params, d):
+        table = TreeTable(params["trees"], n_features=d, n_trees=self.hyper.trees)
         self.base_value_ = float(loaded_numbers(params["base_value"], "base_value", ()))
         if "tree_weights" in params:  # written by older versions, one entry per tree
             weights = loaded_numbers(params["tree_weights"], "tree_weights", (table.n_trees,))
             if np.any(weights != self.hyper.learning_rate):
                 raise IncompatibleBundleError("every tree weight must equal learning_rate")
         self.table_ = table
-        self.standardizer_ = standardizer
-        self.n_features_ = standardizer.means_.shape[0]

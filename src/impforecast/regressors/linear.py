@@ -12,9 +12,8 @@ import numpy as np
 
 from ..domain import ModelKind
 from ..errors import DegenerateInputError
-from .base import BaseRegressor, check_fit_inputs, loaded_numbers
+from .base import BaseRegressor, loaded_numbers
 from .hyper import BayesConfig, LinearConfig
-from .scaling import Standardizer
 
 _TINY = 1e-300
 
@@ -26,9 +25,9 @@ def _affine(Zs: np.ndarray, weights: np.ndarray, intercept: float) -> np.ndarray
     return (Zs * weights).sum(axis=1) + intercept
 
 
-def _load_affine(params, standardizer) -> tuple[np.ndarray, float]:
+def _load_affine(params, d: int) -> tuple[np.ndarray, float]:
     """Persisted ``weights`` (one per standardized column) and ``intercept``."""
-    weights = loaded_numbers(params["weights"], "weights", standardizer.means_.shape)
+    weights = loaded_numbers(params["weights"], "weights", (d,))
     return weights, float(loaded_numbers(params["intercept"], "intercept", ()))
 
 
@@ -47,31 +46,32 @@ class LinearRegressor(BaseRegressor):
     kind = ModelKind.LR
     Config = LinearConfig
 
-    def fit(self, X, y):
-        X, y = check_fit_inputs(X, y)
-        self.standardizer_ = Standardizer().fit(X)
-        Z = _design(self.standardizer_.transform(X))
-        A = Z.T @ Z + self.hyper.ridge * np.eye(Z.shape[1])
-        try:
-            w = np.linalg.solve(A, Z.T @ y)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateInputError(f"singular normal equations: {exc}") from exc
-        self.weights_ = w[:-1]
-        self.intercept_ = float(w[-1])
-        self.n_features_ = X.shape[1]
-        return self
+    fit = BaseRegressor.fit
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Solve every column's normal equations with one ``Z'Z + ridge*I``."""
+        Z = _design(Xs)
+        A = Z.T @ Z + estimators[0].hyper.ridge * np.eye(Z.shape[1])
+        outcomes = list(estimators)
+        for row, (estimator, y) in enumerate(zip(estimators, Yt)):
+            try:
+                w = np.linalg.solve(A, Z.T @ y)
+            except np.linalg.LinAlgError as exc:
+                outcomes[row] = DegenerateInputError(f"singular normal equations: {exc}")
+                continue
+            estimator.weights_ = w[:-1]
+            estimator.intercept_ = float(w[-1])
+        return outcomes
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
-        return _affine(self.standardizer_.transform(X), self.weights_, self.intercept_)
+        return _affine(self._standardized(X), self.weights_, self.intercept_)
 
     def fitted_params(self) -> dict:
         return {"weights": self.weights_.tolist(), "intercept": self.intercept_}
 
-    def load_fitted_params(self, params, standardizer):
-        self.weights_, self.intercept_ = _load_affine(params, standardizer)
-        self.standardizer_ = standardizer
-        self.n_features_ = self.weights_.shape[0]
+    def _load_params(self, params, d):
+        self.weights_, self.intercept_ = _load_affine(params, d)
 
 
 class BayesianLinearRegressor(BaseRegressor):
@@ -96,15 +96,22 @@ class BayesianLinearRegressor(BaseRegressor):
         A = alpha * D + beta * ZtZ
         return A, beta * np.linalg.solve(A, Zty)
 
-    def fit(self, X, y):
-        X, y = check_fit_inputs(X, y)
-        self.standardizer_ = Standardizer().fit(X)
-        Z = _design(self.standardizer_.transform(X))
-        n, p = Z.shape
-        d = p - 1  # penalized coordinates (intercept excluded)
-        D = np.eye(p)
+    fit = BaseRegressor.fit
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Fit every column's posterior with one ``Z'Z`` and one ``D``."""
+        Z = _design(Xs)
+        D = np.eye(Z.shape[1])
         D[-1, -1] = 0.0
         ZtZ = Z.T @ Z
+        for estimator, y in zip(estimators, Yt):
+            estimator._fit_posterior(Z, ZtZ, D, y)
+        return estimators
+
+    def _fit_posterior(self, Z, ZtZ, D, y) -> None:
+        n, p = Z.shape
+        d = p - 1  # penalized coordinates (intercept excluded)
         Zty = Z.T @ y
 
         alpha, beta = float(self.hyper.alpha), float(self.hyper.beta)
@@ -131,12 +138,9 @@ class BayesianLinearRegressor(BaseRegressor):
         self.beta_ = beta
         self.weights_ = m[:-1]
         self.intercept_ = float(m[-1])
-        self.n_features_ = X.shape[1]
-        return self
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
-        return _affine(self.standardizer_.transform(X), self.weights_, self.intercept_)
+        return _affine(self._standardized(X), self.weights_, self.intercept_)
 
     def fitted_params(self) -> dict:
         return {
@@ -146,9 +150,7 @@ class BayesianLinearRegressor(BaseRegressor):
             "beta_posterior": self.beta_,
         }
 
-    def load_fitted_params(self, params, standardizer):
-        self.weights_, self.intercept_ = _load_affine(params, standardizer)
+    def _load_params(self, params, d):
+        self.weights_, self.intercept_ = _load_affine(params, d)
         self.alpha_ = float(loaded_numbers(params["alpha_posterior"], "alpha_posterior", ()))
         self.beta_ = float(loaded_numbers(params["beta_posterior"], "beta_posterior", ()))
-        self.standardizer_ = standardizer
-        self.n_features_ = self.weights_.shape[0]

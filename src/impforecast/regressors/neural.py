@@ -14,16 +14,8 @@ import numpy as np
 
 from ..domain import ModelKind
 from ..errors import DimensionMismatchError, NonFiniteLossError
-from .base import (
-    BaseRegressor,
-    as_matrix,
-    as_vector,
-    check_joint_columns,
-    fit_one_column,
-    loaded_numbers,
-)
+from .base import BaseRegressor, as_matrix, as_vector, loaded_numbers
 from .hyper import NeuralConfig
-from .scaling import Standardizer
 
 
 def param_count(n_features: int, hidden_units: int) -> int:
@@ -138,8 +130,7 @@ class NeuralNetRegressor(BaseRegressor):
 
     Full-batch gradient descent with momentum; weights start uniform in
     +-init_scale/sqrt(fan_in), biases at zero. Raises NonFiniteLossError if
-    the loss diverges (step size too large). ``fit`` is ``fit_columns`` on
-    one column.
+    the loss diverges (step size too large).
     """
 
     kind = ModelKind.NNR
@@ -154,30 +145,22 @@ class NeuralNetRegressor(BaseRegressor):
         w2 = rng.uniform(-s2, s2, size=h)
         return np.concatenate([W1.ravel(), np.zeros(h), w2, [0.0]])
 
-    fit = fit_one_column
+    fit = BaseRegressor.fit
 
     @classmethod
-    def fit_columns(cls, estimators, X, Y) -> list:
-        """Train one network per column of ``Y``, all in one parameter block.
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Train one network per row of ``Yt``, all in one parameter block.
 
-        The estimators must differ only in ``seed``: each column starts from
-        its own estimator's initialisation, and gets the same bits as a
-        fit of that estimator on its column alone. A column whose loss goes
-        non-finite in any epoch, or whose final parameters are non-finite,
-        gets a NonFiniteLossError; training stops once every column has one.
+        Each network starts from its own estimator's initialisation. A
+        network whose loss goes non-finite in any epoch, or whose final
+        parameters are non-finite, gets a NonFiniteLossError; training
+        stops once every network has one.
         """
-        X, Y, outcomes, live = check_joint_columns(estimators, X, Y)
-        if not live:
-            return outcomes
-        hyper = estimators[live[0]].hyper
-
-        standardizer = Standardizer().fit(X)
-        Xs = standardizer.transform(X)
-        d = Xs.shape[1]
-        block = np.stack([estimators[j]._init_params(d) for j in live])
-        networks = _Networks(block, Xs, np.ascontiguousarray(Y[:, live].T), hyper.hidden_units)
+        hyper = estimators[0].hyper
+        block = np.stack([estimator._init_params(Xs.shape[1]) for estimator in estimators])
+        networks = _Networks(block, Xs, Yt, hyper.hidden_units)
         velocity = np.zeros_like(block)
-        diverged = np.zeros(len(live), dtype=bool)
+        diverged = np.zeros(len(estimators), dtype=bool)
         # divergence is detected via the loss; intermediate overflow in a
         # diverging iterate is expected, not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -193,35 +176,37 @@ class NeuralNetRegressor(BaseRegressor):
                 velocity -= networks.grads
                 block += velocity
 
-        for row, j in enumerate(live):
-            estimator = estimators[j]
+        outcomes = list(estimators)
+        for row, estimator in enumerate(estimators):
             if diverged[row]:
-                outcomes[j] = NonFiniteLossError(
+                outcomes[row] = NonFiniteLossError(
                     f"training loss diverged (step={hyper.step}); reduce the step size"
                 )
             elif not np.all(np.isfinite(block[row])):
-                outcomes[j] = NonFiniteLossError(
+                outcomes[row] = NonFiniteLossError(
                     f"parameters diverged on the final update (step={hyper.step})"
                 )
             else:
                 estimator.params_ = block[row].copy()
                 estimator.final_loss_ = float(losses[row])
-                estimator.standardizer_ = standardizer
-                estimator.n_features_ = d
-                outcomes[j] = estimator
         return outcomes
 
+    def _layers(self):
+        """The fitted (W1, b1, w2, b2)."""
+        return unpack_params(
+            self.params_, self.standardizer_.means_.shape[0], self.hyper.hidden_units
+        )
+
     def predict(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
-        Xs = self.standardizer_.transform(X)
-        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hyper.hidden_units)
+        Xs = self._standardized(X)
+        W1, b1, w2, b2 = self._layers()
         # the training forward pass summed row by row, so that a row's output
         # does not depend on the other rows of the batch; fit keeps the matmuls
         hidden = np.tanh((Xs[:, :, None] * W1).sum(axis=1) + b1)
         return (hidden * w2).sum(axis=1) + b2
 
     def fitted_params(self) -> dict:
-        W1, b1, w2, b2 = unpack_params(self.params_, self.n_features_, self.hyper.hidden_units)
+        W1, b1, w2, b2 = self._layers()
         return {
             "w1": W1.tolist(),
             "b1": b1.tolist(),
@@ -230,13 +215,11 @@ class NeuralNetRegressor(BaseRegressor):
             "final_loss": self.final_loss_,
         }
 
-    def load_fitted_params(self, params, standardizer):
+    def _load_params(self, params, d):
         h = self.hyper.hidden_units
-        W1 = loaded_numbers(params["w1"], "w1", (standardizer.means_.shape[0], h))
+        W1 = loaded_numbers(params["w1"], "w1", (d, h))
         b1 = loaded_numbers(params["b1"], "b1", (h,))
         w2 = loaded_numbers(params["w2"], "w2", (h,))
         b2 = float(loaded_numbers(params["b2"], "b2", ()))
         self.params_ = np.concatenate([W1.ravel(), b1, w2, [b2]])
         self.final_loss_ = float(loaded_numbers(params["final_loss"], "final_loss", ()))
-        self.standardizer_ = standardizer
-        self.n_features_ = W1.shape[0]

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .checks import is_count, is_number, require
+from .checks import is_count, loaded_rmse, require
 from .domain import KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
 from .errors import (
     EmptyInputError,
@@ -152,11 +152,6 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def _loaded_rmse(value) -> float:
-    require(is_number(value) and value >= 0, "rmse", "a finite number >= 0", value)
-    return float(value)
-
-
 def report_from_json(text: str | bytes) -> StudyReport:
     """Raises IncompatibleBundleError unless ``text`` is standard JSON with
     finite numbers, and a report of the current format whose ``entries``
@@ -182,7 +177,7 @@ def report_from_json(text: str | bytes) -> StudyReport:
                 channel=check_channel(e["channel"]),
                 kind=ModelKind(e["kind"]),
                 group=FeatureGroup(e["group"]),
-                rmse=_loaded_rmse(e["rmse"]),
+                rmse=loaded_rmse(e["rmse"]),
                 bands=ErrorBands.from_dict(e["bands"]),
             )
             for e in doc["entries"]

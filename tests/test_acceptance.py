@@ -35,7 +35,7 @@ from impforecast.regressors import (
     LinearRegressor,
 )
 from impforecast.regressors.neural import check_gradient, param_count
-from impforecast.regressors.scaling import Standardizer
+from impforecast.regressors.base import Standardizer
 
 
 def report(name: str, ok: bool, detail: str = ""):

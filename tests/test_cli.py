@@ -113,6 +113,29 @@ class TestStudy:
         assert code == 2
         assert "ei_intra_5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["study", "predict"])
+    @pytest.mark.parametrize("defect", ["column_named_twice", "row_longer_than_header"])
+    def test_cells_off_the_header_are_data_errors(self, tmp_path, cohort_csv, capsys, mixed_bundle,
+                                                  command, defect):
+        lines = cohort_csv.read_text().splitlines()
+        if defect == "column_named_twice":
+            lines = [lines[0] + ",ei_intra_3"] + [line + ",99.0" for line in lines[1:]]
+        else:
+            lines[2] += ",99.0"
+        bad, models = tmp_path / "bad.csv", tmp_path / "models.json"
+        bad.write_text("\n".join(lines) + "\n")
+        models.write_text(bundle_to_json(mixed_bundle))
+        argv = {
+            "study": ["study", "--data", str(bad), "--out-report", str(tmp_path / "r.json"),
+                      "--out-models", str(tmp_path / "m.json")],
+            "predict": ["predict", "--models", str(models), "--data", str(bad),
+                        "--out", str(tmp_path / "p.csv")],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
+        assert ("ei_intra_3" if defect == "column_named_twice" else "row 2 ") in err
+
     def test_unknown_hyper_key_is_usage_error(self, tmp_path, cohort_csv):
         code = run(
             ["study", "--data", str(cohort_csv), "--out-report", str(tmp_path / "r.json"),
@@ -272,6 +295,7 @@ class TestPredict:
             "no_final_loss",
             "bool_format_version",
             "float_model_format_version",
+            "negative_rmse",
         ],
     )
     def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
@@ -315,6 +339,8 @@ class TestPredict:
             doc["format_version"] = True
         elif probe == "float_model_format_version":
             lr_g2["format_version"] = 1.0
+        elif probe == "negative_rmse":
+            lr_g2["rmse"] = -3.0
         models, out = tmp_path / "models.json", tmp_path / "p.csv"
         models.write_text(json.dumps(doc))
         code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])

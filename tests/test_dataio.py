@@ -17,7 +17,9 @@ from impforecast.dataio import test_count as held_out_count
 from impforecast.domain import CHANNELS, Cohort, published_range
 from impforecast.errors import (
     BadNumberError,
+    DuplicateColumnError,
     EmptyFileError,
+    ExtraCellsError,
     InvalidCountError,
     MissingColumnError,
     NonPositiveError,
@@ -73,6 +75,22 @@ class TestParse:
         with pytest.raises(MissingColumnError) as info:
             parse_cohort_csv(header + "\n")
         assert "ei_1m_12" in str(info.value)
+
+    @pytest.mark.parametrize("column", ["ei_intra_3", "notes"])
+    def test_column_named_twice_rejected(self, column):
+        header = BASE_HEADER + f",{column},{column}"
+        row = ",".join(["2.5"] + ["5.0"] * 12 + ["99.0", "99.0"])
+        with pytest.raises(DuplicateColumnError) as info:
+            parse_cohort_csv(header + "\n" + row + "\n")
+        assert info.value.columns == (column,)
+        assert column in str(info.value)
+
+    def test_row_with_more_cells_than_header_rejected(self):
+        row = ",".join(["2.5"] + ["5.0"] * 12)
+        with pytest.raises(ExtraCellsError) as info:
+            parse_cohort_csv(BASE_HEADER + "\n" + row + "\n" + row + ",99.0\n")
+        assert info.value.row == 2
+        assert str(info.value) == "row 2 has 14 cells but the header has 13"
 
     def test_empty_file(self):
         with pytest.raises(EmptyFileError):

@@ -1,7 +1,7 @@
 import numpy as np
 
 from impforecast.regressors import BayesianLinearRegressor, LinearRegressor
-from impforecast.regressors.scaling import Standardizer
+from impforecast.regressors.base import Standardizer
 
 
 def ols_reference(X, y):

@@ -231,7 +231,7 @@ def study_bytes(cohort, config) -> tuple[str, str]:
     return report_to_json(report), bundle_to_json(models)
 
 
-def broken_fit(self, X, y):
+def broken_fit(estimators, Xs, Yt):
     raise RuntimeError("broken\nfit")
 
 
@@ -268,7 +268,7 @@ class TestWorkerPool:
         assert outputs[0] == outputs[1]
 
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch, small_cohort):
-        monkeypatch.setattr(BoostedTreesRegressor, "fit", broken_fit)
+        monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", broken_fit)
         self.on_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="broken") as info:
             run_study(small_cohort, FAST_CONFIG)
@@ -277,7 +277,7 @@ class TestWorkerPool:
     def test_worker_exception_is_a_one_line_internal_error(self, monkeypatch, tmp_path, capsys):
         cohort = tmp_path / "cohort.csv"
         assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
-        monkeypatch.setattr(BoostedTreesRegressor, "fit", broken_fit)
+        monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", broken_fit)
         self.on_cpus(monkeypatch, 2)
         capsys.readouterr()
         code = run_cli(["study", "--data", str(cohort), "--out-report", str(tmp_path / "r.json"),

@@ -82,7 +82,7 @@ def test_row_sums_match_matrix_products(mixed_bundle, kind, group):
     X = np.random.default_rng(3).uniform(0.5, 40.0, size=(300, group.dimension))
     Xs = est.standardizer_.transform(X)
     if kind is ModelKind.NNR:
-        W1, b1, w2, b2 = unpack_params(est.params_, est.n_features_, est.hyper.hidden_units)
+        W1, b1, w2, b2 = unpack_params(est.params_, group.dimension, est.hyper.hidden_units)
         expected = np.tanh(Xs @ W1 + b1) @ w2 + b2
     else:
         expected = Xs @ est.weights_ + est.intercept_

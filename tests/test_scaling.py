@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from impforecast.errors import DimensionMismatchError, EmptyMatrixError
-from impforecast.regressors.scaling import Standardizer
+from impforecast.regressors.base import Standardizer
 
 
 def test_hand_example():
