@@ -50,7 +50,6 @@ _EXPORTS = {
     ),
     "report": (
         "ErrorBands",
-        "RenderOptions",
         "SelectionEntry",
         "StudyReport",
         "export_study",

@@ -16,7 +16,7 @@ from .checks import is_count, loaded_rmse
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
-from .textio import read_text, write_text
+from .textio import decode, read_text, write_text
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -115,10 +115,8 @@ def bundle_to_json(bundle: ModelBundle) -> str:
 
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(decode(text))
     except json.JSONDecodeError as exc:
         raise IncompatibleBundleError(f"not valid JSON: {exc}") from exc
     if not _current_format(doc):

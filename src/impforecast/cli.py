@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .errors import DataInputError, ImpforecastError, UsageError
-from .report import FORMATS, RenderOptions, export_study, report_from_json
+from .report import FORMATS, export_study, report_from_json
 from .textio import read_text, write_text
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_report(args) -> int:
     report = report_from_json(read_text(args.in_path))
-    rendered = export_study(report, RenderOptions(format=args.format)).decode("utf-8")
+    rendered = export_study(report, args.format).decode("utf-8")
     if args.out:
         write_text(args.out, rendered)
     else:

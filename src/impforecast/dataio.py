@@ -2,10 +2,11 @@
 generation, and seeded train/test splitting.
 
 CSV schema (one row per patient, comma separated, decimal point, LF or
-CRLF): ``age,ei_intra_1,...,ei_intra_12[,ei_1m_1,...,ei_1m_12]`` -- the
-twelve label columns are optional but all-or-nothing. Missing values, a
-column named twice and a row with more cells than the header are hard
-errors.
+CRLF, UTF-8 with or without a byte-order mark):
+``age,ei_intra_1,...,ei_intra_12[,ei_1m_1,...,ei_1m_12]`` -- the twelve
+label columns are optional but all-or-nothing. Missing values, a column
+named twice, a row with more cells than the header and text the csv
+module cannot read are hard errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .domain import CHANNELS, Cohort, N_CHANNELS, published_range
 from .errors import (
     BadNumberError,
+    CsvSyntaxError,
     DuplicateColumnError,
     EmptyFileError,
     ExtraCellsError,
@@ -29,6 +31,7 @@ from .errors import (
     TooSmallError,
     UnlabeledCohortError,
 )
+from .textio import decode
 
 AGE_COLUMN = "age"
 INTRA_COLUMNS = tuple(f"ei_intra_{c}" for c in CHANNELS)
@@ -76,14 +79,15 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     """Parse cohort CSV text; rows keep their file order.
 
     The returned cohort is labeled iff all twelve ``ei_1m_*`` columns are
-    present. Raises on the first structural problem (missing or repeated
-    columns, a row with more cells than the header, non-numeric/non-finite
-    cells, non-positive values).
+    present. Raises on the first structural problem (bytes that are not
+    UTF-8, CSV syntax, missing or repeated columns, a row with more cells
+    than the header, non-numeric/non-finite cells, non-positive values).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(decode(text)))
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise CsvSyntaxError(reader.line_num, exc) from None
     if not rows:
         raise EmptyFileError("no header row found")
     header = [cell.strip() for cell in rows[0]]

@@ -20,6 +20,19 @@ class DataInputError(ImpforecastError):
     """Problem in user-supplied data or files."""
 
 
+class EncodingError(DataInputError):
+    """Bytes given to a document parser that are not UTF-8."""
+
+
+class CsvSyntaxError(DataInputError):
+    """A cohort CSV the csv module cannot read, e.g. a cell over its size
+    limit or a bare carriage return inside a row."""
+
+    def __init__(self, line, message):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
 class _CellError(DataInputError):
     """Error tied to a (row, column) cell of a cohort CSV."""
 

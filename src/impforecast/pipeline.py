@@ -19,7 +19,7 @@ any number of CPUs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,20 +66,9 @@ class StudyConfig:
         require(is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
         require(s in ("test", "inner_validation"), "selection", "'test' or 'inner_validation'", s)
 
-    def echo(self) -> dict:
-        """Reproducibility echo for reports."""
-        return {
-            "seed": self.seed,
-            "test_fraction": self.test_fraction,
-            "selection": self.selection,
-            "hyper": self.hyper.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class CandidateResult:
-    kind: ModelKind
-    group: FeatureGroup
     rmse: float
     bands: ErrorBands
     model: object
@@ -89,7 +78,7 @@ def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: Featu
     return derive_seed(master_seed, channel, kind_index(kind), group_index(group))
 
 
-def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests) -> list:
+def _fit_and_score(kind, hyper, seeds, X_train, Y_train, X_test, y_tests) -> list:
     """Fit ``kind`` on each column of ``Y_train`` (column j with ``seeds[j]``)
     in one ``fit_columns`` call and score column j on ``y_tests[j]``.
 
@@ -105,10 +94,7 @@ def _fit_and_score(kind, group, hyper, seeds, X_train, Y_train, X_test, y_tests)
             continue
         y_hat = model.predict(X_test)
         try:
-            outcomes.append(CandidateResult(
-                kind=kind, group=group, rmse=rmse(y_hat, y_test),
-                bands=error_bands(y_hat, y_test), model=model,
-            ))
+            outcomes.append(CandidateResult(rmse(y_hat, y_test), error_bands(y_hat, y_test), model))
         except FitError as exc:
             outcomes.append(exc)
     return outcomes
@@ -163,7 +149,7 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
         for group in GROUP_ORDER if any(g is group for _, g in candidates)
     }
     calls = [
-        (kind, group, config.hyper, [candidate_seed(config.seed, c, kind, group) for c in channels],
+        (kind, config.hyper, [candidate_seed(config.seed, c, kind, group) for c in channels],
          features[group][0], Y_train, features[group][1], y_tests)
         for kind, group in candidates
     ]
@@ -236,7 +222,7 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
         for c, (kind, group, o) in zip(CHANNELS, winners)
     )).check_complete()
     histogram = histogram_of_kinds(e.kind for e in entries)
-    return StudyReport(entries=entries, histogram=histogram, config=config.echo()), models
+    return StudyReport(entries=entries, histogram=histogram, config=asdict(config)), models
 
 
 # --- prediction on new patients -------------------------------------------------

@@ -111,19 +111,6 @@ class HyperParams:
     def for_kind(self, kind: ModelKind):
         return getattr(self, kind.value.lower())
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        return cls(
-            lr=LinearConfig(**d.get("lr", {})),
-            blr=BayesConfig(**d.get("blr", {})),
-            dfr=ForestConfig(**d.get("dfr", {})),
-            bdtr=BoostConfig(**d.get("bdtr", {})),
-            nnr=NeuralConfig(**d.get("nnr", {})),
-        )
-
     def with_overrides(self, overrides: dict[str, object]) -> "HyperParams":
         """Apply ``{"kind.field": value}`` overrides, rejecting unknown keys."""
         blocks = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

@@ -26,6 +26,7 @@ from .errors import (
     MetricError,
     UnsupportedFormatError,
 )
+from .textio import decode
 
 REPORT_FORMAT_VERSION = 1
 FORMATS = ("text", "csv", "json")
@@ -158,10 +159,8 @@ def report_from_json(text: str | bytes) -> StudyReport:
     are well formed (at most one per channel 1..12, ``rmse`` >= 0), whose
     ``histogram`` counts the entries' kinds and whose ``config`` is an
     object."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        doc = json.loads(decode(text), parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:  # a JSONDecodeError or a non-finite number
         raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -206,103 +205,77 @@ def report_from_json(text: str | bytes) -> StudyReport:
 
 # --- rendering -------------------------------------------------------------------
 
+RMSE_DECIMALS = 6
+PCT_DECIMALS = 2
 
-@dataclass(frozen=True)
-class RenderOptions:
-    format: str = "text"
-    decimals_rmse: int = 6
-    decimals_pct: int = 2
-
-    def __post_init__(self):
-        if not 0 <= self.decimals_rmse <= 10 or not 0 <= self.decimals_pct <= 10:
-            raise ValueError("decimals must be in [0, 10]")
-
-
-def _channel_label(channel: int) -> str:
-    return f"EI_1M_{channel}"
-
-
-def _kind_cell(kind) -> str:
-    return f"{KIND_LONG_NAMES[kind]} ({kind.value})"
+# rendered heading -> cell key, per render
+_SELECTION_COLUMNS = {
+    "Label": "label", "Best Algorithm": "algorithm", "Features Group": "group", "RMSE": "rmse",
+}
+_BAND_COLUMNS = {
+    "Label": "label", "0-1": "pct_0_1", "1-2": "pct_1_2", "2-3": "pct_2_3",
+    "0-2": "cum_0_2", "0-3": "cum_0_3", ">=3": "pct_ge_3",
+}
+_CSV_COLUMNS = {key: key for key in (
+    "label", "kind", "group", "rmse", "n_test",
+    "pct_0_1", "pct_1_2", "pct_2_3", "pct_ge_3", "cum_0_2", "cum_0_3",
+)}
 
 
-def _table(rows: list[list[str]]) -> str:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+def _cells(report: StudyReport):
+    """Each entry's formatted cells, keyed as in the CSV plus ``algorithm``,
+    in channel order. Every render picks its columns from these, so each
+    kind of cell is formatted here only."""
+    pct = lambda v: f"{v:.{PCT_DECIMALS}f}"
+    for e in sorted(report.entries, key=lambda e: e.channel):
+        b = e.bands
+        yield {
+            "label": f"EI_1M_{e.channel}",
+            "algorithm": f"{KIND_LONG_NAMES[e.kind]} ({e.kind.value})",
+            "kind": e.kind.value,
+            "group": str(e.group.number),
+            "rmse": f"{e.rmse:.{RMSE_DECIMALS}f}",
+            "n_test": str(b.n_test),
+            "pct_0_1": pct(b.pct[0]),
+            "pct_1_2": pct(b.pct[1]),
+            "pct_2_3": pct(b.pct[2]),
+            "pct_ge_3": pct(b.pct[3]),
+            "cum_0_2": pct(b.cum_0_2),
+            "cum_0_3": pct(b.cum_0_3),
+        }
+
+
+def _rows(report: StudyReport, columns: dict[str, str]) -> list[list[str]]:
+    """The headings of ``columns``, then each entry's cells under them."""
+    return [list(columns)] + [[cells[k] for k in columns.values()] for cells in _cells(report)]
+
+
+def _table(report: StudyReport, columns: dict[str, str]) -> str:
+    """``_rows`` as an aligned text table."""
+    rows = _rows(report, columns)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(columns))]
     lines = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def render_selection_table(report: StudyReport, opts: RenderOptions = RenderOptions()) -> str:
+def render_selection_table(report: StudyReport) -> str:
     """One row per channel: winning algorithm, feature group, holdout RMSE."""
-    rows = [["Label", "Best Algorithm", "Features Group", "RMSE"]]
-    for e in sorted(report.entries, key=lambda e: e.channel):
-        rows.append(
-            [
-                _channel_label(e.channel),
-                _kind_cell(e.kind),
-                str(e.group.number),
-                f"{e.rmse:.{opts.decimals_rmse}f}",
-            ]
-        )
-    return _table(rows)
+    return _table(report, _SELECTION_COLUMNS)
 
 
-def render_band_table(report: StudyReport, opts: RenderOptions = RenderOptions()) -> str:
+def render_band_table(report: StudyReport) -> str:
     """Per-channel error percentages by band, plus the >=3 overflow column."""
-    header = ["Label", "0-1", "1-2", "2-3", "0-2", "0-3", ">=3"]
-    rows = [header]
-    for e in sorted(report.entries, key=lambda e: e.channel):
-        b = e.bands
-        pct = lambda v: f"{v:.{opts.decimals_pct}f}"
-        rows.append(
-            [
-                _channel_label(e.channel),
-                pct(b.pct[0]),
-                pct(b.pct[1]),
-                pct(b.pct[2]),
-                pct(b.cum_0_2),
-                pct(b.cum_0_3),
-                pct(b.pct[3]),
-            ]
-        )
-    return _table(rows)
+    return _table(report, _BAND_COLUMNS)
 
 
-def _csv_rows(report: StudyReport, opts: RenderOptions) -> str:
-    header = (
-        "label,kind,group,rmse,n_test,pct_0_1,pct_1_2,pct_2_3,pct_ge_3,cum_0_2,cum_0_3"
-    )
-    lines = [header]
-    for e in sorted(report.entries, key=lambda e: e.channel):
-        b = e.bands
-        pct = lambda v: f"{v:.{opts.decimals_pct}f}"
-        lines.append(
-            ",".join(
-                [
-                    _channel_label(e.channel),
-                    e.kind.value,
-                    str(e.group.number),
-                    f"{e.rmse:.{opts.decimals_rmse}f}",
-                    str(b.n_test),
-                    pct(b.pct[0]),
-                    pct(b.pct[1]),
-                    pct(b.pct[2]),
-                    pct(b.pct[3]),
-                    pct(b.cum_0_2),
-                    pct(b.cum_0_3),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def export_study(report: StudyReport, opts: RenderOptions = RenderOptions()) -> bytes:
-    """Byte-stable export of a study report in the requested format."""
-    if opts.format == "json":
-        return report_to_json(report).encode("utf-8")
-    if opts.format == "csv":
-        return _csv_rows(report, opts).encode("utf-8")
-    if opts.format == "text":
-        text = render_selection_table(report, opts) + "\n" + render_band_table(report, opts)
-        return text.encode("utf-8")
-    raise UnsupportedFormatError(f"unsupported format {opts.format!r}; expected one of {FORMATS}")
+def export_study(report: StudyReport, format: str = "text") -> bytes:
+    """Byte-stable export of a study report in ``format``, one of FORMATS."""
+    if format == "json":
+        text = report_to_json(report)
+    elif format == "csv":
+        text = "".join(",".join(row) + "\n" for row in _rows(report, _CSV_COLUMNS))
+    elif format == "text":
+        text = render_selection_table(report) + "\n" + render_band_table(report)
+    else:
+        raise UnsupportedFormatError(f"unsupported format {format!r}; expected one of {FORMATS}")
+    return text.encode("utf-8")

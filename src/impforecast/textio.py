@@ -1,11 +1,24 @@
-"""Whole-file text reads and writes that fail with ``DataInputError``.
+"""Whole-file text reads and writes that fail with ``DataInputError``, and
+the one decode step of the document parsers.
 
 Files are UTF-8; writes use LF line endings.
 """
 
 from __future__ import annotations
 
-from .errors import DataInputError
+from .errors import DataInputError, EncodingError
+
+
+def decode(text: str | bytes) -> str:
+    """``text``, or UTF-8 ``bytes`` decoded, without one leading byte-order
+    mark (U+FEFF), as spreadsheet exports write. Raises EncodingError for
+    bytes that are not UTF-8."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"text is not UTF-8: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_text(path) -> str:

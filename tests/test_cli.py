@@ -114,14 +114,16 @@ class TestStudy:
         assert "ei_intra_5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["study", "predict"])
-    @pytest.mark.parametrize("defect", ["column_named_twice", "row_longer_than_header"])
+    @pytest.mark.parametrize("defect", ["column_named_twice", "row_longer_than_header", "oversized_cell"])
     def test_cells_off_the_header_are_data_errors(self, tmp_path, cohort_csv, capsys, mixed_bundle,
                                                   command, defect):
         lines = cohort_csv.read_text().splitlines()
         if defect == "column_named_twice":
             lines = [lines[0] + ",ei_intra_3"] + [line + ",99.0" for line in lines[1:]]
-        else:
+        elif defect == "row_longer_than_header":
             lines[2] += ",99.0"
+        else:  # over the csv module's cell limit
+            lines[2] = "9" * 200_001 + lines[2][lines[2].index(","):]
         bad, models = tmp_path / "bad.csv", tmp_path / "models.json"
         bad.write_text("\n".join(lines) + "\n")
         models.write_text(bundle_to_json(mixed_bundle))
@@ -134,7 +136,18 @@ class TestStudy:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
-        assert ("ei_intra_3" if defect == "column_named_twice" else "row 2 ") in err
+        assert {
+            "column_named_twice": "ei_intra_3",
+            "row_longer_than_header": "row 2 ",
+            "oversized_cell": "line 3: field larger than field limit",
+        }[defect] in err
+
+    def test_byte_order_mark_gives_the_same_study(self, tmp_path, cohort_csv):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + cohort_csv.read_bytes())
+        plain_files = study_files(tmp_path, cohort_csv, "plain")
+        marked_files = study_files(tmp_path, marked, "marked")
+        assert [p.read_bytes() for p in marked_files] == [p.read_bytes() for p in plain_files]
 
     def test_unknown_hyper_key_is_usage_error(self, tmp_path, cohort_csv):
         code = run(

@@ -17,6 +17,7 @@ from impforecast.dataio import test_count as held_out_count
 from impforecast.domain import CHANNELS, Cohort, published_range
 from impforecast.errors import (
     BadNumberError,
+    CsvSyntaxError,
     DuplicateColumnError,
     EmptyFileError,
     ExtraCellsError,
@@ -91,6 +92,17 @@ class TestParse:
             parse_cohort_csv(BASE_HEADER + "\n" + row + "\n" + row + ",99.0\n")
         assert info.value.row == 2
         assert str(info.value) == "row 2 has 14 cells but the header has 13"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("9" * 200_001 + ",5.0" * 12, "field larger than field limit"),  # one oversized cell
+        ("2.5,5.0\r,5.0" + ",5.0" * 10, "new-line character"),  # a bare carriage return
+    ])
+    def test_csv_syntax_error_names_its_line(self, bad_row, message):
+        row = ",".join(["2.5"] + ["5.0"] * 12)
+        with pytest.raises(CsvSyntaxError) as info:
+            parse_cohort_csv(BASE_HEADER + "\n" + row + "\n" + bad_row + "\n")
+        assert info.value.line == 3
+        assert str(info.value).startswith("line 3: ") and message in str(info.value)
 
     def test_empty_file(self):
         with pytest.raises(EmptyFileError):

@@ -1,4 +1,5 @@
-"""Byte pins: sha256 of study outputs, fitted tree ensembles and networks.
+"""Byte pins: sha256 of study outputs and their renders, fitted tree
+ensembles and networks.
 
 A change that alters any of these bytes must do so on purpose and say why
 in CHANGES.md. The study pins use criterion 9's fast hyperparameters; on
@@ -20,6 +21,7 @@ from impforecast import (
     ModelKind,
     StudyConfig,
     bundle_to_json,
+    export_study,
     generate_synthetic_cohort,
     make_regressor,
     report_to_json,
@@ -37,6 +39,18 @@ STUDY_GOLDEN = {
     7: (
         "5c83c8057450c6b2f72c397131d206661946309157f7599be9373d487e24d0e1",
         "5feefb6af6d86c59027ce10698bf71cd1007f36e48b63395af3dc8d2df0ac21d",
+    ),
+}
+
+# ``export_study`` text and CSV of the reports pinned above
+RENDER_GOLDEN = {
+    3: (
+        "3f03f675edf9bb5707b75840d684451f178a1d0bb51f9efd9ae1da1490bfcd5e",
+        "f6963a3ac4b9e801205c760c738fa53a7f5bfa1cc63ecdcd9ef555a82915ac89",
+    ),
+    7: (
+        "1fcdde1a0712f30261cfe0fa36ba2b088516880566758458255859929046386c",
+        "1c490363674723b934f8214d37f9c93bf1f4baf5d82c5997707a3e8c242255bc",
     ),
 }
 
@@ -99,6 +113,15 @@ def test_study_bytes_pinned(seed):
     config = StudyConfig(seed=seed, hyper=HyperParams().with_overrides(FAST))
     report, models = run_study(cohort, config)
     assert (sha256(report_to_json(report)), sha256(bundle_to_json(models))) == STUDY_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(RENDER_GOLDEN))
+def test_study_render_bytes_pinned(seed):
+    cohort = generate_synthetic_cohort(80, seed)
+    config = StudyConfig(seed=seed, hyper=HyperParams().with_overrides(FAST))
+    report, _ = run_study(cohort, config)
+    got = tuple(sha256(export_study(report, fmt)) for fmt in ("text", "csv"))
+    assert got == RENDER_GOLDEN[seed]
 
 
 def test_inner_validation_study_bytes_pinned():

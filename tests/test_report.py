@@ -10,7 +10,7 @@ from impforecast.pipeline import (
     report_from_json,
 )
 from impforecast.report import (
-    RenderOptions,
+    RMSE_DECIMALS,
     export_study,
     render_band_table,
     render_selection_table,
@@ -88,11 +88,10 @@ class TestSelectionTable:
         assert labels == [f"EI_1M_{c}" for c in range(1, 13)]
 
     def test_rendered_rmse_parses_back(self):
-        for decimals in (2, 6):
-            text = render_selection_table(reference_report(), RenderOptions(decimals_rmse=decimals))
-            for line, (_, _, _, rmse_val) in zip(text.splitlines()[1:], REFERENCE_ROWS):
-                rendered = float(cells(line)[3])
-                assert abs(rendered - rmse_val) <= 0.5 * 10 ** (-decimals)
+        text = render_selection_table(reference_report())
+        for line, (_, _, _, rmse_val) in zip(text.splitlines()[1:], REFERENCE_ROWS):
+            rendered = float(cells(line)[3])
+            assert abs(rendered - rmse_val) <= 0.5 * 10 ** (-RMSE_DECIMALS)
 
 
 class TestBandTable:
@@ -117,11 +116,11 @@ class TestBandTable:
 class TestExport:
     def test_json_roundtrip(self):
         report = reference_report()
-        data = export_study(report, RenderOptions(format="json"))
+        data = export_study(report, "json")
         assert report_from_json(data.decode("utf-8")) == report
 
     def test_csv_has_12_rows(self):
-        data = export_study(reference_report(), RenderOptions(format="csv"))
+        data = export_study(reference_report(), "csv")
         lines = data.decode("utf-8").splitlines()
         assert len(lines) == 13
         assert lines[0].startswith("label,kind,group,rmse,n_test")
@@ -130,13 +129,8 @@ class TestExport:
     def test_byte_stable(self):
         report = reference_report()
         for fmt in ("text", "csv", "json"):
-            opts = RenderOptions(format=fmt)
-            assert export_study(report, opts) == export_study(report, opts)
+            assert export_study(report, fmt) == export_study(report, fmt)
 
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormatError):
-            export_study(reference_report(), RenderOptions(format="yaml"))
-
-    def test_decimals_validated(self):
-        with pytest.raises(ValueError):
-            RenderOptions(decimals_rmse=11)
+            export_study(reference_report(), "yaml")
