@@ -75,6 +75,11 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+# The csv module's advice on a bare carriage return, which is about how a file
+# is opened: no caller of parse_cohort_csv can act on it.
+_CSV_MODE_HINT = " - do you need to open the file in universal-newline mode?"
+
+
 def parse_cohort_csv(text: str | bytes) -> Cohort:
     """Parse cohort CSV text; rows keep their file order.
 
@@ -87,7 +92,7 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     try:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except csv.Error as exc:
-        raise CsvSyntaxError(reader.line_num, exc) from None
+        raise CsvSyntaxError(reader.line_num, str(exc).removesuffix(_CSV_MODE_HINT)) from None
     if not rows:
         raise EmptyFileError("no header row found")
     header = [cell.strip() for cell in rows[0]]

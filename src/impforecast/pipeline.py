@@ -49,6 +49,10 @@ from .seeding import derive_seed
 # Canonical candidate order; also the tie-breaking order (simpler first).
 CANDIDATES = tuple((kind, group) for kind in KIND_ORDER for group in GROUP_ORDER)
 
+# The order in which a study's pool takes the candidate calls: the costliest
+# kinds first, so that the workers finish at about the same time.
+_SUBMIT_ORDER = (ModelKind.BDTR, ModelKind.NNR, ModelKind.DFR, ModelKind.BLR, ModelKind.LR)
+
 # Salt distinguishing the inner selection split from candidate fits.
 _INNER_SPLIT_SALT = 101
 
@@ -137,9 +141,10 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
 
     Each candidate is fit for all the channels in one call, each channel
     with its own ``candidate_seed``; the calls run in parallel
-    (``_parallel_map``). Returns ``{channel: {(kind, group):
-    CandidateResult or the FitError of that fit}}``; fit errors are
-    recorded, not raised.
+    (``_parallel_map``), costliest kind first (``_SUBMIT_ORDER``), and
+    their results are merged back in ``candidates`` order. Returns
+    ``{channel: {(kind, group): CandidateResult or the FitError of that
+    fit}}``; fit errors are recorded, not raised.
     """
     channels = tuple(check_channel(c) for c in channels)
     Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
@@ -148,16 +153,18 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
         group: (feature_matrix(train, group), feature_matrix(test, group))
         for group in GROUP_ORDER if any(g is group for _, g in candidates)
     }
+    # sorted is stable: within a kind, the groups keep their candidate order
+    submitted = sorted(candidates, key=lambda c: _SUBMIT_ORDER.index(c[0]))
     calls = [
         (kind, config.hyper, [candidate_seed(config.seed, c, kind, group) for c in channels],
          features[group][0], Y_train, features[group][1], y_tests)
-        for kind, group in candidates
+        for kind, group in submitted
     ]
-    results = {c: {} for c in channels}
-    for (kind, group), outcomes in zip(candidates, _parallel_map(_fit_and_score, calls)):
-        for channel, outcome in zip(channels, outcomes):
-            results[channel][(kind, group)] = outcome
-    return results
+    outcomes = dict(zip(submitted, _parallel_map(_fit_and_score, calls)))
+    return {
+        channel: {key: outcomes[key][i] for key in candidates}
+        for i, channel in enumerate(channels)
+    }
 
 
 def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:

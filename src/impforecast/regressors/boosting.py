@@ -10,7 +10,7 @@ from ..domain import ModelKind
 from ..errors import IncompatibleBundleError
 from .base import BaseRegressor, loaded_numbers
 from .hyper import BoostConfig
-from .tree import TreeTable, build_tree, presort
+from .tree import SplitMemo, TreeTable, build_tree
 
 
 class BoostedTreesRegressor(BaseRegressor):
@@ -28,26 +28,37 @@ class BoostedTreesRegressor(BaseRegressor):
 
     @classmethod
     def _fit_columns(cls, estimators, Xs, Yt) -> list:
-        """Boost every column on one ``presort`` of ``Xs``."""
-        order = presort(Xs)
         for estimator, y in zip(estimators, Yt):
-            estimator._boost(Xs, y, order)
+            estimator._boost(Xs, y)
         return estimators
 
-    def _boost(self, Xs, y, order) -> None:
+    def _boost(self, Xs, y) -> None:
+        """Grow the trees of one column over one ``SplitMemo`` of ``Xs``.
+
+        The stages differ only in their residuals, so most of a stage's
+        nodes have the rows of a node that an earlier stage split. The memo
+        keys a child node by its parent's split (feature, left count) and
+        keeps what does not depend on the residuals: the node's presorted
+        block, its tie mask, its left/right counts and its children. A
+        stage that meets a known node only gathers its residuals, takes
+        their cumulative sums and scores them. The memo is dropped when the
+        column's last stage is grown. Columns do not share one: they reach
+        few of the same nodes, and a shared memo would hold every column's
+        nodes at once.
+        """
         hyper = self.hyper
+        memo = SplitMemo(Xs)
         self.base_value_ = float(y.mean())
         residual = y - self.base_value_
         trees = []
         stage_pred = np.empty(Xs.shape[0], dtype=float)
         for _ in range(hyper.trees):
             tree = build_tree(
-                Xs,
+                memo,
                 residual,
                 max_depth=hyper.max_depth,
                 min_leaf=hyper.min_leaf,
                 train_pred=stage_pred,
-                order=order,
             )
             residual = residual - hyper.learning_rate * stage_pred
             trees.append(tree)

@@ -11,7 +11,14 @@ of SLIQ (Mehta, Agrawal & Rissanen, 1996), which is also the exact greedy
 split search of XGBoost (Chen & Guestrin, 2016, section 3.1): every
 feature is sorted once per training matrix, each node carries its rows as
 a (d, m) block of those sorted orders, and a split partitions the block
-stably, so no node sorts again.
+stably, so no node sorts again. The trees of one training matrix grow
+over one ``SplitMemo``, rooted at the presorted block of all rows. It keys
+a child node by its parent's split (feature, left count), which fixes the
+child's rows whatever the targets, and keeps what does not depend on the
+targets: the node's block, its tie mask, its left and right counts as
+floats, and its children. A tree that reaches a node an earlier tree
+split only gathers its targets, takes their cumulative sums and scores
+them.
 
 ``grow_forest`` grows all the trees of the decision forests of several
 target columns on one training matrix together, level by level: one pass
@@ -196,34 +203,109 @@ class TreeTable:
         return np.cumsum(terms, axis=1)[:, 1:]
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """The root block of ``build_tree`` on X: a (d + 1, n) array whose row f
-    is the row order of feature f, ascending, and whose last row is
-    ``arange(n)``.
+class SplitMemo:
+    """The split nodes of the trees grown on one training matrix X, for
+    ``build_tree``: everything about a node that does not depend on the
+    targets, kept so that later trees on X reuse it.
 
-    The sort is stable, so equal values keep ascending row order.
+    The root holds every row. A node's child is keyed by the node's split,
+    ``(feature, left count)``, which fixes the child's rows whatever the
+    targets. Each node keeps its presorted block, its tie mask, the left and
+    right counts of its splits as floats, and its children; see
+    ``_MemoNode``. The memo only grows, so drop it with the last tree on X.
     """
-    return np.vstack([np.argsort(X, axis=0, kind="stable").T, np.arange(X.shape[0])])
+
+    __slots__ = ("XT", "features", "root", "_counts")
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        self.XT = np.ascontiguousarray(X.T)
+        self.features = np.arange(d)
+        # The sort is stable, so equal values keep ascending row order.
+        self.root = _MemoNode(np.vstack([np.argsort(X, axis=0, kind="stable").T, np.arange(n)]))
+        self._counts = {}
+
+    def counts(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The left and right counts of a split after each of m - 1 rows,
+        as floats, shared by the nodes of m rows."""
+        if m not in self._counts:
+            left = np.arange(1.0, m)
+            self._counts[m] = left, m - left
+        return self._counts[m]
 
 
-def _find_split(xs: np.ndarray, ys: np.ndarray, total, min_leaf: int, sizes: np.ndarray):
-    """Best split of one node over all candidate features at once.
+class _MemoNode:
+    """One node of a ``SplitMemo``.
 
-    Row j of ``xs``/``ys`` holds the node's values of candidate feature j
-    and its targets, both sorted by that feature; ``sizes`` is
-    ``arange(n + 1)``. Gain is the decrease in summed squared error.
-    Returns ``(j, left count)`` of the first maximal, strictly positive
-    gain, or None.
+    ``block`` is a (d + 1, m) array: row f lists the node's rows in
+    ascending order of feature f (equal values by row), and the last row
+    lists them in ascending order, the order in which node sums and means
+    are taken. A split partitions the block stably, so no node sorts again.
+    A node that has only ever been a leaf at the depth limit keeps just its
+    ascending ``rows``, and ``block`` is None. ``tied[f, i]`` is True where
+    the (i + 1)-th and (i + 2)-th values of feature f are equal, so no
+    split falls between them, and ``counts`` is ``SplitMemo.counts(m)``;
+    both are set on the node's first split search, and ``_find_split``
+    slices them to the counts ``min_leaf`` allows. ``children`` maps a
+    split ``(feature, left count)`` to its threshold and two child nodes.
     """
-    m = xs.shape[1]
-    last = m - min_leaf  # largest left count that leaves min_leaf on the right
-    n_left = sizes[min_leaf : last + 1]
-    left_sum = ys.cumsum(axis=1)[:, min_leaf - 1 : last]
-    score = left_sum**2 / n_left + (total - left_sum) ** 2 / (m - n_left)
-    # only between distinct values
-    score[xs[:, min_leaf - 1 : last] >= xs[:, min_leaf : last + 1]] = -np.inf
+
+    __slots__ = ("block", "rows", "tied", "counts", "children")
+
+    def __init__(self, block: np.ndarray | None, rows: np.ndarray | None = None):
+        self.block = block
+        self.rows = block[-1] if rows is None else rows
+        self.tied = None
+        self.counts = None
+        self.children = {}
+
+    def prepare(self, memo: SplitMemo) -> None:
+        xs = memo.XT[memo.features[:, None], self.block[:-1]]
+        self.tied = xs[:, :-1] >= xs[:, 1:]
+        self.counts = memo.counts(self.rows.shape[0])
+
+    def child(self, memo: SplitMemo, j: int, n_left: int, leaves: bool):
+        """``(threshold, left, right)`` of the split of feature j after
+        ``n_left`` rows. With ``leaves``, the children are wanted only as
+        leaves at the depth limit, and a new pair is made without blocks;
+        such a pair is made again, with blocks, when a deeper tree needs
+        them."""
+        key = (j, n_left)
+        known = self.children.get(key)
+        if known is None or not leaves and known[1].block is None:
+            block, x = self.block, memo.XT[j]
+            lo, hi = x[block[j, n_left - 1]], x[block[j, n_left]]
+            thr = 0.5 * (lo + hi)
+            if not thr < hi:  # midpoint rounded up to hi: fall back to lo
+                thr = lo
+            if leaves:
+                goes_left = x[self.rows] <= thr
+                pair = (_MemoNode(None, self.rows[goes_left]),
+                        _MemoNode(None, self.rows[~goes_left]))
+            else:
+                goes_left = (x <= thr)[block]  # stable partition of every row
+                pair = (_MemoNode(block[goes_left].reshape(block.shape[0], n_left)),
+                        _MemoNode(block[~goes_left].reshape(block.shape[0], -1)))
+            known = self.children[key] = (float(thr), *pair)
+        return known
+
+
+def _find_split(node: _MemoNode, ys: np.ndarray, total, min_leaf: int, features: np.ndarray):
+    """Best split of ``node`` over all features at once.
+
+    Row f of ``ys`` holds the node's targets sorted by feature f, and
+    ``features`` is ``arange(d)``. Gain is the decrease in summed squared
+    error. Returns ``(f, left count)`` of the first maximal, strictly
+    positive gain, or None.
+    """
+    m = ys.shape[1]
+    window = slice(min_leaf - 1, m - min_leaf)  # left counts min_leaf .. m - min_leaf
+    n_left, n_right = node.counts
+    left_sum = np.add.accumulate(ys, axis=1)[:, window]  # ys.cumsum(axis=1)
+    score = left_sum**2 / n_left[window] + (total - left_sum) ** 2 / n_right[window]
+    score[node.tied[:, window]] = -np.inf  # only between distinct values
     pos = score.argmax(axis=1)  # first max -> lowest threshold on ties
-    gain = score.max(axis=1) - total * total / m
+    gain = score[features, pos] - total * total / m  # score.max(axis=1) - parent score
     j = int(gain.argmax())  # first max -> lowest feature on ties
     if not gain[j] > 0.0:
         return None
@@ -231,79 +313,51 @@ def _find_split(xs: np.ndarray, ys: np.ndarray, total, min_leaf: int, sizes: np.
 
 
 def build_tree(
-    X: np.ndarray,
+    memo: SplitMemo,
     y: np.ndarray,
     *,
     max_depth: int,
     min_leaf: int,
     train_pred: np.ndarray,
-    order: np.ndarray,
 ) -> dict:
-    """Grow a depth-first CART tree on (X, y), every feature considered at
-    every split, and return its dict of node lists.
+    """Grow a depth-first CART tree on the memo's X and ``y``, every feature
+    considered at every split, and return its dict of node lists.
 
     ``train_pred`` is filled in place with the leaf value of every training
-    row. ``order`` is ``presort(X)``, shared by the trees grown on one X.
+    row. The tree's nodes are added to ``memo`` if they are not there yet.
     """
-    n, d = X.shape
-    features = np.arange(d)[:, None]
-    sizes = np.arange(n + 1)
-    XT = np.ascontiguousarray(X.T)
+    nodes = []  # (feature, threshold, left, right, value), in pre-order
 
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add_node(f: int, thr: float, mean: float) -> int:
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        value.append(mean)
-        return len(feature) - 1
-
-    def leaf(rows: np.ndarray, total) -> int:
-        """A leaf for ``rows``, ascending, whose targets sum to ``total``."""
+    def grow(node: _MemoNode, depth: int) -> None:
+        rows = node.rows
+        if depth < max_depth and rows.shape[0] >= 2 * min_leaf:
+            ys = y[node.block]
+            y_node = ys[-1]
+            total = np.add.reduce(y_node)  # y_node.sum()
+            if y_node[y_node.argmin()] < y_node[y_node.argmax()]:  # min < max
+                if node.tied is None:
+                    node.prepare(memo)
+                split = _find_split(node, ys[:-1], total, min_leaf, memo.features)
+                if split is not None:
+                    thr, left, right = node.child(memo, *split, depth + 1 == max_depth)
+                    at = len(nodes)
+                    nodes.append(None)
+                    grow(left, depth + 1)
+                    right_at = len(nodes)
+                    grow(right, depth + 1)
+                    nodes[at] = (split[0], thr, at + 1, right_at, 0.0)
+                    return
+        else:
+            total = np.add.reduce(y[rows])
         mean = float(total / rows.shape[0])  # y[rows].mean(), bit for bit
         train_pred[rows] = mean
-        return add_node(-1, 0.0, mean)
+        nodes.append((-1, 0.0, -1, -1, mean))
 
-    # The last row of a block lists the node's rows in ascending order, the
-    # order in which node sums and means are taken.
-    def grow(block: np.ndarray, depth: int) -> int:
-        rows = block[-1]
-        m = rows.shape[0]
-        y_node = y[rows]
-        total = y_node.sum()
-        split = None
-        splittable = (
-            depth < max_depth
-            and m >= 2 * min_leaf
-            and y_node[y_node.argmin()] < y_node[y_node.argmax()]  # min < max
-        )
-        if splittable:
-            sorted_rows = block[:d]
-            xs = XT[features, sorted_rows]
-            split = _find_split(xs, y[sorted_rows], total, min_leaf, sizes)
-        if split is None:
-            return leaf(rows, total)
-        j, n_left = split
-        lo, hi = xs[j, n_left - 1], xs[j, n_left]
-        thr = 0.5 * (lo + hi)
-        if not thr < hi:  # midpoint rounded up to hi: fall back to lo
-            thr = lo
-        node = add_node(j, float(thr), 0.0)
-        if depth + 1 == max_depth:  # both children are leaves: no block to partition
-            goes_left = XT[j][rows] <= thr
-            for side, child in ((left, rows[goes_left]), (right, rows[~goes_left])):
-                side[node] = leaf(child, y[child].sum())
-            return node
-        goes_left = (XT[j] <= thr)[block]  # stable partition of every row
-        left[node] = grow(block[goes_left].reshape(d + 1, n_left), depth + 1)
-        right[node] = grow(block[~goes_left].reshape(d + 1, m - n_left), depth + 1)
-        return node
-
-    grow(order, 0)
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
-            "value": value}
+    grow(memo.root, 0)
+    # grow refers to itself; without this, the cycle would keep the memo
+    # alive until the garbage collector finds it, long after its last tree
+    del grow
+    return dict(zip(_FIELDS, map(list, zip(*nodes))))
 
 
 def _node_features(keys: np.ndarray, d: int, subset: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Whole-file text reads and writes that fail with ``DataInputError``, and
 the one decode step of the document parsers.
 
-Files are UTF-8; writes use LF line endings.
+Files are UTF-8. Reads keep line endings as they are; writes use LF.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ def decode(text: str | bytes) -> str:
 
 
 def read_text(path) -> str:
+    """The file's text, line endings as they are, so a stray carriage
+    return reaches the CSV parser as the file holds it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataInputError(f"cannot read {path}: {exc}") from None

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
+from impforecast.dataio import parse_cohort_csv
 from impforecast.domain import FeatureGroup, ModelKind
+from impforecast.errors import CsvSyntaxError
 from impforecast.regressors import BoostedTreesRegressor
 
 # small cohort + light ensembles keep each study run around a second
@@ -141,6 +143,29 @@ class TestStudy:
             "row_longer_than_header": "row 2 ",
             "oversized_cell": "line 3: field larger than field limit",
         }[defect] in err
+
+    @pytest.mark.parametrize("command", ["study", "predict"])
+    def test_bare_carriage_return_is_the_library_error(self, tmp_path, cohort_csv, capsys,
+                                                       mixed_bundle, command):
+        # a stray \r after the fifth cell of the second patient's row
+        lines = cohort_csv.read_bytes().split(b"\n")
+        cells = lines[2].split(b",")
+        cells[4] += b"\r"
+        lines[2] = b",".join(cells)
+        bad, models = tmp_path / "bad.csv", tmp_path / "models.json"
+        bad.write_bytes(b"\n".join(lines))
+        models.write_text(bundle_to_json(mixed_bundle))
+        with pytest.raises(CsvSyntaxError) as info:
+            parse_cohort_csv(bad.read_bytes())
+        assert info.value.line == 3
+        argv = {
+            "study": ["study", "--data", str(bad), "--out-report", str(tmp_path / "r.json"),
+                      "--out-models", str(tmp_path / "m.json")],
+            "predict": ["predict", "--models", str(models), "--data", str(bad),
+                        "--out", str(tmp_path / "p.csv")],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"data error: {info.value}\n"
 
     def test_byte_order_mark_gives_the_same_study(self, tmp_path, cohort_csv):
         marked = tmp_path / "marked.csv"

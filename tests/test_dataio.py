@@ -104,6 +104,12 @@ class TestParse:
         assert info.value.line == 3
         assert str(info.value).startswith("line 3: ") and message in str(info.value)
 
+    def test_bare_carriage_return_error_has_no_open_mode_hint(self):
+        row = "2.5,5.0\r,5.0" + ",5.0" * 10
+        with pytest.raises(CsvSyntaxError) as info:
+            parse_cohort_csv(BASE_HEADER + "\n" + row + "\n")
+        assert str(info.value) == "line 2: new-line character seen in unquoted field"
+
     def test_empty_file(self):
         with pytest.raises(EmptyFileError):
             parse_cohort_csv("")

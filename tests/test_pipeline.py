@@ -17,7 +17,9 @@ from impforecast.errors import (
     TooSmallError,
 )
 from impforecast.metrics import rmse
+from impforecast import pipeline
 from impforecast.pipeline import (
+    CANDIDATES,
     StudyConfig,
     candidate_seed,
     evaluate_grid,
@@ -266,6 +268,25 @@ class TestWorkerPool:
                 assert isinstance(pooled, NonFiniteLossError)
                 assert (type(pooled), str(pooled)) == (type(inline), str(inline))
         assert outputs[0] == outputs[1]
+
+    def test_costliest_kinds_go_first_and_come_back_in_candidate_order(self, monkeypatch,
+                                                                       small_split):
+        train, test = small_split
+        submitted = []
+
+        def inline_map(fn, tasks):
+            submitted.extend((t[0], t[3].shape[1]) for t in tasks)
+            return [fn(*t) for t in tasks]
+
+        monkeypatch.setattr(pipeline, "_parallel_map", inline_map)
+        grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
+        kinds = (ModelKind.BDTR, ModelKind.NNR, ModelKind.DFR, ModelKind.BLR, ModelKind.LR)
+        assert submitted == [(k, g.dimension) for k in kinds for g in FeatureGroup]
+        for channel in CHANNELS:
+            assert list(grid[channel]) == list(CANDIDATES)
+            for (kind, group), outcome in grid[channel].items():
+                assert outcome.model.kind is kind
+                assert outcome.model.standardizer_.means_.shape == (group.dimension,)
 
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch, small_cohort):
         monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", broken_fit)

@@ -1,10 +1,12 @@
 """The presorted tree builders and the flat-table predict against plain
 reference implementations: a recursive builder that sorts every feature at
 every node, and a per-row, per-tree descent. Results must be equal bit for
-bit. The level-synchronous forest grower must equal the reference built
-tree by tree, with the same bootstrap draws and the same keyed feature
-subsets, and the forests of several target columns grown together must
-equal forests fit on each column alone.
+bit. Trees grown one after another on one ``SplitMemo`` must each equal
+the reference, and so must every stage of a boosting fit. The
+level-synchronous forest grower must equal the reference built tree by
+tree, with the same bootstrap draws and the same keyed feature subsets,
+and the forests of several target columns grown together must equal
+forests fit on each column alone.
 """
 
 import json
@@ -20,10 +22,10 @@ from impforecast.errors import DegenerateInputError, IncompatibleBundleError
 from impforecast.regressors import BoostedTreesRegressor, DecisionForestRegressor
 from impforecast.regressors.tree import (
     PREDICT_BLOCK_ROWS,
+    SplitMemo,
     TreeTable,
     build_tree,
     grow_forest,
-    presort,
 )
 from impforecast.seeding import _splitmix64, derive_seed, splitmix64_array
 
@@ -39,7 +41,7 @@ def _reference_best_split(X, y, idx, feature_ids, min_leaf):
     best = None  # (gain, feature, threshold)
     for f in feature_ids:
         x = X[idx, f]
-        order = np.argsort(x)
+        order = np.argsort(x, kind="stable")  # ties in row order, so sums keep their bits
         xs = x[order]
         csum = np.cumsum(y_node[order])
         counts = np.arange(min_leaf, n - min_leaf + 1)
@@ -185,7 +187,7 @@ def assert_forest_matches_reference(X, y, trees, *, seed, bootstrap, min_nodes=1
         assert same_bits(tree_predict(tree, Xt), ref_fill)
         if every_feature:
             fill = np.full(Xt.shape[0], np.nan)
-            depth_first = build_tree(Xt, yt, train_pred=fill, order=presort(Xt), **{
+            depth_first = build_tree(SplitMemo(Xt), yt, train_pred=fill, **{
                 k: v for k, v in kwargs.items() if k != "feature_subset"
             })
             for name, value in ref.items():
@@ -302,8 +304,7 @@ def test_build_tree_matches_reference_shallow_property(problem, max_depth):
     min_leaf = params["min_leaf"]
     ref_fill, fill = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
     expected = reference_build(X, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=ref_fill)
-    tree = build_tree(X, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=fill,
-                      order=presort(X))
+    tree = build_tree(SplitMemo(X), y, max_depth=max_depth, min_leaf=min_leaf, train_pred=fill)
     for name, value in expected.items():
         assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
     assert same_bits(fill, ref_fill)
@@ -324,6 +325,73 @@ def test_forest_fit_grows_the_reference_trees(problem):
     fitted = model.fitted_params()["trees"]
     assert len(fitted) == len(expected)
     for tree, (ref, *_) in zip(fitted, expected):
+        for name, value in ref.items():
+            assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
+
+
+@st.composite
+def memo_sequences(draw):
+    """Integer-valued X, so that values tie and row sets repeat, and a
+    sequence of targets with a max_depth and min_leaf each: some fresh,
+    some a small step from the one before, as boosting's residuals are."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([1, 3, 13]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = data.integers(0, draw(st.integers(2, 6)), size=(n, d)).astype(float)
+    stages = []
+    y = data.integers(0, 4, size=n).astype(float)
+    for _ in range(draw(st.integers(2, 8))):
+        if draw(st.booleans()):
+            y = y - 0.25 * data.integers(-2, 3, size=n)
+        else:
+            y = data.normal(size=n)
+        stages.append((y, draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+    return X, stages
+
+
+@settings(max_examples=200, deadline=None)
+@given(memo_sequences())
+def test_trees_on_one_memo_match_reference(problem):
+    # Later trees reuse the nodes that earlier trees put in the memo; each
+    # must still equal a tree grown from nothing.
+    X, stages = problem
+    memo = SplitMemo(X)
+    for y, max_depth, min_leaf in stages:
+        ref_fill, fill = np.full(X.shape[0], np.nan), np.full(X.shape[0], np.nan)
+        expected = reference_build(X, y, max_depth=max_depth, min_leaf=min_leaf,
+                                   train_pred=ref_fill)
+        tree = build_tree(memo, y, max_depth=max_depth, min_leaf=min_leaf, train_pred=fill)
+        for name, value in expected.items():
+            assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
+        assert same_bits(fill, ref_fill)
+
+
+def reference_boost(X, y, *, trees, learning_rate, max_depth, min_leaf):
+    """Stagewise least-squares boosting over ``reference_build``: the base
+    value and every stage's tree."""
+    base = float(y.mean())
+    residual = y - base
+    grown = []
+    for _ in range(trees):
+        fill = np.full(X.shape[0], np.nan)
+        grown.append(reference_build(X, residual, max_depth=max_depth, min_leaf=min_leaf,
+                                     train_pred=fill))
+        residual = residual - learning_rate * fill
+    return base, grown
+
+
+@settings(max_examples=30, deadline=None)
+@given(forest_problems(), st.integers(1, 4), st.sampled_from([0.1, 0.5, 1.0]))
+def test_boosting_fit_matches_reference_stages(problem, max_depth, learning_rate):
+    X, y, params = problem
+    hyper = dict(trees=params["trees"] * 5, learning_rate=learning_rate, max_depth=max_depth,
+                 min_leaf=params["min_leaf"])
+    model = BoostedTreesRegressor(**hyper).fit(X, y)
+    base, expected = reference_boost(model.standardizer_.transform(X), y, **hyper)
+    fitted = model.fitted_params()
+    assert same_bits(fitted["base_value"], base)
+    assert len(fitted["trees"]) == len(expected)
+    for tree, ref in zip(fitted["trees"], expected):
         for name, value in ref.items():
             assert same_bits(np.asarray(tree[name], dtype=value.dtype), value), name
 
@@ -441,7 +509,7 @@ def test_predict_matches_per_row_per_tree_descent(rows):
 def test_single_tree_predict_matches_descent():
     data = np.random.default_rng(8)
     X, y = data.normal(size=(50, 4)), data.normal(size=50)
-    tree = build_tree(X, y, max_depth=6, min_leaf=1, train_pred=np.empty(50), order=presort(X))
+    tree = build_tree(SplitMemo(X), y, max_depth=6, min_leaf=1, train_pred=np.empty(50))
     Xq = data.normal(size=(PREDICT_BLOCK_ROWS + 3, 4))
     expected = reference_leaf_values([tree], Xq)[:, 0]
     assert same_bits(tree_predict(tree, Xq), expected)

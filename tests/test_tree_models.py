@@ -7,7 +7,7 @@ from impforecast.regressors import (
     BoostedTreesRegressor,
     DecisionForestRegressor,
 )
-from impforecast.regressors.tree import TreeTable, build_tree, presort
+from impforecast.regressors.tree import SplitMemo, TreeTable, build_tree
 
 
 def problem(n=40, d=5, seed=0, noise=0.3):
@@ -20,7 +20,7 @@ def problem(n=40, d=5, seed=0, noise=0.3):
 def grow(X, y, **kwargs):
     """build_tree's dict and the leaf value it recorded for every training row."""
     fill = np.full(len(y), np.nan)
-    return build_tree(X, y, train_pred=fill, order=presort(X), **kwargs), fill
+    return build_tree(SplitMemo(X), y, train_pred=fill, **kwargs), fill
 
 
 def tree_predict(tree, X):
