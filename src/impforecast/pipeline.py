@@ -9,11 +9,10 @@ training matrix, so a candidate is fit for all of them in one
 the master seed, and a fit does not depend on which other channels share
 the call.
 
-A study spreads its independent fits over the CPUs of the process's
-affinity mask (``_parallel_map``): the 10 candidate calls of the default
-study, or the 12 channels of a nested one. Results are merged in the
-fixed candidate and channel order, so the outputs have the same bytes on
-any number of CPUs.
+A study maps its candidate calls over the process's CPUs (``_parallel_map``)
+and merges the results in candidate and channel order, so the outputs have
+the same bytes on any number of CPUs. A nested study runs the same grid
+twice: on the inner splits, then to refit the picks, one call per pick.
 """
 
 from __future__ import annotations
@@ -117,6 +116,9 @@ def _parallel_map(fn, tasks) -> list:
     numpy and the estimators again, which costs more than most tasks. The
     process forks before the pool starts its own thread, so call this from
     the main thread of a process that runs no other threads.
+
+    A study run inside a ``multiprocessing.Pool`` worker runs inline: that
+    worker is daemonic, and a daemonic process may not have children.
     """
     import multiprocessing  # here, so that predict and report never load it
 
@@ -134,37 +136,37 @@ def _parallel_map(fn, tasks) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def _grid(problems, config: StudyConfig) -> dict[int, dict]:
+    """Fit and score the candidates of ``(channels, train, test, candidates)``
+    problems with disjoint channels: one call per problem and candidate for
+    all its channels, all on one ``_parallel_map``, costliest kind first
+    (``_SUBMIT_ORDER``). Returns ``{channel: {(kind, group): CandidateResult
+    or the FitError of that fit}}`` in candidate order."""
+    calls = []
+    for p, (channels, train, test, candidates) in enumerate(problems):
+        Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
+        y_tests = [label_vector(test, c) for c in channels]
+        features = {g: (feature_matrix(train, g), feature_matrix(test, g))
+                    for g in dict.fromkeys(g for _, g in candidates)}
+        for kind, group in candidates:
+            seeds = [candidate_seed(config.seed, c, kind, group) for c in channels]
+            X_train, X_test = features[group]
+            args = (kind, config.hyper, seeds, X_train, Y_train, X_test, y_tests)
+            calls.append(((p, kind, group), args))
+    # sort is stable: within a kind, the calls keep their problem and candidate order
+    calls.sort(key=lambda call: _SUBMIT_ORDER.index(call[0][1]))
+    outcomes = dict(zip([k for k, _ in calls], _parallel_map(_fit_and_score, [a for _, a in calls])))
+    return {
+        c: {key: outcomes[(p, *key)][i] for key in candidates}
+        for p, (channels, _, _, candidates) in enumerate(problems) for i, c in enumerate(channels)
+    }
+
+
 def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
                   candidates=CANDIDATES) -> dict[int, dict]:
     """Fit ``candidates`` for every channel in ``channels`` on the training
-    cohort and score them on the test cohort.
-
-    Each candidate is fit for all the channels in one call, each channel
-    with its own ``candidate_seed``; the calls run in parallel
-    (``_parallel_map``), costliest kind first (``_SUBMIT_ORDER``), and
-    their results are merged back in ``candidates`` order. Returns
-    ``{channel: {(kind, group): CandidateResult or the FitError of that
-    fit}}``; fit errors are recorded, not raised.
-    """
-    channels = tuple(check_channel(c) for c in channels)
-    Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
-    y_tests = [label_vector(test, c) for c in channels]
-    features = {
-        group: (feature_matrix(train, group), feature_matrix(test, group))
-        for group in GROUP_ORDER if any(g is group for _, g in candidates)
-    }
-    # sorted is stable: within a kind, the groups keep their candidate order
-    submitted = sorted(candidates, key=lambda c: _SUBMIT_ORDER.index(c[0]))
-    calls = [
-        (kind, config.hyper, [candidate_seed(config.seed, c, kind, group) for c in channels],
-         features[group][0], Y_train, features[group][1], y_tests)
-        for kind, group in submitted
-    ]
-    outcomes = dict(zip(submitted, _parallel_map(_fit_and_score, calls)))
-    return {
-        channel: {key: outcomes[key][i] for key in candidates}
-        for i, channel in enumerate(channels)
-    }
+    cohort and score them on the test cohort: ``_grid`` of one problem."""
+    return _grid([(tuple(check_channel(c) for c in channels), train, test, candidates)], config)
 
 
 def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:
@@ -185,19 +187,14 @@ def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult
     return best
 
 
-def _select_nested(channel, train, test, config) -> tuple:
-    """Rank the candidates on an inner split of the training cohort, then
-    refit the winner on the whole training cohort and score it on test."""
-    inner_spec = SplitSpec(
-        test_fraction=config.test_fraction,
-        seed=derive_seed(config.seed, channel, _INNER_SPLIT_SALT),
-    )
-    inner_train, inner_val = split_cohort(train, inner_spec)
-    kind, group, _ = pick_winner(evaluate_grid((channel,), inner_train, inner_val, config)[channel])
-    final = evaluate_grid((channel,), train, test, config, ((kind, group),))[channel][(kind, group)]
-    if isinstance(final, FitError):
-        raise final
-    return kind, group, final
+def _split_for_fitting(cohort: Cohort, spec: SplitSpec, name: str) -> tuple:
+    """``split_cohort``, refused with TooSmallError unless its training part
+    holds the 2 rows a fit needs."""
+    train, test = split_cohort(cohort, spec)
+    if len(train) < 2:
+        raise TooSmallError(f"{name} of {len(cohort)} records leaves {len(train)} for training;"
+                            " a fit needs at least 2")
+    return train, test
 
 
 def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[StudyReport, ModelBundle]:
@@ -211,14 +208,27 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
     report = validate_cohort(cohort)
     if not report.ok:
         raise CohortValidationError(report)
-    train, test = split_cohort(cohort, SplitSpec(config.test_fraction, config.seed))
-
-    if config.selection == "inner_validation":
-        # one pool over the channels; each worker runs its grids inline
-        winners = _parallel_map(_select_nested, [(c, train, test, config) for c in CHANNELS])
+    train, test = _split_for_fitting(cohort, SplitSpec(config.test_fraction, config.seed),
+                                     "the train/test split")
+    nested = config.selection == "inner_validation"
+    if nested:  # each channel ranks the candidates on its own inner split of train
+        inner = {c: SplitSpec(config.test_fraction, derive_seed(config.seed, c, _INNER_SPLIT_SALT))
+                 for c in CHANNELS}
+        ranking = [((c,), *_split_for_fitting(train, spec, f"channel {c}'s inner split"), CANDIDATES)
+                   for c, spec in inner.items()]
     else:
-        grid = evaluate_grid(CHANNELS, train, test, config)
-        winners = [pick_winner(grid[c]) for c in CHANNELS]
+        ranking = [(CHANNELS, train, test, CANDIDATES)]
+    grid = _grid(ranking, config)
+    winners = [pick_winner(grid[c]) for c in CHANNELS]
+
+    if nested:  # refit each pick on train, in one call for all the channels that picked it
+        picks = [(kind, group) for kind, group, _ in winners]
+        refit = _grid([([c for c, p in zip(CHANNELS, picks) if p == key], train, test, (key,))
+                       for key in dict.fromkeys(picks)], config)
+        winners = [(*key, refit[c][key]) for c, key in zip(CHANNELS, picks)]
+        for _, _, outcome in winners:
+            if isinstance(outcome, FitError):
+                raise outcome
 
     entries = tuple(
         SelectionEntry(channel=c, kind=kind, group=group, rmse=o.rmse, bands=o.bands)

@@ -243,6 +243,25 @@ class TestStudy:
         assert err.startswith("error: test_fraction") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("n, fraction, selection, sizes", [
+        (10, "0.95", "test", "split of 10 records leaves 1 for training"),
+        (80, "0.98", "inner_validation", "inner split of 2 records leaves 1 for training"),
+    ], ids=["test", "inner_validation"])
+    def test_training_split_under_two_rows_is_data_error(self, tmp_path, capsys, n, fraction,
+                                                         selection, sizes):
+        cohort = tmp_path / "cohort.csv"
+        assert run(["generate", "--n", str(n), "--seed", "1", "--out", str(cohort)]) == 0
+        capsys.readouterr()
+        code = run(
+            ["study", "--data", str(cohort), "--test-fraction", fraction, "--selection", selection,
+             "--out-report", str(tmp_path / "r.json"), "--out-models", str(tmp_path / "m.json"),
+             *FAST_HYPER]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and sizes in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("n", [10, 14])
     def test_fewer_training_rows_than_features(self, tmp_path, n):
         cohort = tmp_path / "small.csv"

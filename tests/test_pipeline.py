@@ -216,6 +216,20 @@ class TestRunStudy:
         with pytest.raises(TooSmallError):
             run_study(generate_synthetic_cohort(5, 1), FAST_CONFIG)
 
+    @pytest.mark.parametrize("n, fraction, selection, sizes", [
+        (10, 0.95, "test", "the train/test split of 10 records leaves 1 for training"),
+        (80, 0.98, "inner_validation", "channel 1's inner split of 2 records leaves 1 for training"),
+    ], ids=["test", "inner_validation"])
+    def test_training_split_under_two_rows_fails_before_any_fit(self, monkeypatch, n, fraction,
+                                                                selection, sizes):
+        def no_fits(fn, tasks):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(pipeline, "_parallel_map", no_fits)
+        config = StudyConfig(test_fraction=fraction, selection=selection, hyper=FAST)
+        with pytest.raises(TooSmallError, match=sizes):
+            run_study(generate_synthetic_cohort(n, 1), config)
+
     def test_validation_errors_block_training(self):
         from impforecast.domain import Cohort
         from impforecast.errors import CohortValidationError
@@ -307,6 +321,17 @@ class TestWorkerPool:
         assert code == 3
         assert err == "internal error: RuntimeError: broken fit\n"
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("selection", ["test", "inner_validation"])
+    def test_study_in_a_daemonic_pool_worker_runs_inline(self, monkeypatch, small_cohort, selection):
+        # a multiprocessing.Pool worker is daemonic and may not start a pool of its own
+        import multiprocessing
+
+        self.on_cpus(monkeypatch, 2)
+        config = dataclasses.replace(FAST_CONFIG, selection=selection)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply_async(study_bytes, (small_cohort, config)).get(timeout=300)
+        assert in_worker == study_bytes(small_cohort, config)
 
 
 class TestPredictOne:
