@@ -30,10 +30,16 @@ def _check_pair(y_hat, y):
 
 def rmse(y_hat, y) -> float:
     """Root mean squared error; NonFinitePredictionError (a FitError) if a
-    prediction is NaN or inf."""
+    prediction is NaN or inf, or if the squared errors overflow."""
     y_hat, y = _check_pair(y_hat, y)
-    diff = y_hat - y
-    return float(np.sqrt(diff @ diff / diff.shape[0]))
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned about
+        diff = y_hat - y
+        squares = diff @ diff
+    if not np.isfinite(squares):
+        raise NonFinitePredictionError(
+            f"the squared errors of {y_hat.shape[0]} predictions overflow"
+        )
+    return float(np.sqrt(squares / diff.shape[0]))
 
 
 def error_bands(y_hat, y) -> ErrorBands:

@@ -4,15 +4,16 @@ For every channel the 10 candidates (5 model kinds x 2 feature groups)
 are fit on the training part and scored by RMSE on the held-out part; the
 argmin wins, with ties broken by the simpler kind, then the smaller
 feature group. Channels that share a split share each candidate's
-training matrix, so a candidate is fit for all of them in one
-``fit_columns`` call. Every candidate fit gets its own seed derived from
-the master seed, and a fit does not depend on which other channels share
-the call.
+training matrix, so a candidate is fit for all of them at once; the
+networks of a whole grid round train in one ``fit_parts`` call, and
+boosting fits one channel per call. Every candidate fit gets its own seed
+derived from the master seed, and a fit does not depend on which other
+fits share the call.
 
 A study maps its candidate calls over the process's CPUs (``_parallel_map``)
 and merges the results in candidate and channel order, so the outputs have
 the same bytes on any number of CPUs. A nested study runs the same grid
-twice: on the inner splits, then to refit the picks, one call per pick.
+twice: on the inner splits, then to refit the picks, one part per pick.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .seeding import derive_seed
 # Canonical candidate order; also the tie-breaking order (simpler first).
 CANDIDATES = tuple((kind, group) for kind in KIND_ORDER for group in GROUP_ORDER)
 
-# The order in which a study's pool takes the candidate calls: the costliest
-# kinds first, so that the workers finish at about the same time.
-_SUBMIT_ORDER = (ModelKind.BDTR, ModelKind.NNR, ModelKind.DFR, ModelKind.BLR, ModelKind.LR)
+# The order in which a study's pool takes the candidate calls: the one network
+# call first, as it is the longest, then the forest, then boosting's small
+# one-channel calls, so that the workers finish at about the same time.
+_SUBMIT_ORDER = (ModelKind.NNR, ModelKind.DFR, ModelKind.BDTR, ModelKind.BLR, ModelKind.LR)
 
 # Salt distinguishing the inner selection split from candidate fits.
 _INNER_SPLIT_SALT = 101
@@ -81,26 +83,32 @@ def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: Featu
     return derive_seed(master_seed, channel, kind_index(kind), group_index(group))
 
 
-def _fit_and_score(kind, hyper, seeds, X_train, Y_train, X_test, y_tests) -> list:
-    """Fit ``kind`` on each column of ``Y_train`` (column j with ``seeds[j]``)
-    in one ``fit_columns`` call and score column j on ``y_tests[j]``.
+def _fit_and_score(kind, hyper, parts) -> list:
+    """Fit ``kind`` on every ``(seeds, X_train, Y_train, X_test, y_tests)``
+    part in one ``fit_parts`` call (column j of ``Y_train`` with
+    ``seeds[j]``) and score column j on ``y_tests[j]``.
 
-    Returns one CandidateResult or FitError per column; a model that
-    predicts a non-finite value is recorded by the FitError of its score.
+    Returns, per part, one CandidateResult or FitError per column; a model
+    that predicts a non-finite value is recorded by the FitError of its
+    score.
     """
-    estimators = [make_regressor(kind, hyper, seed) for seed in seeds]
-    fitted = ESTIMATOR_CLASSES[kind].fit_columns(estimators, X_train, Y_train)
-    outcomes = []
-    for model, y_test in zip(fitted, y_tests):
-        if isinstance(model, FitError):
-            outcomes.append(model)
-            continue
-        y_hat = model.predict(X_test)
-        try:
-            outcomes.append(CandidateResult(rmse(y_hat, y_test), error_bands(y_hat, y_test), model))
-        except FitError as exc:
-            outcomes.append(exc)
-    return outcomes
+    fitted = ESTIMATOR_CLASSES[kind].fit_parts([
+        ([make_regressor(kind, hyper, seed) for seed in seeds], X_train, Y_train)
+        for seeds, X_train, Y_train, _, _ in parts
+    ])
+    return [[_score(model, X_test, y_test) for model, y_test in zip(models, y_tests)]
+            for models, (_, _, _, X_test, y_tests) in zip(fitted, parts)]
+
+
+def _score(model, X_test, y_test):
+    """The CandidateResult of a fitted model on the test part, or its FitError."""
+    if isinstance(model, FitError):
+        return model
+    y_hat = model.predict(X_test)
+    try:
+        return CandidateResult(rmse(y_hat, y_test), error_bands(y_hat, y_test), model)
+    except FitError as exc:
+        return exc
 
 
 def _parallel_map(fn, tasks) -> list:
@@ -138,11 +146,16 @@ def _parallel_map(fn, tasks) -> list:
 
 def _grid(problems, config: StudyConfig) -> dict[int, dict]:
     """Fit and score the candidates of ``(channels, train, test, candidates)``
-    problems with disjoint channels: one call per problem and candidate for
-    all its channels, all on one ``_parallel_map``, costliest kind first
-    (``_SUBMIT_ORDER``). Returns ``{channel: {(kind, group): CandidateResult
-    or the FitError of that fit}}`` in candidate order."""
-    calls = []
+    problems with disjoint channels, all on one ``_parallel_map``.
+
+    A part is one problem's candidate for all its channels. The network
+    parts of the whole round go in one call, which trains them as one
+    block. Boosting shares nothing across columns, so it goes one channel
+    per call. Every other part is a call of its own. The pool takes the
+    calls in ``_SUBMIT_ORDER``. Returns ``{channel: {(kind, group):
+    CandidateResult or the FitError of that fit}}`` in candidate order.
+    """
+    parts = []  # ((problem, kind, group), part)
     for p, (channels, train, test, candidates) in enumerate(problems):
         Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
         y_tests = [label_vector(test, c) for c in channels]
@@ -151,15 +164,34 @@ def _grid(problems, config: StudyConfig) -> dict[int, dict]:
         for kind, group in candidates:
             seeds = [candidate_seed(config.seed, c, kind, group) for c in channels]
             X_train, X_test = features[group]
-            args = (kind, config.hyper, seeds, X_train, Y_train, X_test, y_tests)
-            calls.append(((p, kind, group), args))
-    # sort is stable: within a kind, the calls keep their problem and candidate order
-    calls.sort(key=lambda call: _SUBMIT_ORDER.index(call[0][1]))
-    outcomes = dict(zip([k for k, _ in calls], _parallel_map(_fit_and_score, [a for _, a in calls])))
+            parts.append(((p, kind, group), (seeds, X_train, Y_train, X_test, y_tests)))
+    calls = []  # (kind, [(key, part)])
+    for kind in _SUBMIT_ORDER:
+        mine = [(key, part) for key, part in parts if key[1] is kind]
+        if kind is ModelKind.NNR:
+            calls.append((kind, mine))
+        elif kind is ModelKind.BDTR:
+            calls += [(kind, [(key, _column(part, j))])
+                      for key, part in mine for j in range(len(part[0]))]
+        else:
+            calls += [(kind, [item]) for item in mine]
+    calls = [(kind, items) for kind, items in calls if items]
+    results = _parallel_map(_fit_and_score,
+                            [(kind, config.hyper, [part for _, part in items]) for kind, items in calls])
+    outcomes = {}  # a key's column outcomes, extended call by call in channel order
+    for (_, items), result in zip(calls, results):
+        for (key, _), part_outcomes in zip(items, result):
+            outcomes.setdefault(key, []).extend(part_outcomes)
     return {
         c: {key: outcomes[(p, *key)][i] for key in candidates}
         for p, (channels, _, _, candidates) in enumerate(problems) for i, c in enumerate(channels)
     }
+
+
+def _column(part, j):
+    """Column j of a ``(seeds, X_train, Y_train, X_test, y_tests)`` part, as a part."""
+    seeds, X_train, Y_train, X_test, y_tests = part
+    return seeds[j:j + 1], X_train, Y_train[:, j:j + 1], X_test, y_tests[j:j + 1]
 
 
 def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,

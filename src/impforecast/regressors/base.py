@@ -10,9 +10,12 @@ the constructor, ``set_params`` and a loaded bundle all raise ValueError
 on the values ``--hyper`` rejects. No scikit-learn dependency; the
 algorithms are implemented here from scratch.
 
-Every kind trains through ``BaseRegressor.fit_columns``: it checks the
-inputs, fits one ``Standardizer`` on X and hands the standardized matrix
-with every accepted target column to the kind's ``_fit_columns``.
+Every kind trains through ``BaseRegressor.fit_parts``: for each part, a
+training matrix X with its target columns, it checks the inputs and fits
+one ``Standardizer`` on X, then hands every part's standardized matrix and
+accepted columns to the kind's ``_fit_parts``. That calls ``_fit_columns``
+part by part, unless the kind trains the parts together, as the network
+does. ``fit_columns`` is the one-part case and ``fit`` the one-column one.
 """
 
 from __future__ import annotations
@@ -203,38 +206,58 @@ class BaseRegressor:
         Returns, per column, the fitted estimator or the FitError of its
         column. A column that ``check_fit_inputs`` rejects gets that error.
         The estimators of the other columns must differ only in ``seed``
-        (else ValueError); they share one Standardizer fit on X and are fit
-        in one ``_fit_columns`` call, each with the bits of a fit on its
-        column alone.
+        (else ValueError); they share one Standardizer fit on X, each with
+        the bits of a fit on its column alone. This is ``fit_parts`` of one
+        part.
         """
-        X, Y = as_matrix(X), as_matrix(Y)
-        if Y.shape[1] != len(estimators):
-            raise DimensionMismatchError(
-                f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
-            )
-        outcomes = []
-        for y in Y.T:
-            try:
-                check_fit_inputs(X, y)
-                outcomes.append(None)
-            except FitError as exc:
-                outcomes.append(exc)
-        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
-        if len({estimators[j].hyper for j in live}) > 1:
-            raise ValueError("fit_columns needs estimators that differ only in seed")
-        if not live:
-            return outcomes
-        standardizer = Standardizer().fit(X)
-        fitted = cls._fit_columns(
-            [estimators[j] for j in live],
-            standardizer.transform(X),
-            np.ascontiguousarray(Y[:, live].T),
-        )
-        for j, outcome in zip(live, fitted):
-            if not isinstance(outcome, FitError):
-                outcome.standardizer_ = standardizer
-            outcomes[j] = outcome
+        (outcomes,) = cls.fit_parts([(estimators, X, Y)])
         return outcomes
+
+    @classmethod
+    def fit_parts(cls, parts) -> list:
+        """``fit_columns`` of every ``(estimators, X, Y)`` part, all in one
+        ``_fit_parts`` call: per part, the list of its columns' outcomes.
+
+        The estimators of every part's accepted columns must differ only in
+        ``seed`` (else ValueError). Each part has its own Standardizer.
+        """
+        outcomes, live = [], []
+        for estimators, X, Y in parts:
+            X, Y = as_matrix(X), as_matrix(Y)
+            if Y.shape[1] != len(estimators):
+                raise DimensionMismatchError(
+                    f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
+                )
+            part = []
+            for y in Y.T:
+                try:
+                    check_fit_inputs(X, y)
+                    part.append(None)
+                except FitError as exc:
+                    part.append(exc)
+            outcomes.append(part)
+            columns = [j for j, outcome in enumerate(part) if outcome is None]
+            if columns:
+                live.append((part, columns, [estimators[j] for j in columns], X, Y))
+        if len({e.hyper for _, _, estimators, _, _ in live for e in estimators}) > 1:
+            raise ValueError("the estimators of one fit must differ only in seed")
+        standardizers = [Standardizer().fit(X) for _, _, _, X, _ in live]
+        fitted = cls._fit_parts([
+            (estimators, standardizer.transform(X), np.ascontiguousarray(Y[:, columns].T))
+            for (_, columns, estimators, X, Y), standardizer in zip(live, standardizers)
+        ])
+        for (part, columns, _, _, _), standardizer, part_fitted in zip(live, standardizers, fitted):
+            for j, outcome in zip(columns, part_fitted):
+                if not isinstance(outcome, FitError):
+                    outcome.standardizer_ = standardizer
+                part[j] = outcome
+        return outcomes
+
+    @classmethod
+    def _fit_parts(cls, parts) -> list:
+        """``_fit_columns`` of each ``(estimators, Xs, Yt)`` part; a kind
+        that trains the parts together overrides this."""
+        return [cls._fit_columns(*part) for part in parts]
 
     @classmethod
     def _fit_columns(cls, estimators, Xs, Yt) -> list:

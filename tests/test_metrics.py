@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestRmse:
         with pytest.raises(NonFinitePredictionError) as info:
             score([bad, 1.0], [1.0, 1.0])
         assert isinstance(info.value, FitError)
+
+    @pytest.mark.parametrize("y_hat, y", [
+        (np.full(3, 2e154), np.zeros(3)),  # the squares overflow
+        (np.array([1.5e308, 0.0]), np.array([-1.5e308, 0.0])),  # the errors overflow
+    ])
+    def test_overflowing_errors_are_a_fit_error_without_a_warning(self, y_hat, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinitePredictionError):
+                rmse(y_hat, y)
 
 
 class TestRounding:

@@ -125,21 +125,49 @@ class TestFitColumns:
     @given(
         d=st.sampled_from([1, 13]),
         k=st.integers(1, 5),
+        other_k=st.integers(1, 5),
         n=st.integers(2, 30),
         hidden_units=st.integers(1, 17),
         data_seed=st.integers(0, 2**32 - 1),
     )
-    def test_columns_fit_together_match_lone_fits(self, d, k, n, hidden_units, data_seed):
+    def test_columns_fit_together_match_lone_fits(self, d, k, other_k, n, hidden_units,
+                                                  data_seed):
+        # two parts in one block: k columns on d features, other_k on the other width
         rng = np.random.default_rng(data_seed)
-        X = rng.uniform(0.5, 40.0, size=(n, d))
-        Y = rng.normal(loc=8.0, scale=2.0, size=(n, k))
-        seeds = rng.integers(0, 2**31, size=k).tolist()
         hyper = dict(hidden_units=hidden_units, epochs=40)
-        together = NeuralNetRegressor.fit_columns(
-            [NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y
-        )
-        for joint, lone in zip(together, fit_lone(X, Y, seeds, **hyper)):
-            assert_same_network(joint, lone, X)
+        parts = []
+        for width, columns in ((d, k), (14 - d, other_k)):
+            X = rng.uniform(0.5, 40.0, size=(n, width))
+            Y = rng.normal(loc=8.0, scale=2.0, size=(n, columns))
+            seeds = rng.integers(0, 2**31, size=columns).tolist()
+            parts.append((X, Y, seeds))
+        together = NeuralNetRegressor.fit_parts([
+            ([NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y) for X, Y, seeds in parts
+        ])
+        for joint_part, (X, Y, seeds) in zip(together, parts):
+            for joint, lone in zip(joint_part, fit_lone(X, Y, seeds, **hyper)):
+                assert_same_network(joint, lone, X)
+
+    def test_parts_of_other_row_counts_train_in_blocks_of_their_own(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        parts = [(rng.normal(size=(n, d)), rng.normal(size=(n, k)), list(range(k)))
+                 for n, d, k in ((10, 13, 2), (15, 1, 3), (10, 1, 1))]
+        blocks = []
+        train_block = NeuralNetRegressor._train_block
+
+        def counted(block):
+            blocks.append([Xs.shape for _, Xs, _ in block])
+            return train_block(block)
+
+        monkeypatch.setattr(NeuralNetRegressor, "_train_block", staticmethod(counted))
+        together = NeuralNetRegressor.fit_parts([
+            ([NeuralNetRegressor(seed=s, epochs=30) for s in seeds], X, Y) for X, Y, seeds in parts
+        ])
+        assert blocks[0] == [(10, 13), (10, 1)] and blocks[1:] == [[(15, 1)]]
+        monkeypatch.undo()
+        for joint_part, (X, Y, seeds) in zip(together, parts):
+            for joint, lone in zip(joint_part, fit_lone(X, Y, seeds, epochs=30)):
+                assert_same_network(joint, lone, X)
 
     def test_diverging_column_fails_alone(self):
         cohort = generate_synthetic_cohort(80, 1)

@@ -30,7 +30,13 @@ from impforecast.pipeline import (
     report_to_json,
     run_study,
 )
-from impforecast.regressors import BoostedTreesRegressor, HyperParams, LinearRegressor, make_regressor
+from impforecast.regressors import (
+    BoostedTreesRegressor,
+    HyperParams,
+    LinearRegressor,
+    NeuralNetRegressor,
+    make_regressor,
+)
 
 # trimmed ensembles/epochs: pipeline behavior is identical, tests run fast
 FAST = HyperParams().with_overrides(
@@ -289,18 +295,44 @@ class TestWorkerPool:
         submitted = []
 
         def inline_map(fn, tasks):
-            submitted.extend((t[0], t[3].shape[1]) for t in tasks)
+            # per call: its kind and each part's (feature count, channel count)
+            submitted.extend((kind, [(part[1].shape[1], len(part[0])) for part in parts])
+                             for kind, _, parts in tasks)
             return [fn(*t) for t in tasks]
 
         monkeypatch.setattr(pipeline, "_parallel_map", inline_map)
         grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
-        kinds = (ModelKind.BDTR, ModelKind.NNR, ModelKind.DFR, ModelKind.BLR, ModelKind.LR)
-        assert submitted == [(k, g.dimension) for k in kinds for g in FeatureGroup]
+        every_channel = [[(g.dimension, len(CHANNELS))] for g in FeatureGroup]
+        assert submitted == (
+            [(ModelKind.NNR, [(g.dimension, len(CHANNELS)) for g in FeatureGroup])]
+            + [(ModelKind.DFR, part) for part in every_channel]
+            + [(ModelKind.BDTR, [(g.dimension, 1)]) for g in FeatureGroup for _ in CHANNELS]
+            + [(kind, part) for kind in (ModelKind.BLR, ModelKind.LR) for part in every_channel]
+        )
         for channel in CHANNELS:
             assert list(grid[channel]) == list(CANDIDATES)
             for (kind, group), outcome in grid[channel].items():
                 assert outcome.model.kind is kind
                 assert outcome.model.standardizer_.means_.shape == (group.dimension,)
+
+    @pytest.mark.parametrize("selection", ["test", "inner_validation"])
+    def test_a_grid_round_trains_its_networks_in_one_block(self, monkeypatch, small_cohort,
+                                                           selection):
+        blocks = []
+        train_block = NeuralNetRegressor._train_block
+
+        def counted(parts):
+            blocks.append(sum(len(estimators) for estimators, _, _ in parts))
+            return train_block(parts)
+
+        monkeypatch.setattr(NeuralNetRegressor, "_train_block", staticmethod(counted))
+        self.on_cpus(monkeypatch, 1)  # inline, so that the counts stay in this process
+        report, _ = run_study(small_cohort, dataclasses.replace(FAST_CONFIG, selection=selection))
+        # both feature groups of all 12 channels: on one split, or on their 12 inner splits
+        assert blocks[0] == 2 * len(CHANNELS)
+        # a nested study refits its network picks, if any, in a second block
+        refits = selection == "inner_validation" and ModelKind.NNR in {e.kind for e in report.entries}
+        assert len(blocks) == 1 + refits
 
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch, small_cohort):
         monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", broken_fit)
