@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -90,7 +92,7 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     """
     reader = csv.reader(io.StringIO(decode(text)))
     try:
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [row for row in reader if row and any(map(str.strip, row))]
     except csv.Error as exc:
         raise CsvSyntaxError(reader.line_num, str(exc).removesuffix(_CSV_MODE_HINT)) from None
     if not rows:
@@ -110,16 +112,44 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     columns = ALL_COLUMNS if present_labels else BASE_COLUMNS
     indices = [position[c] for c in columns]
 
-    table = np.empty((len(rows) - 1, len(columns)))
-    for row_no, row_cells in enumerate(rows[1:], start=1):
-        if len(row_cells) > len(header):
-            raise ExtraCellsError(row_no, len(row_cells), len(header))
-        table[row_no - 1] = [
-            _parse_cell(row_cells[i] if i < len(row_cells) else "", row_no, column)
-            for i, column in zip(indices, columns)
-        ]
+    body = rows[1:]
+    table = _float_table(body, indices, len(header))
+    if table is None:
+        _raise_first_bad_cell(body, indices, columns, len(header))
     labels = table[:, 1 + N_CHANNELS :] if present_labels else None
     return Cohort(table[:, 0], table[:, 1 : 1 + N_CHANNELS], labels)
+
+
+def _float_table(body: list[list[str]], indices: list[int], width: int) -> np.ndarray | None:
+    """The ``indices`` cells of every row as one (rows, len(indices)) array,
+    or None if a row has more than ``width`` cells, a cell is missing or
+    not a number, or a value is not finite and > 0. A cell's value is the
+    one ``_parse_cell`` gives it.
+    """
+    if max(map(len, body), default=0) > width:
+        return None
+    pick = operator.itemgetter(*indices)
+    try:
+        values = [float(cell.strip()) for row in body for cell in pick(row)]
+    except (IndexError, ValueError):
+        return None
+    table = np.array(values, dtype=float).reshape(len(body), len(indices))
+    if not (np.isfinite(table).all() and (table > 0).all()):
+        return None
+    return table
+
+
+def _raise_first_bad_cell(
+    body: list[list[str]], indices: list[int], columns: tuple[str, ...], width: int
+) -> NoReturn:
+    """Raise the error of the first bad row or cell in file order: a row with
+    more than ``width`` cells, or a cell ``_parse_cell`` rejects."""
+    for row_no, row in enumerate(body, start=1):
+        if len(row) > width:
+            raise ExtraCellsError(row_no, len(row), width)
+        for i, column in zip(indices, columns):
+            _parse_cell(row[i] if i < len(row) else "", row_no, column)
+    raise AssertionError("a cohort table was refused but no cell of it is bad")
 
 
 def _csv_table(cohort: Cohort) -> tuple[tuple[str, ...], np.ndarray]:

@@ -142,5 +142,15 @@ class IncompatibleBundleError(DataInputError):
     pass
 
 
+class NonFiniteOutputError(DataInputError):
+    """A bundle's model predicted NaN or infinity for a cohort: the model's
+    numbers or the patients' values are finite but too large to compute
+    with."""
+
+    def __init__(self, channel, message):
+        self.channel = channel
+        super().__init__(f"channel {channel}: {message}")
+
+
 class UnsupportedFormatError(ImpforecastError):
     pass

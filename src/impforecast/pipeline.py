@@ -39,7 +39,13 @@ from .domain import (
     kind_index,
     label_vector,
 )
-from .errors import AllCandidatesFailedError, CohortValidationError, FitError, TooSmallError
+from .errors import (
+    AllCandidatesFailedError,
+    CohortValidationError,
+    FitError,
+    NonFiniteOutputError,
+    TooSmallError,
+)
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 # The report document lives in ``report``; its JSON functions stay importable from here.
@@ -295,16 +301,25 @@ def predict_batch(bundle: ModelBundle, cohort: Cohort) -> np.ndarray:
     Each feature group's matrix is built once and each channel's estimator
     predicts the whole batch in one call. Every estimator computes a row
     on its own, so a patient's prediction does not depend on the other
-    patients in the batch.
+    patients in the batch. Raises NonFiniteOutputError, naming the first
+    such channel, if a prediction is NaN or infinite.
     """
     bundle.check_complete()
     features = {}
     out = np.empty((len(cohort), len(CHANNELS)), dtype=float)
-    for column, channel in enumerate(CHANNELS):
-        m = bundle.model_for(channel)
-        if m.group not in features:
-            features[m.group] = feature_matrix(cohort, m.group)
-        out[:, column] = m.estimator.predict(features[m.group])
+    with np.errstate(all="ignore"):  # a non-finite output is raised below, not warned about
+        for column, channel in enumerate(CHANNELS):
+            m = bundle.model_for(channel)
+            if m.group not in features:
+                features[m.group] = feature_matrix(cohort, m.group)
+            out[:, column] = m.estimator.predict(features[m.group])
+            bad = len(cohort) - np.count_nonzero(np.isfinite(out[:, column]))
+            if bad:
+                raise NonFiniteOutputError(
+                    channel,
+                    f"the {m.kind.value} {m.group.value} model predicts NaN or infinity for "
+                    f"{bad} of {len(cohort)} patients",
+                )
     return out
 
 

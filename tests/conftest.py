@@ -1,3 +1,8 @@
+import ast
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,35 @@ from impforecast.domain import (
     label_vector,
     published_range,
 )
+
+
+def pytest_report_header(config):
+    """The host's numeric kernels, which the golden pins depend on: numpy's
+    SIMD extensions and its BLAS, from ``np.show_runtime()``. Without
+    threadpoolctl that names no BLAS kernel, so the BLAS numpy was built
+    with is named instead."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        np.show_runtime()
+    text = out.getvalue()
+    simd = re.search(r"'simd_extensions': (\{[^{}]*\})", text)
+    if simd:
+        ext = {key: " ".join(names) or "-" for key, names in ast.literal_eval(simd.group(1)).items()}
+        lines = [f"numpy {np.__version__} SIMD: baseline {ext['baseline']}; found {ext['found']}; "
+                 f"not found {ext['not_found']}"]
+    else:
+        lines = [f"numpy {np.__version__} runtime: {' '.join(text.split())}"]
+    kernels = re.findall(r"'architecture': '([^']*)'", text)
+    if kernels:
+        lines.append(f"BLAS kernel at run time: {', '.join(kernels)}")
+    else:
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            lines.append(f"BLAS built: {blas['name']} {blas['version']} "
+                         f"({' '.join(blas.get('openblas configuration', '').split())})")
+        except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+            pass
+    return lines
 
 
 def build_linear_cohort(n: int, seed: int, sigma: float = 0.1) -> Cohort:

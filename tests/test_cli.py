@@ -406,6 +406,32 @@ class TestPredict:
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("probe", ["huge_weights", "huge_cell"])
+    def test_non_finite_prediction_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
+        """Finite numbers whose products overflow: 1.7e308 as channel 2's BLR
+        G2 weights, or as an age under channel 1's LR G1 slope of 10."""
+        doc = json.loads(bundle_to_json(mixed_bundle))
+        lr_g1, blr_g2 = doc["models"][0], doc["models"][1]
+        assert (lr_g1["kind"], lr_g1["group"], blr_g2["kind"], blr_g2["group"]) == ("LR", "G1", "BLR", "G2")
+        data = cohort_csv
+        if probe == "huge_weights":
+            blr_g2["params"]["weights"] = [1.7e308] * 13
+            blr_g2["params"]["intercept"] = 1.7e308
+            channel = 2
+        else:
+            lr_g1["params"]["weights"] = [10.0]
+            data = tmp_path / "huge.csv"
+            header, first, *rest = cohort_csv.read_text().splitlines()
+            data.write_text("\n".join([header, "1.7e308" + first[first.index(","):], *rest]) + "\n")
+            channel = 1
+        models, out = tmp_path / "models.json", tmp_path / "p.csv"
+        models.write_text(json.dumps(doc))
+        code = run(["predict", "--models", str(models), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: channel {channel}: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_header_only_csv_writes_header(self, tmp_path, mixed_bundle):
         models, data, out = tmp_path / "models.json", tmp_path / "empty.csv", tmp_path / "p.csv"
         models.write_text(bundle_to_json(mixed_bundle))

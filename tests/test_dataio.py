@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +176,93 @@ def test_serialize_parse_round_trip_keeps_the_bytes(cohort):
     if cohort.labeled:
         assert again.labels.tobytes() == cohort.labels.tobytes()
     assert again == cohort
+
+
+
+# --- the column-wise parse against a per-cell reference -------------------------
+
+COLUMNS = ("age",) + tuple(f"ei_intra_{c}" for c in CHANNELS)
+LABELS = tuple(f"ei_1m_{c}" for c in CHANNELS)
+# cells a spreadsheet or a hand edit may leave: blanks, padding, special
+# floats, out-of-range values and text float() reads or refuses
+ODD_CELLS = ("", " ", "  5.0", "5.0 ", "\t7.5\t", "nan", "NaN", "inf", "-inf", "1e999", "1e-999",
+             "0", "0.0", "-1", "1_0", "_1", "abc", "1.7e308", "+3", "5,0", "\x1f4.0")
+
+
+def reference_parse(text):
+    """A cohort CSV with a well-formed header parsed one cell at a time, in
+    file order: its (rows, columns) table, or the first cell's error."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    header = [cell.strip() for cell in rows[0]]
+    columns = COLUMNS + LABELS if LABELS[0] in header else COLUMNS
+    table = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if len(row) > len(header):
+            raise ExtraCellsError(row_no, len(row), len(header))
+        values = []
+        for column in columns:
+            i = header.index(column)
+            cell = row[i].strip() if i < len(row) else ""
+            if not cell:
+                raise BadNumberError(row_no, column, "missing value")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise BadNumberError(row_no, column, f"not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise BadNumberError(row_no, column, f"non-finite value: {cell!r}")
+            if value <= 0:
+                raise NonPositiveError(row_no, column, f"must be > 0, got {cell}")
+            values.append(value)
+        table.append(values)
+    return np.array(table, dtype=float).reshape(len(rows) - 1, len(columns))
+
+
+@st.composite
+def mutated_cohort_csvs(draw):
+    """A cohort CSV, its columns in any order and maybe with an unused one,
+    with odd cells, rows cut short or run long, a byte-order mark and CRLF."""
+    labeled = draw(st.booleans())
+    header = list(draw(st.permutations(COLUMNS + LABELS if labeled else COLUMNS)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "note")
+    n = draw(st.integers(0, 6))
+    values = st.floats(0.1, 50.0).map(repr)
+    rows = [[draw(values) for _ in header] for _ in range(n)]
+    if n:
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, len(header) - 1), st.sampled_from(ODD_CELLS))
+        for r, c, odd in draw(st.lists(cell, max_size=4)):
+            rows[r][c] = odd
+        for r, width in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, len(header) + 2)),
+                                      max_size=2)):
+            rows[r] = (rows[r] + ["9.5"] * 3)[:width]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(row) for row in [header, *rows]) + newline
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_cohort_csvs())
+def test_parse_equals_a_per_cell_reference(text):
+    """The column-wise parse gives every cell the reference's bits, and a
+    file with a bad row or cell the reference's first error."""
+    try:
+        expected = reference_parse(text)
+    except (ExtraCellsError, BadNumberError, NonPositiveError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_cohort_csv(text)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    cohort = parse_cohort_csv(text)
+    parts = [cohort.ages[:, None], cohort.intra] + ([cohort.labels] if cohort.labeled else [])
+    table = np.hstack(parts)
+    assert table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
 
 
 class TestValidate:

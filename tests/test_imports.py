@@ -4,6 +4,8 @@
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
 the estimators; the package's public names load on first access. Only a
 study loads the worker pool's modules: ``predict`` and ``report`` do not.
+A command that loads numpy asks OpenBLAS for one thread first, unless the
+user chose a thread count or numpy is already loaded.
 """
 
 import json
@@ -24,10 +26,18 @@ HEAVY = ("numpy", "impforecast.regressors")
 POOL = ("multiprocessing", "concurrent.futures")
 
 
-def python(*args, cwd=None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports the package from this source tree."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def python(*args, cwd=None, blas_env=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this source tree.
+    With ``blas_env``, its BLAS thread variables are exactly those given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    if blas_env is not None:
+        for name in BLAS_THREAD_VARS:
+            env.pop(name, None)
+        env.update(blas_env)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
     )
@@ -84,6 +94,57 @@ def test_predict_loads_no_pool(tmp_path):
     code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
     assert modules_after(code, POOL) == []
     assert len(out.read_text().splitlines()) == 21
+
+
+def blas_env_after(code: str, blas_env: dict) -> tuple[dict, int | None]:
+    """The BLAS thread variables in ``os.environ`` once ``code`` has run in a
+    fresh interpreter started with exactly ``blas_env`` of them, and the
+    process's thread count (None where /proc is not mounted)."""
+    probe = (
+        f"{code}\nimport json, os\n"
+        "status = '/proc/self/status'\n"
+        "threads = int(open(status).read().split('Threads:')[1].split()[0]) if os.path.exists(status) else None\n"
+        f"print(json.dumps([{{n: os.environ[n] for n in {BLAS_THREAD_VARS!r} if n in os.environ}}, threads]))"
+    )
+    proc = python("-c", probe, blas_env=blas_env)
+    assert proc.returncode == 0, proc.stderr
+    blas, threads = json.loads(proc.stdout.splitlines()[-1])
+    return blas, threads
+
+
+def generate_code(tmp_path) -> str:
+    argv = ["generate", "--n", "5", "--out", str(tmp_path / "c.csv")]
+    return f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
+
+
+def test_cli_runs_openblas_on_one_thread(tmp_path):
+    blas, threads = blas_env_after(generate_code(tmp_path), {})
+    assert blas == {"OPENBLAS_NUM_THREADS": "1"}
+    assert threads in (None, 1)  # OpenBLAS read the variable: it started no pool
+
+
+@pytest.mark.parametrize("user", [{"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "4"},
+                                  {"GOTO_NUM_THREADS": "2"}])
+def test_user_thread_count_is_kept(tmp_path, user):
+    blas, _ = blas_env_after(generate_code(tmp_path), user)
+    assert blas == user
+
+
+def test_empty_thread_variable_is_no_choice(tmp_path):
+    blas, _ = blas_env_after(generate_code(tmp_path), {"OMP_NUM_THREADS": ""})
+    assert blas == {"OMP_NUM_THREADS": "", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_in_process_caller_with_numpy_loaded_is_left_alone(tmp_path):
+    blas, _ = blas_env_after("import numpy\n" + generate_code(tmp_path), {})
+    assert blas == {}
+
+
+def test_light_commands_set_no_thread_count(saved_report):
+    argv = ["report", "--in", str(saved_report), "--format", "csv"]
+    code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
+    blas, _ = blas_env_after(code, {})
+    assert blas == {}
 
 
 def test_study_loads_the_estimators():

@@ -9,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impforecast import load_bundle, predict_batch, predict_one, save_bundle
+from impforecast import (
+    ChannelModel,
+    ModelBundle,
+    generate_synthetic_cohort,
+    load_bundle,
+    predict_batch,
+    predict_one,
+    save_bundle,
+)
 from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, Cohort, ModelKind
+from impforecast.errors import NonFiniteOutputError
 from impforecast.regressors.neural import unpack_params
 
 # ages in years and impedances in kOhm, a little beyond the synthetic ranges
@@ -70,6 +79,43 @@ def test_predict_batch_equals_predict_one_row_by_row(mixed_bundle, cohort):
 
 def test_empty_cohort_predicts_no_rows(mixed_bundle):
     assert predict_batch(mixed_bundle, Cohort(np.empty(0), np.empty((0, 12)))).shape == (0, len(CHANNELS))
+
+
+def with_params(bundle: ModelBundle, channel: int, **params) -> ModelBundle:
+    """``bundle`` with some fitted parameters of one channel's model replaced."""
+    models = []
+    for m in bundle.models:
+        if m.channel == channel:
+            doc = m.to_dict()
+            doc["params"].update(params)
+            m = ChannelModel.from_dict(doc)
+        models.append(m)
+    return ModelBundle(models=tuple(models))
+
+
+def test_overflowing_model_is_a_data_error_naming_its_channel(mixed_bundle):
+    """Finite but huge weights (channel 2 is BLR G2) overflow every
+    prediction: a typed error, and no numpy warning on the way."""
+    bundle = with_params(mixed_bundle, 2, weights=[1.7e308] * 13, intercept=1.7e308)
+    cohort = generate_synthetic_cohort(20, 4)
+    pattern = r"^channel 2: the BLR G2 model predicts NaN or infinity for \d+ of 20 patients$"
+    with pytest.raises(NonFiniteOutputError, match=pattern) as raised:
+        predict_batch(bundle, cohort)
+    assert raised.value.channel == 2
+    with pytest.raises(NonFiniteOutputError, match=pattern.replace("20", "1")):
+        predict_one(bundle, cohort.take([0]))
+
+
+def test_huge_cohort_cell_is_a_data_error(mixed_bundle):
+    """A finite age of 1.7e308 years times a slope of 10 kOhm per year
+    (channel 1 is LR G1) overflows that patient's prediction only."""
+    bundle = with_params(mixed_bundle, 1, weights=[10.0])
+    cohort = generate_synthetic_cohort(5, 4)
+    assert np.isfinite(predict_batch(bundle, cohort)).all()
+    ages = cohort.ages.copy()
+    ages[3] = 1.7e308
+    with pytest.raises(NonFiniteOutputError, match=r"^channel 1: the LR G1 model .* for 1 of 5 patients$"):
+        predict_batch(bundle, Cohort(ages, cohort.intra))
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.BLR, ModelKind.NNR], ids=lambda k: k.value)
