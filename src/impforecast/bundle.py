@@ -9,23 +9,15 @@ is bit-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .checks import is_count, loaded_rmse
+from .checks import loaded_rmse, repeated
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
-from .textio import decode, read_text, write_text
+from .textio import check_version, dump_json, load_json, read_text, write_text
 
 BUNDLE_FORMAT_VERSION = 1
-
-
-def _current_format(doc) -> bool:
-    """``doc`` is a JSON object whose ``format_version`` is the integer
-    BUNDLE_FORMAT_VERSION: ``true`` and ``1.0`` are refused."""
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    return is_count(version) and version == BUNDLE_FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -58,12 +50,7 @@ class ChannelModel:
         """Raises IncompatibleBundleError on a missing key, a value of the
         wrong type, a non-finite number, a channel outside 1..12, a negative
         ``rmse``, or a standardizer whose width is not the feature group's."""
-        if not _current_format(d):
-            raise IncompatibleBundleError(
-                f"unsupported model format_version {d.get('format_version')!r}"
-                if isinstance(d, dict)
-                else "a model entry must be a JSON object"
-            )
+        check_version(d, "model", BUNDLE_FORMAT_VERSION)
         try:
             channel = check_channel(d["channel"])
             kind = ModelKind(d["kind"])
@@ -111,20 +98,13 @@ def bundle_to_json(bundle: ModelBundle) -> str:
         "format_version": BUNDLE_FORMAT_VERSION,
         "models": [m.to_dict() for m in sorted(bundle.models, key=lambda m: m.channel)],
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return dump_json(doc)
 
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:
-    try:
-        doc = json.loads(decode(text))
-    except json.JSONDecodeError as exc:
-        raise IncompatibleBundleError(f"not valid JSON: {exc}") from exc
-    if not _current_format(doc):
-        raise IncompatibleBundleError(
-            f"unsupported bundle format_version {doc.get('format_version')!r}"
-            if isinstance(doc, dict)
-            else "bundle document must be a JSON object"
-        )
+    """Raises IncompatibleBundleError unless ``text`` is a bundle (strict
+    JSON, see ``textio.load_json``) with at most one model per channel."""
+    doc = load_json(text, "bundle", BUNDLE_FORMAT_VERSION)
     models = doc.get("models")
     if not isinstance(models, list):
         raise IncompatibleBundleError("bundle 'models' must be a list")
@@ -134,11 +114,9 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
             loaded.append(ChannelModel.from_dict(entry))
         except IncompatibleBundleError as exc:
             raise IncompatibleBundleError(f"models[{i}]: {exc}") from None
-    channels = [m.channel for m in loaded]
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
+    if twice := repeated(m.channel for m in loaded):
         raise IncompatibleBundleError(
-            "bundle has more than one model for channel(s): " + ", ".join(map(str, repeated))
+            "bundle has more than one model for channel(s): " + ", ".join(map(str, twice))
         )
     return ModelBundle(models=tuple(loaded))
 

@@ -7,6 +7,7 @@ Pure Python, so the report reader can use them without loading numpy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 def require(ok: bool, key: str, rule: str, value) -> None:
@@ -23,6 +24,11 @@ def is_number(value) -> bool:
 def is_count(value) -> bool:
     """An int; bools are refused."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def repeated(values) -> list:
+    """The values that occur more than once in ``values``, ascending."""
+    return sorted(value for value, n in Counter(values).items() if n > 1)
 
 
 def loaded_rmse(value) -> float:

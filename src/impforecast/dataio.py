@@ -20,6 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .checks import repeated
 from .domain import CHANNELS, Cohort, N_CHANNELS, published_range
 from .errors import (
     BadNumberError,
@@ -98,9 +99,8 @@ def parse_cohort_csv(text: str | bytes) -> Cohort:
     if not rows:
         raise EmptyFileError("no header row found")
     header = [cell.strip() for cell in rows[0]]
-    repeated = sorted({name for name in header if name and header.count(name) > 1})
-    if repeated:
-        raise DuplicateColumnError(repeated)
+    if twice := repeated([name for name in header if name]):
+        raise DuplicateColumnError(twice)
     position = {name: i for i, name in enumerate(header)}
 
     missing_base = [c for c in BASE_COLUMNS if c not in position]

@@ -139,7 +139,7 @@ class AllCandidatesFailedError(ImpforecastError):
 
 
 class IncompatibleBundleError(DataInputError):
-    pass
+    """A persisted study report or model bundle that is not well formed."""
 
 
 class NonFiniteOutputError(DataInputError):

@@ -14,10 +14,9 @@ adding already-rounded cells.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .checks import is_count, loaded_rmse, require
+from .checks import is_count, loaded_rmse, repeated, require
 from .domain import KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
 from .errors import (
     EmptyInputError,
@@ -26,7 +25,7 @@ from .errors import (
     MetricError,
     UnsupportedFormatError,
 )
-from .textio import decode
+from .textio import dump_json, load_json
 
 REPORT_FORMAT_VERSION = 1
 FORMATS = ("text", "csv", "json")
@@ -141,35 +140,14 @@ def report_to_json(report: StudyReport) -> str:
         ],
         "histogram": report.histogram,
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _finite_number(token: str) -> float:
-    """JSON parse hook for number tokens and NaN/Infinity: the finite float,
-    else ValueError, so every number read can be written back as JSON."""
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token} is not a finite number")
-    return value
+    return dump_json(doc)
 
 
 def report_from_json(text: str | bytes) -> StudyReport:
-    """Raises IncompatibleBundleError unless ``text`` is standard JSON with
-    finite numbers, and a report of the current format whose ``entries``
-    are well formed (at most one per channel 1..12, ``rmse`` >= 0), whose
-    ``histogram`` counts the entries' kinds and whose ``config`` is an
-    object."""
-    try:
-        doc = json.loads(decode(text), parse_float=_finite_number, parse_constant=_finite_number)
-    except ValueError as exc:  # a JSONDecodeError or a non-finite number
-        raise IncompatibleBundleError(f"report is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise IncompatibleBundleError("report document must be a JSON object")
-    version = doc.get("format_version")
-    if not (is_count(version) and version == REPORT_FORMAT_VERSION):  # not true, not 1.0
-        raise IncompatibleBundleError(
-            f"unsupported report format_version {version!r}"
-        )
+    """Raises IncompatibleBundleError unless ``text`` is a report (strict JSON,
+    see ``textio.load_json``) with at most one well-formed entry per channel,
+    a ``histogram`` of the entries' kinds and an object as ``config``."""
+    doc = load_json(text, "report", REPORT_FORMAT_VERSION)
     try:
         entries = tuple(
             SelectionEntry(
@@ -186,11 +164,9 @@ def report_from_json(text: str | bytes) -> StudyReport:
         raise IncompatibleBundleError(f"report lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
         raise IncompatibleBundleError(f"malformed report: {exc}") from None
-    channels = [e.channel for e in entries]
-    repeated = sorted({c for c in channels if channels.count(c) > 1})
-    if repeated:
+    if twice := repeated(e.channel for e in entries):
         raise IncompatibleBundleError(
-            "report has more than one entry for channel(s): " + ", ".join(map(str, repeated))
+            "report has more than one entry for channel(s): " + ", ".join(map(str, twice))
         )
     expected = histogram_of_kinds(e.kind for e in entries)
     # only a dict equals ``expected``; == takes true and 1.0 for 1, so the counts' types are checked too

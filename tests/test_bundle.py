@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from impforecast.bundle import (
+    ChannelModel,
     ModelBundle,
     bundle_from_json,
     bundle_to_json,
@@ -76,3 +78,28 @@ def test_incomplete_bundle_detected(fitted):
 def test_not_json_rejected():
     with pytest.raises(IncompatibleBundleError):
         bundle_from_json("not json at all {")
+
+
+@pytest.mark.parametrize(
+    "channel, path",
+    [
+        (1, ("params", "weights", 0)),
+        (2, ("params", "alpha_posterior")),
+        (3, ("params", "trees", 0, "threshold", 0)),
+        (4, ("params", "trees", 0, "value", -1)),
+        (5, ("params", "w1", 0, 0)),
+        (5, ("hyper", "step")),
+        (6, ("standardizer", "stdevs", 0)),
+        (6, ("rmse",)),
+    ],
+)
+def test_in_memory_model_with_nan_is_refused(mixed_bundle, channel, path):
+    """A bundle file with NaN is refused while it parses, so only a dict
+    built in memory reaches the finiteness checks of ``from_dict``."""
+    doc = copy.deepcopy(mixed_bundle.models[channel - 1].to_dict())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float("nan")
+    with pytest.raises(IncompatibleBundleError):
+        ChannelModel.from_dict(doc)

@@ -406,6 +406,22 @@ class TestPredict:
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"format_version": 1, "models": [%s]}' % ("9" * 5000), "[" * 100_000 + "]" * 100_000],
+        ids=["long_integer", "deep_nesting"],
+    )
+    def test_unparsable_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, text):
+        """Raw text: ``json.dumps`` would refuse the integer and recurse on the nesting."""
+        models, out = tmp_path / "models.json", tmp_path / "p.csv"
+        models.write_text(text)
+        code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: bundle is not valid JSON: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("probe", ["huge_weights", "huge_cell"])
     def test_non_finite_prediction_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
         """Finite numbers whose products overflow: 1.7e308 as channel 2's BLR
@@ -507,13 +523,16 @@ class TestReport:
             REPORT_TEMPLATE.replace('"config": {}', '"config": [["seed", 1]]') % ENTRY_TEMPLATE % 1,
             REPORT_TEMPLATE.replace('"format_version": 1', '"format_version": true') % ENTRY_TEMPLATE % 1,
             REPORT_TEMPLATE.replace('"format_version": 1', '"format_version": 1.0') % ENTRY_TEMPLATE % 1,
+            bad_entry('"n_test": 1', '"n_test": ' + "9" * 5000),
+            "[" * 100_000 + "]" * 100_000,
         ],
         ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
              "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
              "fractional_count", "negative_count", "bool_n_test", "string_n_test", "nan_config",
              "negative_rmse", "histogram_of_strings", "histogram_bool_count",
              "histogram_float_count", "histogram_wrong_kind", "histogram_missing_kinds",
-             "histogram_pairs", "config_pairs", "bool_format_version", "float_format_version"],
+             "histogram_pairs", "config_pairs", "bool_format_version", "float_format_version",
+             "long_integer", "deep_nesting"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

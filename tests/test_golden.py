@@ -6,6 +6,12 @@ in CHANGES.md. The study pins use criterion 9's fast hyperparameters; on
 synthetic cohorts the study rarely selects a tree or network model, so the
 tree ensembles and the network are also pinned on their own: their bundle
 JSON and their predictions (for the trees, also one row at a time).
+
+The pins hold on x86-64 with AVX2, where numpy runs its ``X86_V3`` loops
+or better: the network's ``np.tanh`` gives other bits without them. CI
+checks this with numpy's AVX-512 loops switched off. The study and network
+pins also pass through OpenBLAS, whose kernel is picked from the CPU.
+aarch64, hosts without AVX2 and other numpy versions are not verified.
 """
 
 import hashlib
