@@ -32,7 +32,7 @@ class ChannelModel:
 
     def to_dict(self) -> dict:
         params = dict(self.estimator.get_params())
-        seed = params.pop("seed", 0)
+        seed = params.pop("seed")
         return {
             "format_version": BUNDLE_FORMAT_VERSION,
             "channel": self.channel,
@@ -61,7 +61,7 @@ class ChannelModel:
                     f"group {group.value} has {group.dimension} features but the "
                     f"standardizer has {standardizer.means_.shape[0]}"
                 )
-            estimator = ESTIMATOR_CLASSES[kind](seed=d.get("seed", 0), **d["hyper"])
+            estimator = ESTIMATOR_CLASSES[kind](seed=d["seed"], **d["hyper"])
             estimator.load_fitted_params(d["params"], standardizer)
             rmse = loaded_rmse(d["rmse"])
         except KeyError as exc:

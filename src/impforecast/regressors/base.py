@@ -15,7 +15,7 @@ training matrix X with its target columns, it checks the inputs and fits
 one ``Standardizer`` on X, then hands every part's standardized matrix and
 accepted columns to the kind's ``_fit_parts``. That calls ``_fit_columns``
 part by part, unless the kind trains the parts together, as the network
-does. ``fit_columns`` is the one-part case and ``fit`` the one-column one.
+does. ``fit`` is the case of one part of one column.
 """
 
 from __future__ import annotations
@@ -192,34 +192,24 @@ class BaseRegressor:
     # benchmark reads a trace that the package writes itself.
 
     def fit(self, X, y):
-        """``fit_columns`` on the one column ``y``. Returns the estimator, or
-        raises the FitError of its column."""
-        (outcome,) = type(self).fit_columns([self], X, as_vector(y)[:, None])
+        """``fit_parts`` of one part, the one column ``y``. Returns the
+        estimator, or raises the FitError of its column."""
+        ((outcome,),) = type(self).fit_parts([([self], X, as_vector(y)[:, None])])
         if isinstance(outcome, FitError):
             raise outcome
         return self
 
     @classmethod
-    def fit_columns(cls, estimators, X, Y) -> list:
-        """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of Y.
-
-        Returns, per column, the fitted estimator or the FitError of its
-        column. A column that ``check_fit_inputs`` rejects gets that error.
-        The estimators of the other columns must differ only in ``seed``
-        (else ValueError); they share one Standardizer fit on X, each with
-        the bits of a fit on its column alone. This is ``fit_parts`` of one
-        part.
-        """
-        (outcomes,) = cls.fit_parts([(estimators, X, Y)])
-        return outcomes
-
-    @classmethod
     def fit_parts(cls, parts) -> list:
-        """``fit_columns`` of every ``(estimators, X, Y)`` part, all in one
-        ``_fit_parts`` call: per part, the list of its columns' outcomes.
+        """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of
+        every ``(estimators, X, Y)`` part, all in one ``_fit_parts`` call.
 
-        The estimators of every part's accepted columns must differ only in
-        ``seed`` (else ValueError). Each part has its own Standardizer.
+        Returns, per part, the list of its columns' outcomes: the fitted
+        estimator or the FitError of its column. A column that
+        ``check_fit_inputs`` rejects gets that error. The estimators of
+        every part's other columns must differ only in ``seed`` (else
+        ValueError). Each part has its own Standardizer fit on its X, and
+        each column the bits of a fit on it alone.
         """
         outcomes, live = [], []
         for estimators, X, Y in parts:

@@ -350,6 +350,7 @@ class TestPredict:
             "unknown_hyper",
             "hidden_units_not_w1_width",
             "no_final_loss",
+            "no_seed",
             "bool_format_version",
             "float_model_format_version",
             "negative_rmse",
@@ -392,6 +393,8 @@ class TestPredict:
             nnr["hyper"]["hidden_units"] += 1
         elif probe == "no_final_loss":
             del nnr["params"]["final_loss"]
+        elif probe == "no_seed":
+            del nnr["seed"]
         elif probe == "bool_format_version":
             doc["format_version"] = True
         elif probe == "float_model_format_version":
@@ -725,12 +728,14 @@ def test_random_invalid_hypers_exit_1(twenty_patients, data):
 
 # --- random bundle corruptions -----------------------------------------------------
 
-# Replacements for one value of a bundle: every kind of wrong type, a
-# non-finite number, and numbers outside any range a field allows.
+# Replacements for one value of a bundle: every kind of wrong type, null
+# and empty containers, and numbers outside any range a field allows. All
+# of them parse, so each reaches the bundle's model reader; the parser's
+# refusal of non-finite tokens is tested in test_textio.py.
 CORRUPTIONS = {
     "string": st.sampled_from(["", "1", "1e-8", "nan", "G1", "LR"]),
     "bool": st.booleans(),
-    "nan": st.just(float("nan")),
+    "empty": st.one_of(st.none(), st.builds(list), st.builds(dict)),
     "negative": st.one_of(st.integers(-(10**6), -1), st.floats(-1e6, -1e-9)),
     "huge": st.sampled_from([10**30, 2**64, 1e300, -1e300]),
 }

@@ -1,6 +1,6 @@
 """Contract shared by all five regressors: estimator params surface,
-input validation, determinism, empty-input prediction, and ``fit_columns``
-against lone fits."""
+input validation, determinism, empty-input prediction, and ``fit_parts``
+of several columns against lone fits."""
 
 import numpy as np
 import pytest
@@ -136,7 +136,7 @@ def test_fit_columns_matches_lone_fits(kind, columns, n, d, data_seed):
     Y = rng.normal(loc=8.0, scale=2.0, size=(n, columns))
     seeds = rng.choice(2**31, size=columns, replace=False).tolist()
     estimators = [make_regressor(kind, FAST, seed=s) for s in seeds]
-    together = ESTIMATOR_CLASSES[kind].fit_columns(estimators, X, Y)
+    (together,) = ESTIMATOR_CLASSES[kind].fit_parts([(estimators, X, Y)])
     assert all(joint is estimator for joint, estimator in zip(together, estimators))
     for joint, lone in zip(together, lone_fits(kind, X, Y, seeds)):
         assert_same_fit(joint, lone, X)
@@ -148,8 +148,8 @@ def test_fit_columns_records_a_bad_column(kind):
     Y = np.column_stack([problem(seed=s)[1] for s in range(3)])
     Y[4, 1] = np.nan
     seeds = [3, 4, 5]
-    together = ESTIMATOR_CLASSES[kind].fit_columns(
-        [make_regressor(kind, FAST, seed=s) for s in seeds], X, Y
+    (together,) = ESTIMATOR_CLASSES[kind].fit_parts(
+        [([make_regressor(kind, FAST, seed=s) for s in seeds], X, Y)]
     )
     assert isinstance(together[1], DegenerateInputError)
     lone = lone_fits(kind, X, Y, seeds)
@@ -163,7 +163,7 @@ def test_fit_columns_needs_shared_hyperparameters(kind):
     first = make_regressor(kind, FAST, seed=1)
     second = make_regressor(kind, FAST, seed=2).set_params(**OTHER_HYPER[kind])
     with pytest.raises(ValueError, match="differ only in seed"):
-        ESTIMATOR_CLASSES[kind].fit_columns([first, second], X, np.column_stack([y, y]))
+        ESTIMATOR_CLASSES[kind].fit_parts([([first, second], X, np.column_stack([y, y]))])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -176,8 +176,8 @@ class TestFitColumns:
         Y[:, 3] *= 100.0  # channel 4
         hyper = dict(epochs=300, step=0.2)
         seeds = list(CHANNELS)
-        together = NeuralNetRegressor.fit_columns(
-            [NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y
+        (together,) = NeuralNetRegressor.fit_parts(
+            [([NeuralNetRegressor(seed=s, **hyper) for s in seeds], X, Y)]
         )
         lone = fit_lone(X, Y, seeds, **hyper)
         assert isinstance(together[3], NonFiniteLossError)
@@ -189,8 +189,8 @@ class TestFitColumns:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2))
         Y = rng.normal(size=(20, 3))
-        outcomes = NeuralNetRegressor.fit_columns(
-            [NeuralNetRegressor(step=1e4, epochs=200, seed=s) for s in range(3)], X, Y
+        (outcomes,) = NeuralNetRegressor.fit_parts(
+            [([NeuralNetRegressor(step=1e4, epochs=200, seed=s) for s in range(3)], X, Y)]
         )
         assert all(isinstance(o, NonFiniteLossError) for o in outcomes)
 
@@ -199,8 +199,8 @@ class TestFitColumns:
         X = rng.normal(size=(12, 1))
         Y = rng.normal(size=(12, 2))
         Y[0, 0] = np.nan
-        first, second = NeuralNetRegressor.fit_columns(
-            [NeuralNetRegressor(epochs=20, seed=s) for s in (1, 2)], X, Y
+        ((first, second),) = NeuralNetRegressor.fit_parts(
+            [([NeuralNetRegressor(epochs=20, seed=s) for s in (1, 2)], X, Y)]
         )
         assert isinstance(first, DegenerateInputError)
         assert_same_network(second, NeuralNetRegressor(epochs=20, seed=2).fit(X, Y[:, 1]), X)
@@ -208,10 +208,12 @@ class TestFitColumns:
     def test_networks_must_share_hyperparameters(self):
         X, Y = np.ones((4, 1)), np.ones((4, 2))
         with pytest.raises(ValueError):
-            NeuralNetRegressor.fit_columns(
-                [NeuralNetRegressor(epochs=5), NeuralNetRegressor(epochs=6)], X, Y
+            NeuralNetRegressor.fit_parts(
+                [([NeuralNetRegressor(epochs=5), NeuralNetRegressor(epochs=6)], X, Y)]
             )
 
     def test_one_estimator_per_column(self):
         with pytest.raises(DimensionMismatchError):
-            NeuralNetRegressor.fit_columns([NeuralNetRegressor()], np.ones((4, 1)), np.ones((4, 2)))
+            NeuralNetRegressor.fit_parts(
+                [([NeuralNetRegressor()], np.ones((4, 1)), np.ones((4, 2)))]
+            )

@@ -4,11 +4,11 @@ The reference study below is meant to be obviously correct. For every
 channel and candidate it makes a fresh estimator, fits it alone on that
 channel's column, predicts, scores, and takes the argmin in candidate
 order; nested selection does the same on the channel's inner split, then
-refits the winner on the whole training split. It makes no multi-column
-``fit_columns`` call, opens no worker pool and shares no standardizer. So
-every fast layer of ``run_study`` (channels batched per call, a round's
-networks trained as one block, the forest's level-synchronous grower, the
-boosting memo, the pool and its merge) is
+refits the winner on the whole training split. Every fit is a lone
+``fit``: it trains no columns together, opens no worker pool and shares no
+standardizer. So every fast layer of ``run_study`` (channels batched per
+call, a round's networks trained as one block, the forest's
+level-synchronous grower, the boosting memo, the pool and its merge) is
 checked against lone fits, byte for byte, on the report and bundle JSON.
 """
 

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel
@@ -349,8 +349,19 @@ def memo_sequences(draw):
     return X, stages
 
 
+def _depths_one_three_one():
+    """One target grown at max_depth 1, then 3, then 1 again: the second
+    tree splits the children that the first made as leaves, and the third
+    reaches them again as leaves."""
+    data = np.random.default_rng(5)
+    X = data.integers(0, 4, size=(24, 3)).astype(float)
+    y = data.normal(size=24)
+    return X, [(y, 1, 1), (y, 3, 1), (y, 1, 1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(memo_sequences())
+@example(_depths_one_three_one())
 def test_trees_on_one_memo_match_reference(problem):
     # Later trees reuse the nodes that earlier trees put in the memo; each
     # must still equal a tree grown from nothing.
@@ -430,8 +441,8 @@ def forest_columns(draw):
 @given(forest_columns())
 def test_forest_fit_columns_matches_lone_fits(problem):
     X, Y, seeds, hyper, bad = problem
-    together = DecisionForestRegressor.fit_columns(
-        [DecisionForestRegressor(seed=s, **hyper) for s in seeds], X, Y
+    (together,) = DecisionForestRegressor.fit_parts(
+        [([DecisionForestRegressor(seed=s, **hyper) for s in seeds], X, Y)]
     )
     assert len(together) == len(seeds)
     Xq = np.vstack([X, np.random.default_rng(0).normal(scale=2.0, size=(7, X.shape[1]))])
@@ -451,8 +462,8 @@ def test_forest_fit_columns_matches_lone_fits(problem):
 def test_forest_fit_columns_needs_shared_hyperparameters():
     X, Y = np.ones((4, 1)), np.ones((4, 2))
     with pytest.raises(ValueError):
-        DecisionForestRegressor.fit_columns(
-            [DecisionForestRegressor(trees=5), DecisionForestRegressor(trees=6)], X, Y
+        DecisionForestRegressor.fit_parts(
+            [([DecisionForestRegressor(trees=5), DecisionForestRegressor(trees=6)], X, Y)]
         )
 
 
