@@ -20,7 +20,6 @@ _EXPORTS = {
     "bundle": ("ChannelModel", "ModelBundle", "bundle_from_json", "bundle_to_json", "load_bundle", "save_bundle"),
     "dataio": (
         "SplitSpec",
-        "ValidationReport",
         "generate_synthetic_cohort",
         "parse_cohort_csv",
         "serialize_cohort_csv",

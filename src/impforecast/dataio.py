@@ -1,5 +1,5 @@
-"""Cohort CSV ingestion/serialization, range validation, synthetic cohort
-generation, and seeded train/test splitting.
+"""Cohort CSV ingestion/serialization, published-range warnings, synthetic
+cohort generation, and seeded train/test splitting.
 
 CSV schema (one row per patient, comma separated, decimal point, LF or
 CRLF, UTF-8 with or without a byte-order mark):
@@ -20,8 +20,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .checks import repeated
-from .domain import CHANNELS, Cohort, N_CHANNELS, published_range
+from .checks import is_count, is_number, repeated, require
+from .domain import ALL_COLUMNS, BASE_COLUMNS, CHANNELS, LABEL_COLUMNS, Cohort, N_CHANNELS, published_range
 from .errors import (
     BadNumberError,
     CsvSyntaxError,
@@ -36,31 +36,20 @@ from .errors import (
 )
 from .textio import decode
 
-AGE_COLUMN = "age"
-INTRA_COLUMNS = tuple(f"ei_intra_{c}" for c in CHANNELS)
-LABEL_COLUMNS = tuple(f"ei_1m_{c}" for c in CHANNELS)
-BASE_COLUMNS = (AGE_COLUMN,) + INTRA_COLUMNS
-ALL_COLUMNS = BASE_COLUMNS + LABEL_COLUMNS
-
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Held-out split: ``round(n * test_fraction)`` rows go to test."""
+    """Held-out split: ``round(n * test_fraction)`` rows go to test. The
+    constructor raises ValueError unless ``seed`` is an integer >= 0 and
+    ``test_fraction`` is finite and in (0, 1)."""
 
     test_fraction: float = 0.30
     seed: int = 42
 
-
-@dataclass
-class ValidationReport:
-    """Structural errors block training; range warnings never do."""
-
-    errors: list[tuple[int, str, str]]
-    warnings: list[tuple[int, str, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+    def __post_init__(self):
+        f = self.test_fraction
+        require(is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
+        require(is_number(f) and 0 < f < 1, "test_fraction", "finite and in (0, 1)", f)
 
 
 def _parse_cell(raw: str, row: int, column: str) -> float:
@@ -152,51 +141,37 @@ def _raise_first_bad_cell(
     raise AssertionError("a cohort table was refused but no cell of it is bad")
 
 
-def _csv_table(cohort: Cohort) -> tuple[tuple[str, ...], np.ndarray]:
-    """The cohort's CSV columns and its (n, len(columns)) table of values."""
-    if not cohort.labeled:
-        return BASE_COLUMNS, np.column_stack([cohort.ages, cohort.intra])
-    return ALL_COLUMNS, np.column_stack([cohort.ages, cohort.intra, cohort.labels])
-
-
 def serialize_cohort_csv(cohort: Cohort) -> str:
     """Render a cohort back to CSV.
 
     Floats use their shortest round-trip representation so that
     parse(serialize(parse(text))) is exact.
     """
-    columns, table = _csv_table(cohort)
+    columns = ALL_COLUMNS if cohort.labeled else BASE_COLUMNS
+    table = np.column_stack([a for a in (cohort.ages, cohort.intra, cohort.labels) if a is not None])
     lines = [",".join(columns)] + [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def validate_cohort(cohort: Cohort) -> ValidationReport:
-    """Structural errors plus published-range warnings for labels.
+def validate_cohort(cohort: Cohort) -> list[tuple[int, str, str]]:
+    """The labels outside their channel's published [min, max], as
+    ``(row, column, message)`` warnings sorted by row, then column name;
+    an unlabeled cohort has none.
 
-    Labels outside a channel's published [min, max] warn rather than fail:
-    the bounds describe one cohort, not a physical limit. The report is
-    sorted by row, then column name, regardless of scan order.
+    Such a label is not an error: the bounds describe one cohort, not a
+    physical limit, and a ``Cohort`` holds only values that are finite
+    and > 0.
     """
-    columns, table = _csv_table(cohort)
-    errors = []
-    for i, j in zip(*np.nonzero(~(np.isfinite(table) & (table > 0)))):
-        value = table[i, j].item()
-        message = f"must be > 0, got {value}" if math.isfinite(value) else f"non-finite value: {value!r}"
-        errors.append((int(i) + 1, columns[j], message))
-
-    warnings = []
-    if cohort.labeled:
-        bounds = [published_range(c) for c in CHANNELS]
-        finite = np.isfinite(cohort.labels)
-        below = finite & (cohort.labels < [b.min for b in bounds])
-        above = finite & (cohort.labels > [b.max for b in bounds])
-        for i, j in zip(*np.nonzero(below)):
-            warnings.append((int(i) + 1, LABEL_COLUMNS[j], f"below published min {bounds[j].min}"))
-        for i, j in zip(*np.nonzero(above)):
-            warnings.append((int(i) + 1, LABEL_COLUMNS[j], f"above published max {bounds[j].max}"))
-
-    key = lambda item: (item[0], item[1])
-    return ValidationReport(errors=sorted(errors, key=key), warnings=sorted(warnings, key=key))
+    if not cohort.labeled:
+        return []
+    bounds = [published_range(c) for c in CHANNELS]
+    below = cohort.labels < [b.min for b in bounds]
+    above = cohort.labels > [b.max for b in bounds]
+    warnings = [(int(i) + 1, LABEL_COLUMNS[j], f"below published min {bounds[j].min}")
+                for i, j in zip(*np.nonzero(below))]
+    warnings += [(int(i) + 1, LABEL_COLUMNS[j], f"above published max {bounds[j].max}")
+                 for i, j in zip(*np.nonzero(above))]
+    return sorted(warnings)
 
 
 # --- synthetic cohort ---------------------------------------------------------
@@ -232,6 +207,7 @@ def generate_synthetic_cohort(n: int, seed: int) -> Cohort:
     """
     if n < 1:
         raise InvalidCountError(f"n must be >= 1, got {n}")
+    require(is_count(seed) and seed >= 0, "seed", "an integer >= 0", seed)
     rng = np.random.default_rng(seed)
     lo = np.array([published_range(c).min for c in CHANNELS])
     hi = np.array([published_range(c).max for c in CHANNELS])
@@ -263,8 +239,6 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
         raise TooSmallError(f"need at least 2 records to split, got {n}")
     if not cohort.labeled:
         raise UnlabeledCohortError("cannot split an unlabeled cohort for training")
-    if not 0.0 < spec.test_fraction < 1.0:
-        raise InvalidCountError(f"test_fraction must be in (0,1), got {spec.test_fraction}")
     n_test = test_count(n, spec.test_fraction)
     perm = np.random.default_rng(spec.seed).permutation(n)
     test_idx = np.sort(perm[:n_test])

@@ -1,8 +1,10 @@
-"""Core value types: the fixed 12-channel schema, published per-channel
-impedance ranges, and feature-vector assembly for the two feature groups.
+"""Core value types: the fixed 12-channel schema and its CSV column names,
+published per-channel impedance ranges, and feature-vector assembly for
+the two feature groups.
 
 All types are immutable values and safe to share between threads.
-Impedances are kilo-ohms throughout; ages are decimal years.
+Impedances are kilo-ohms throughout; ages are decimal years, and a
+``Cohort`` holds only finite values > 0.
 
 The module imports without numpy: only the functions that build arrays
 load it, so code that needs the schema alone (the report reader) stays
@@ -12,11 +14,19 @@ light.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 
+from .errors import BadNumberError, NonPositiveError
+
 N_CHANNELS = 12
 CHANNELS = tuple(range(1, N_CHANNELS + 1))
+
+# A cohort's CSV columns, in the order its values are stored and checked.
+BASE_COLUMNS = ("age",) + tuple(f"ei_intra_{c}" for c in CHANNELS)
+LABEL_COLUMNS = tuple(f"ei_1m_{c}" for c in CHANNELS)
+ALL_COLUMNS = BASE_COLUMNS + LABEL_COLUMNS
 
 
 class ModelKind(enum.Enum):
@@ -86,7 +96,9 @@ class Cohort:
 
     The constructor stores read-only float64 copies, so a cohort is an
     immutable value; two cohorts are equal when their arrays hold the same
-    bytes.
+    bytes. It raises ValueError on a shape mismatch, and BadNumberError
+    (NaN, infinity) or NonPositiveError (<= 0) for the first value, in
+    ``ALL_COLUMNS`` order row by row, that is not finite and > 0.
     """
 
     ages: np.ndarray
@@ -103,6 +115,14 @@ class Cohort:
         object.__setattr__(self, "intra", _frozen("intra", self.intra, rows))
         if self.labels is not None:
             object.__setattr__(self, "labels", _frozen("labels", self.labels, rows))
+        table = np.column_stack([a for a in (self.ages, self.intra, self.labels) if a is not None])
+        bad = ~(np.isfinite(table) & (table > 0))
+        if bad.any():
+            row, column = divmod(int(bad.argmax()), table.shape[1])
+            value = table[row, column].item()
+            if math.isfinite(value):
+                raise NonPositiveError(row + 1, ALL_COLUMNS[column], f"must be > 0, got {value}")
+            raise BadNumberError(row + 1, ALL_COLUMNS[column], f"non-finite value: {value!r}")
 
     @property
     def labeled(self) -> bool:

@@ -34,7 +34,7 @@ class CsvSyntaxError(DataInputError):
 
 
 class _CellError(DataInputError):
-    """Error tied to a (row, column) cell of a cohort CSV."""
+    """Error tied to a cohort cell, named by its row and CSV column."""
 
     def __init__(self, row, column, message):
         self.row = row
@@ -84,18 +84,6 @@ class TooSmallError(DataInputError):
 
 class UnlabeledCohortError(DataInputError):
     pass
-
-
-class CohortValidationError(DataInputError):
-    """Raised when a cohort with validation errors is fed to training."""
-
-    def __init__(self, report):
-        self.report = report
-        lines = "; ".join(
-            f"row {row}, {col}: {msg}" for row, col, msg in report.errors[:5]
-        )
-        more = "" if len(report.errors) <= 5 else f" (+{len(report.errors) - 5} more)"
-        super().__init__(f"cohort failed validation: {lines}{more}")
 
 
 class FitError(ImpforecastError):

@@ -274,49 +274,47 @@ class TestValidate:
 
     def test_boundary_min_is_inclusive(self):
         # published min of channel 1 is 4.48
-        report = validate_cohort(patients(self.label_row({0: 4.48})))
-        assert report.ok and not report.warnings
+        assert not validate_cohort(patients(self.label_row({0: 4.48})))
 
     def test_above_max_warns(self):
-        report = validate_cohort(patients(self.label_row({0: 17.00})))
-        assert report.ok
-        assert len(report.warnings) == 1
-        row, column, message = report.warnings[0]
+        warnings = validate_cohort(patients(self.label_row({0: 17.00})))
+        assert len(warnings) == 1
+        row, column, message = warnings[0]
         assert (row, column) == (1, "ei_1m_1")
         assert "above published max 16.86" in message
 
     def test_below_min_warns(self):
-        report = validate_cohort(patients(self.label_row({9: 1.0})))
-        assert any("below published min" in w[2] for w in report.warnings)
+        warnings = validate_cohort(patients(self.label_row({9: 1.0})))
+        assert any("below published min" in w[2] for w in warnings)
 
     def test_unlabeled_record_has_no_range_warnings(self):
-        report = validate_cohort(Cohort([2.5], [[5.0] * 12]))
-        assert report.ok and not report.warnings
+        assert not validate_cohort(Cohort([2.5], [[5.0] * 12]))
 
     def test_wrong_intra_width_rejected_by_constructor(self):
         with pytest.raises(ValueError):
             Cohort([2.5], [[5.0] * 11])
 
     def test_structural_errors(self):
-        report = validate_cohort(Cohort([float("nan")], [[5.0] * 12]))
-        assert not report.ok
-        assert report.errors == [(1, "age", "non-finite value: nan")]
+        with pytest.raises(BadNumberError) as raised:
+            Cohort([float("nan")], [[5.0] * 12])
+        assert (raised.value.row, raised.value.column) == (1, "age")
+        assert str(raised.value) == "row 1, column 'age': non-finite value: nan"
 
     def test_nonpositive_label_is_error(self):
-        report = validate_cohort(patients(self.label_row({2: -3.0})))
-        assert any(e[1] == "ei_1m_3" for e in report.errors)
-        assert (1, "ei_1m_3", "must be > 0, got -3.0") in report.errors
+        with pytest.raises(NonPositiveError) as raised:
+            patients(self.label_row({2: -3.0}))
+        assert raised.value.column == "ei_1m_3"
+        assert str(raised.value) == "row 1, column 'ei_1m_3': must be > 0, got -3.0"
 
     def test_monotone_in_records(self):
         bad = self.label_row({0: 17.00})
         one = validate_cohort(patients(bad))
         two = validate_cohort(patients(bad, self.label_row()))
-        assert set(one.warnings) <= set(two.warnings)
-        assert set(one.errors) <= set(two.errors)
+        assert set(one) <= set(two)
 
     def test_report_sorted_by_row_then_column(self):
-        report = validate_cohort(patients(self.label_row({9: 1.0, 0: 17.0}), self.label_row({0: 17.0})))
-        assert report.warnings == sorted(report.warnings, key=lambda w: (w[0], w[1]))
+        warnings = validate_cohort(patients(self.label_row({9: 1.0, 0: 17.0}), self.label_row({0: 17.0})))
+        assert warnings == sorted(warnings, key=lambda w: (w[0], w[1]))
 
 
 class TestSyntheticCohort:
@@ -343,12 +341,16 @@ class TestSyntheticCohort:
             assert r > 0.5, f"channel {c} correlation {r:.3f}"
 
     def test_passes_validation_clean(self):
-        report = validate_cohort(generate_synthetic_cohort(120, 5))
-        assert report.ok and not report.warnings
+        assert validate_cohort(generate_synthetic_cohort(120, 5)) == []
 
     def test_rejects_zero_count(self):
         with pytest.raises(InvalidCountError):
             generate_synthetic_cohort(0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_rejects_a_seed_that_is_not_an_integer_ge_0(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            generate_synthetic_cohort(5, seed)
 
     def test_sigma_positive_every_channel(self):
         assert all(synth_sigma(c) > 0 for c in CHANNELS)
@@ -417,6 +419,22 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             split_cohort(generate_synthetic_cohort(1, 1), SplitSpec(0.3, 1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_spec_refuses_a_seed_that_is_not_an_integer_ge_0(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            SplitSpec(0.3, seed)
+
+    @pytest.mark.parametrize("fraction", [0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf, True, "0.3"])
+    def test_spec_refuses_a_fraction_outside_0_1(self, fraction):
+        with pytest.raises(ValueError, match=r"^test_fraction must be finite and in \(0, 1\), got "):
+            SplitSpec(fraction, 1)
+
+    def test_spec_takes_any_integer_seed_ge_0(self):
+        cohort = generate_synthetic_cohort(10, 1)
+        for seed in (0, 2**64 - 1, 2**100):
+            train, test = split_cohort(cohort, SplitSpec(0.3, seed))
+            assert (len(train), len(test)) == (7, 3)
 
     def test_unlabeled_rejected(self):
         with pytest.raises(UnlabeledCohortError):

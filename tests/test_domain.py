@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impforecast.domain import (
     CHANNELS,
@@ -12,6 +16,7 @@ from impforecast.domain import (
     published_range,
     Cohort,
 )
+from impforecast.errors import BadNumberError, NonPositiveError
 
 
 def make_patient(age=2.5, intra=None, labels=None):
@@ -155,7 +160,7 @@ class TestCohort:
                 array[0] = 1.0
 
     def test_take_returns_the_rows_in_order(self):
-        cohort = Cohort([1.0, 2.0, 3.0], np.arange(36.0).reshape(3, 12), np.ones((3, 12)))
+        cohort = Cohort([1.0, 2.0, 3.0], np.arange(1.0, 37.0).reshape(3, 12), np.ones((3, 12)))
         part = cohort.take([2, 0])
         assert part.ages.tolist() == [3.0, 1.0]
         assert part.intra.tolist() == [cohort.intra[2].tolist(), cohort.intra[0].tolist()]
@@ -171,3 +176,48 @@ class TestCohort:
         assert hash(a) == hash(Cohort([2.5], [[5.0] * 12]))
         assert a != Cohort([2.5], [[5.0] * 12], [[5.0] * 12])
         assert a != Cohort([2.6], [[5.0] * 12])
+
+
+CSV_COLUMNS = ["age"] + [f"ei_intra_{c}" for c in CHANNELS] + [f"ei_1m_{c}" for c in CHANNELS]
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+refused = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.floats(max_value=0.0)
+
+
+@st.composite
+def cohort_tables(draw):
+    """Rows of age, 12 impedances and, if labeled, 12 labels: positive
+    finite values with up to three refused ones put anywhere."""
+    n = draw(st.integers(1, 5))
+    width = draw(st.sampled_from([13, 25]))
+    rows = draw(st.lists(st.lists(positive, min_size=width, max_size=width), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = draw(refused)
+    return rows
+
+
+def first_refused_cell(rows):
+    """The error class and message of the first cell, row by row in CSV
+    column order, that is not finite and > 0; None if there is none."""
+    for row_no, row in enumerate(rows, start=1):
+        for column, value in zip(CSV_COLUMNS, row):
+            if not math.isfinite(value):
+                return BadNumberError, f"row {row_no}, column {column!r}: non-finite value: {value!r}"
+            if value <= 0:
+                return NonPositiveError, f"row {row_no}, column {column!r}: must be > 0, got {value}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=cohort_tables())
+def test_cohort_holds_only_finite_positive_values(rows):
+    labeled = len(rows[0]) > 13
+    arrays = ([r[0] for r in rows], [r[1:13] for r in rows], [r[13:] for r in rows] if labeled else None)
+    refusal = first_refused_cell(rows)
+    if refusal is None:
+        cohort = Cohort(*arrays)
+        parts = [cohort.ages[:, None], cohort.intra] + ([cohort.labels] if labeled else [])
+        assert np.hstack(parts).tolist() == rows
+        return
+    with pytest.raises((BadNumberError, NonPositiveError)) as raised:
+        Cohort(*arrays)
+    assert (type(raised.value), str(raised.value)) == refusal

@@ -19,7 +19,7 @@ from impforecast import (
     save_bundle,
 )
 from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, Cohort, ModelKind
-from impforecast.errors import NonFiniteOutputError
+from impforecast.errors import NonFiniteOutputError, NonPositiveError
 from impforecast.regressors.neural import unpack_params
 
 # ages in years and impedances in kOhm, a little beyond the synthetic ranges
@@ -116,6 +116,14 @@ def test_huge_cohort_cell_is_a_data_error(mixed_bundle):
     ages[3] = 1.7e308
     with pytest.raises(NonFiniteOutputError, match=r"^channel 1: the LR G1 model .* for 1 of 5 patients$"):
         predict_batch(bundle, Cohort(ages, cohort.intra))
+
+
+def test_zero_impedance_never_reaches_a_model(mixed_bundle):
+    """A cohort of zero impedances cannot be built, so nothing predicts for
+    it; the message is the one a CSV cell of 0.0 gets from the parser."""
+    cohort = generate_synthetic_cohort(5, 4)
+    with pytest.raises(NonPositiveError, match=r"^row 1, column 'ei_intra_1': must be > 0, got 0\.0$"):
+        predict_batch(mixed_bundle, Cohort(cohort.ages, cohort.intra * 0))
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.BLR, ModelKind.NNR], ids=lambda k: k.value)
