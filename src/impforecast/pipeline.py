@@ -92,16 +92,17 @@ def _fit_and_score(kind, hyper, parts) -> list:
     part in one ``fit_parts`` call (column j of ``Y_train`` with
     ``seeds[j]``) and score column j on ``y_tests[j]``.
 
-    Returns, per part, one CandidateResult or FitError per column; a model
-    that predicts a non-finite value is recorded by the FitError of its
-    score.
+    Returns, per part, one CandidateResult or FitError per column; a
+    non-finite outcome is recorded as a FitError, so numpy's overflow
+    warnings (labels near the float limit) are off, as in ``predict_batch``.
     """
-    fitted = ESTIMATOR_CLASSES[kind].fit_parts([
-        ([make_regressor(kind, hyper, seed) for seed in seeds], X_train, Y_train)
-        for seeds, X_train, Y_train, _, _ in parts
-    ])
-    return [[_score(model, X_test, y_test) for model, y_test in zip(models, y_tests)]
-            for models, (_, _, _, X_test, y_tests) in zip(fitted, parts)]
+    with np.errstate(all="ignore"):
+        fitted = ESTIMATOR_CLASSES[kind].fit_parts([
+            ([make_regressor(kind, hyper, seed) for seed in seeds], X_train, Y_train)
+            for seeds, X_train, Y_train, _, _ in parts
+        ])
+        return [[_score(model, X_test, y_test) for model, y_test in zip(models, y_tests)]
+                for models, (_, _, _, X_test, y_tests) in zip(fitted, parts)]
 
 
 def _score(model, X_test, y_test):

@@ -10,12 +10,12 @@ the constructor, ``set_params`` and a loaded bundle all raise ValueError
 on the values ``--hyper`` rejects. No scikit-learn dependency; the
 algorithms are implemented here from scratch.
 
-Every kind trains through ``BaseRegressor.fit_parts``: for each part, a
-training matrix X with its target columns, it checks the inputs and fits
-one ``Standardizer`` on X, then hands every part's standardized matrix and
-accepted columns to the kind's ``_fit_parts``. That calls ``_fit_columns``
-part by part, unless the kind trains the parts together, as the network
-does. ``fit`` is the case of one part of one column.
+Every kind trains through ``BaseRegressor.fit_parts``: it checks each
+part, a training matrix X with its target columns Y, raising on a bad one,
+fits one ``Standardizer`` on X and hands the parts to the kind's
+``_fit_parts``, which calls ``_fit_columns`` part by part unless the kind
+trains them together, as the network does. A kind's own failure of a
+column is its FitError outcome. ``fit`` is one part of one column.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ def as_vector(y) -> np.ndarray:
     return y
 
 
-def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a training pair: shapes agree, n >= 2, targets finite."""
-    X, y = as_matrix(X), as_vector(y)
-    if X.shape[0] != y.shape[0]:
+def check_fit_inputs(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a training matrix X and its target columns Y: row counts
+    agree, n >= 2, X has a feature, every value finite."""
+    X, Y = as_matrix(X), as_matrix(Y)
+    if X.shape[0] != Y.shape[0]:
         raise DimensionMismatchError(
-            f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
+            f"X has {X.shape[0]} rows but y has {Y.shape[0]} entries"
         )
     if X.shape[0] < 2:
         raise DegenerateInputError(f"need at least 2 samples, got {X.shape[0]}")
@@ -77,9 +78,9 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError("X must have at least one feature")
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("X contains non-finite values")
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(Y)):
         raise DegenerateInputError("y contains non-finite values")
-    return X, y
+    return X, Y
 
 
 def loaded_numbers(value, name: str, shape: tuple) -> np.ndarray:
@@ -204,44 +205,33 @@ class BaseRegressor:
         """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of
         every ``(estimators, X, Y)`` part, all in one ``_fit_parts`` call.
 
-        Returns, per part, the list of its columns' outcomes: the fitted
-        estimator or the FitError of its column. A column that
-        ``check_fit_inputs`` rejects gets that error. The estimators of
-        every part's other columns must differ only in ``seed`` (else
-        ValueError). Each part has its own Standardizer fit on its X, and
-        each column the bits of a fit on it alone.
+        Raises the error of ``check_fit_inputs`` for the first part whose
+        X and Y it rejects, and ValueError unless the estimators of every
+        part differ only in ``seed``. Returns, per part, the list of its
+        columns' outcomes: the fitted estimator or the FitError of its
+        column. Each part has its own Standardizer fit on its X, and each
+        column the bits of a fit on it alone.
         """
-        outcomes, live = [], []
+        checked = []
         for estimators, X, Y in parts:
             X, Y = as_matrix(X), as_matrix(Y)
             if Y.shape[1] != len(estimators):
                 raise DimensionMismatchError(
                     f"Y has {Y.shape[1]} columns for {len(estimators)} estimators"
                 )
-            part = []
-            for y in Y.T:
-                try:
-                    check_fit_inputs(X, y)
-                    part.append(None)
-                except FitError as exc:
-                    part.append(exc)
-            outcomes.append(part)
-            columns = [j for j, outcome in enumerate(part) if outcome is None]
-            if columns:
-                live.append((part, columns, [estimators[j] for j in columns], X, Y))
-        if len({e.hyper for _, _, estimators, _, _ in live for e in estimators}) > 1:
+            checked.append((estimators, *check_fit_inputs(X, Y)))
+        if len({e.hyper for estimators, _, _ in checked for e in estimators}) > 1:
             raise ValueError("the estimators of one fit must differ only in seed")
-        standardizers = [Standardizer().fit(X) for _, _, _, X, _ in live]
+        standardizers = [Standardizer().fit(X) for _, X, _ in checked]
         fitted = cls._fit_parts([
-            (estimators, standardizer.transform(X), np.ascontiguousarray(Y[:, columns].T))
-            for (_, columns, estimators, X, Y), standardizer in zip(live, standardizers)
+            (estimators, standardizer.transform(X), np.ascontiguousarray(Y.T))
+            for (estimators, X, Y), standardizer in zip(checked, standardizers)
         ])
-        for (part, columns, _, _, _), standardizer, part_fitted in zip(live, standardizers, fitted):
-            for j, outcome in zip(columns, part_fitted):
+        for outcomes, standardizer in zip(fitted, standardizers):
+            for outcome in outcomes:
                 if not isinstance(outcome, FitError):
                     outcome.standardizer_ = standardizer
-                part[j] = outcome
-        return outcomes
+        return fitted
 
     @classmethod
     def _fit_parts(cls, parts) -> list:

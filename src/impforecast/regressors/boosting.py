@@ -10,7 +10,7 @@ from ..domain import ModelKind
 from ..errors import IncompatibleBundleError
 from .base import BaseRegressor, loaded_numbers
 from .hyper import BoostConfig
-from .tree import SplitMemo, TreeTable, build_tree
+from .tree import SplitMemo, TreeTable, build_tree, with_grown_table
 
 
 class BoostedTreesRegressor(BaseRegressor):
@@ -28,12 +28,11 @@ class BoostedTreesRegressor(BaseRegressor):
 
     @classmethod
     def _fit_columns(cls, estimators, Xs, Yt) -> list:
-        for estimator, y in zip(estimators, Yt):
-            estimator._boost(Xs, y)
-        return estimators
+        return [estimator._boost(Xs, y) for estimator, y in zip(estimators, Yt)]
 
-    def _boost(self, Xs, y) -> None:
-        """Grow the trees of one column over one ``SplitMemo`` of ``Xs``.
+    def _boost(self, Xs, y):
+        """Grow the trees of one column over one ``SplitMemo`` of ``Xs``;
+        returns the estimator, or the DegenerateInputError of ``with_grown_table``.
 
         The stages differ only in their residuals, so most of a stage's
         nodes have the rows of a node that an earlier stage split. The memo
@@ -62,7 +61,7 @@ class BoostedTreesRegressor(BaseRegressor):
             )
             residual = residual - hyper.learning_rate * stage_pred
             trees.append(tree)
-        self.table_ = TreeTable(trees, n_features=Xs.shape[1], n_trees=hyper.trees)
+        return with_grown_table(self, trees, n_features=Xs.shape[1], n_trees=hyper.trees)
 
     def predict(self, X) -> np.ndarray:
         return self.table_.sums(self._standardized(X), self.base_value_, self.hyper.learning_rate)

@@ -9,7 +9,7 @@ import numpy as np
 from ..domain import ModelKind
 from .base import BaseRegressor
 from .hyper import ForestConfig
-from .tree import TreeTable, grow_forest
+from .tree import TreeTable, grow_forest, with_grown_table
 
 
 class DecisionForestRegressor(BaseRegressor):
@@ -30,7 +30,7 @@ class DecisionForestRegressor(BaseRegressor):
     @classmethod
     def _fit_columns(cls, estimators, Xs, Yt) -> list:
         """Grow the forests of every column together, in one ``grow_forest``
-        pass."""
+        pass; a column whose trees overflow gets a DegenerateInputError."""
         hyper = estimators[0].hyper
         d = Xs.shape[1]
         seeds = [estimator.seed for estimator in estimators]
@@ -46,9 +46,8 @@ class DecisionForestRegressor(BaseRegressor):
             seeds=seeds,
             rngs=[np.random.default_rng(s) for s in seeds] if hyper.bootstrap else None,
         )
-        for estimator, trees in zip(estimators, forests):
-            estimator.table_ = TreeTable(trees, n_features=d, n_trees=hyper.trees)
-        return estimators
+        return [with_grown_table(estimator, trees, n_features=d, n_trees=hyper.trees)
+                for estimator, trees in zip(estimators, forests)]
 
     def predict(self, X) -> np.ndarray:
         return self.table_.sums(self._standardized(X), 0.0, 1.0) / self.table_.n_trees

@@ -1,10 +1,10 @@
 """Single-hidden-layer tanh network trained by full-batch gradient descent.
 
-Networks that share a training row count train together as one block, even
+The networks of one ``fit_parts`` call train together as one block, even
 when they fit different training matrices: a study hands every network of a
-grid round to one ``fit_parts`` call, a part per (problem, feature group),
-each part with its own standardized X and its own target rows. A network
-gets the bits of its lone fit whichever others share its block (see
+grid round to one call, a part per (problem, feature group), each part with
+its own standardized X and its own target rows, all of one row count. A
+network gets the bits of its lone fit whichever others share its block (see
 ``_Networks``), and a network alone is the one-network case of the same
 code. The loss/gradient pair is also exposed as a standalone function on a
 flattened parameter vector, so the backprop gradient that training uses can
@@ -227,29 +227,20 @@ class NeuralNetRegressor(BaseRegressor):
     @classmethod
     def _fit_parts(cls, parts) -> list:
         """Train the networks of every ``(estimators, Xs, Yt)`` part, one
-        network per row of ``Yt``: the parts with one training row count
-        as one ``_Networks`` block, all with one hyperparameter set.
+        network per row of ``Yt``, as one ``_Networks`` block. The parts
+        must share one training row count (else ValueError), as they share
+        one hyperparameter set.
 
         Each network starts from its own estimator's initialisation. A
         network whose loss goes non-finite in any epoch, or whose final
-        parameters are non-finite, gets a NonFiniteLossError; a block stops
-        training once every network in it has one.
+        parameters are non-finite, gets a NonFiniteLossError; the block
+        stops training once every network in it has one.
         """
-        outcomes = [None] * len(parts)
-        blocks = {}
-        for p, (_, Xs, _) in enumerate(parts):
-            blocks.setdefault(Xs.shape[0], []).append(p)
-        for members in blocks.values():
-            trained = iter(cls._train_block([parts[p] for p in members]))
-            for p in members:
-                outcomes[p] = [next(trained) for _ in parts[p][0]]
-        return outcomes
-
-    @staticmethod
-    def _train_block(parts) -> list:
-        """The outcome of each network of ``parts``, one row count, in part
-        and row order."""
+        if len({Xs.shape[0] for _, Xs, _ in parts}) > 1:
+            raise ValueError("the parts of one network fit must have the same number of rows")
         estimators = [estimator for part in parts for estimator in part[0]]
+        if not estimators:
+            return [[] for _ in parts]
         widths = [Xs.shape[1] for part_estimators, Xs, _ in parts for _ in part_estimators]
         hyper = estimators[0].hyper
         networks = _Networks([(Xs, Yt) for _, Xs, Yt in parts], hyper.hidden_units)
@@ -287,7 +278,8 @@ class NeuralNetRegressor(BaseRegressor):
             else:
                 estimator.params_ = fitted
                 estimator.final_loss_ = float(losses[c])
-        return outcomes
+        trained = iter(outcomes)
+        return [[next(trained) for _ in part_estimators] for part_estimators, _, _ in parts]
 
     def _layers(self):
         """The fitted (W1, b1, w2, b2)."""

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import IncompatibleBundleError
+from ..errors import DegenerateInputError, IncompatibleBundleError
 from ..seeding import derive_seed, splitmix64_array
 
 # Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
@@ -201,6 +201,16 @@ class TreeTable:
         terms[:, 0] = start
         np.multiply(weight, self.value[leaf], out=terms[:, 1:])
         return np.cumsum(terms, axis=1)[:, 1:]
+
+
+def with_grown_table(estimator, trees, *, n_features: int, n_trees: int):
+    """``estimator`` with the TreeTable of the ``trees`` a grower returned
+    as its ``table_``, or the DegenerateInputError of its column if a leaf
+    value is not finite, as the mean of labels near the float limit."""
+    if not np.isfinite(np.concatenate([tree["value"] for tree in trees])).all():
+        return DegenerateInputError("grown leaf values are not finite: the labels are too large")
+    estimator.table_ = TreeTable(trees, n_features=n_features, n_trees=n_trees)
+    return estimator
 
 
 class SplitMemo:

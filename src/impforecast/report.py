@@ -86,13 +86,20 @@ class ErrorBands:
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorBands":
         """Bands read from a persisted report. Raises ValueError unless
-        ``counts`` is a list of integers >= 0 and ``n_test`` an integer:
-        not bools, strings or fractions."""
+        ``counts`` is a list of integers >= 0 and ``n_test`` an integer
+        (not bools, strings or fractions), and ``pct``, ``cum_0_2`` and
+        ``cum_0_3`` are the floats those give."""
         counts, n_test = d["counts"], d["n_test"]
         ok = isinstance(counts, list) and all(is_count(c) and c >= 0 for c in counts)
         require(ok, "bands.counts", "a list of integers >= 0", counts)
         require(is_count(n_test), "bands.n_test", "an integer", n_test)
-        return cls.from_counts(counts, n_test)
+        bands = cls.from_counts(counts, n_test)
+        expected = bands.to_dict()
+        given = {key: d[key] for key in expected}
+        # compared as JSON, which tells true and 1 from 1.0
+        ok = json.dumps(given) == json.dumps(expected)
+        require(ok, "bands", f"{json.dumps(expected)}, the percentages of its counts", given)
+        return bands
 
 
 @dataclass(frozen=True)

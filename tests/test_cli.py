@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
-from impforecast.dataio import parse_cohort_csv
-from impforecast.domain import FeatureGroup, ModelKind
+from impforecast.dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
+from impforecast.domain import Cohort, FeatureGroup, ModelKind
 from impforecast.errors import CsvSyntaxError
 from impforecast.regressors import BoostedTreesRegressor
 
@@ -30,7 +31,8 @@ REPORT_TEMPLATE = (
 )
 ENTRY_TEMPLATE = (
     '{"channel": %d, "kind": "LR", "group": "G1", "rmse": 1.0,'
-    ' "bands": {"counts": [1, 0, 0, 0], "n_test": 1}}'
+    ' "bands": {"counts": [1, 0, 0, 0], "n_test": 1, "pct": [100.0, 0.0, 0.0, 0.0],'
+    ' "cum_0_2": 100.0, "cum_0_3": 100.0}}'
 )
 
 
@@ -90,7 +92,39 @@ class TestGenerate:
         assert not out.exists()
 
 
+def scaled_labels_csv(path, top):
+    """The seed-1 80-patient cohort, channel 1's labels scaled to a max of
+    ``top``: every value finite and > 0."""
+    cohort = generate_synthetic_cohort(80, 1)
+    labels = cohort.labels.copy()
+    labels[:, 0] *= top / labels[:, 0].max()
+    path.write_text(serialize_cohort_csv(Cohort(cohort.ages, cohort.intra, labels)))
+    return path
+
+
 class TestStudy:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_labels_that_overflow_the_split_scores_print_one_line(self, tmp_path, capfd,
+                                                                 monkeypatch, cpus):
+        """capfd also reads what the forked workers write to stderr."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        data = scaled_labels_csv(tmp_path / "big.csv", 1e154)
+        code = run(["study", "--data", str(data), "--out-report", str(tmp_path / "r.json"),
+                    "--out-models", str(tmp_path / "m.json"), *FAST_HYPER])
+        err = capfd.readouterr().err
+        assert code == 0 and err.startswith("study complete: ") and len(err.splitlines()) == 1
+
+    def test_trees_that_overflow_fail_as_candidates(self, tmp_path, capfd):
+        data = scaled_labels_csv(tmp_path / "huge.csv", 1.7e308)
+        code = run(["study", "--data", str(data), "--out-report", str(tmp_path / "r.json"),
+                    "--out-models", str(tmp_path / "m.json"), *FAST_HYPER])
+        err = capfd.readouterr().err
+        assert code == 3 and len(err.splitlines()) == 1, err
+        assert err.startswith("internal error: every candidate failed: ")
+        for candidate in ("DFR/G1", "DFR/G2", "BDTR/G1", "BDTR/G2"):
+            assert f"{candidate}: grown leaf values are not finite" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_end_to_end_deterministic(self, tmp_path, cohort_csv):
         r1, m1 = study_files(tmp_path, cohort_csv, "one")
         r2, m2 = study_files(tmp_path, cohort_csv, "two")
@@ -528,6 +562,10 @@ class TestReport:
             REPORT_TEMPLATE.replace('"format_version": 1', '"format_version": 1.0') % ENTRY_TEMPLATE % 1,
             bad_entry('"n_test": 1', '"n_test": ' + "9" * 5000),
             "[" * 100_000 + "]" * 100_000,
+            bad_entry('"pct": [100.0, 0.0, 0.0, 0.0]', '"pct": [0.0, 100.0, 0.0, 0.0]'),
+            bad_entry('"cum_0_2": 100.0', '"cum_0_2": 99.0'),
+            bad_entry('"cum_0_3": 100.0', '"cum_0_3": 0.0'),
+            bad_entry('"pct": [100.0, 0.0, 0.0, 0.0], ', ''),
         ],
         ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
              "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
@@ -535,7 +573,8 @@ class TestReport:
              "negative_rmse", "histogram_of_strings", "histogram_bool_count",
              "histogram_float_count", "histogram_wrong_kind", "histogram_missing_kinds",
              "histogram_pairs", "config_pairs", "bool_format_version", "float_format_version",
-             "long_integer", "deep_nesting"],
+             "long_integer", "deep_nesting", "pct_disagrees", "cum_0_2_disagrees",
+             "cum_0_3_disagrees", "no_pct"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

@@ -143,18 +143,17 @@ def test_fit_columns_matches_lone_fits(kind, columns, n, d, data_seed):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_fit_columns_records_a_bad_column(kind):
+def test_fit_parts_raises_on_a_bad_part(kind):
+    """A non-finite value in any part's X or Y raises for the whole call."""
     X, _ = problem()
     Y = np.column_stack([problem(seed=s)[1] for s in range(3)])
-    Y[4, 1] = np.nan
-    seeds = [3, 4, 5]
-    (together,) = ESTIMATOR_CLASSES[kind].fit_parts(
-        [([make_regressor(kind, FAST, seed=s) for s in seeds], X, Y)]
-    )
-    assert isinstance(together[1], DegenerateInputError)
-    lone = lone_fits(kind, X, Y, seeds)
-    for column in (0, 2):
-        assert_same_fit(together[column], lone[column], X)
+    for name in ("X", "y"):
+        bad_X, bad_Y = X.copy(), Y.copy()
+        (bad_X if name == "X" else bad_Y)[4, 1] = np.nan
+        parts = [([make_regressor(kind, FAST, seed=s) for s in (3, 4, 5)], X_part, Y_part)
+                 for X_part, Y_part in ((X, Y), (bad_X, bad_Y))]
+        with pytest.raises(DegenerateInputError, match=f"^{name} contains non-finite values$"):
+            ESTIMATOR_CLASSES[kind].fit_parts(parts)
 
 
 @pytest.mark.parametrize("kind", KINDS)

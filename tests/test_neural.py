@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from impforecast import generate_synthetic_cohort
 from impforecast.domain import CHANNELS, FeatureGroup, feature_matrix, label_vector
 from impforecast.errors import (
-    DegenerateInputError,
     DimensionMismatchError,
     FitError,
     NonFiniteLossError,
@@ -148,26 +147,13 @@ class TestFitColumns:
             for joint, lone in zip(joint_part, fit_lone(X, Y, seeds, **hyper)):
                 assert_same_network(joint, lone, X)
 
-    def test_parts_of_other_row_counts_train_in_blocks_of_their_own(self, monkeypatch):
+    def test_parts_of_other_row_counts_are_refused(self):
         rng = np.random.default_rng(11)
-        parts = [(rng.normal(size=(n, d)), rng.normal(size=(n, k)), list(range(k)))
-                 for n, d, k in ((10, 13, 2), (15, 1, 3), (10, 1, 1))]
-        blocks = []
-        train_block = NeuralNetRegressor._train_block
-
-        def counted(block):
-            blocks.append([Xs.shape for _, Xs, _ in block])
-            return train_block(block)
-
-        monkeypatch.setattr(NeuralNetRegressor, "_train_block", staticmethod(counted))
-        together = NeuralNetRegressor.fit_parts([
-            ([NeuralNetRegressor(seed=s, epochs=30) for s in seeds], X, Y) for X, Y, seeds in parts
-        ])
-        assert blocks[0] == [(10, 13), (10, 1)] and blocks[1:] == [[(15, 1)]]
-        monkeypatch.undo()
-        for joint_part, (X, Y, seeds) in zip(together, parts):
-            for joint, lone in zip(joint_part, fit_lone(X, Y, seeds, epochs=30)):
-                assert_same_network(joint, lone, X)
+        parts = [([NeuralNetRegressor(seed=s, epochs=30) for s in range(k)],
+                  rng.normal(size=(n, d)), rng.normal(size=(n, k)))
+                 for n, d, k in ((10, 13, 2), (15, 1, 3))]
+        with pytest.raises(ValueError, match="same number of rows"):
+            NeuralNetRegressor.fit_parts(parts)
 
     def test_diverging_column_fails_alone(self):
         cohort = generate_synthetic_cohort(80, 1)
@@ -193,17 +179,6 @@ class TestFitColumns:
             [([NeuralNetRegressor(step=1e4, epochs=200, seed=s) for s in range(3)], X, Y)]
         )
         assert all(isinstance(o, NonFiniteLossError) for o in outcomes)
-
-    def test_bad_column_is_recorded_not_raised(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(12, 1))
-        Y = rng.normal(size=(12, 2))
-        Y[0, 0] = np.nan
-        ((first, second),) = NeuralNetRegressor.fit_parts(
-            [([NeuralNetRegressor(epochs=20, seed=s) for s in (1, 2)], X, Y)]
-        )
-        assert isinstance(first, DegenerateInputError)
-        assert_same_network(second, NeuralNetRegressor(epochs=20, seed=2).fit(X, Y[:, 1]), X)
 
     def test_networks_must_share_hyperparameters(self):
         X, Y = np.ones((4, 1)), np.ones((4, 2))

@@ -318,13 +318,13 @@ class TestWorkerPool:
     def test_a_grid_round_trains_its_networks_in_one_block(self, monkeypatch, small_cohort,
                                                            selection):
         blocks = []
-        train_block = NeuralNetRegressor._train_block
+        fit_parts = NeuralNetRegressor._fit_parts
 
-        def counted(parts):
+        def counted(cls, parts):
             blocks.append(sum(len(estimators) for estimators, _, _ in parts))
-            return train_block(parts)
+            return fit_parts(parts)
 
-        monkeypatch.setattr(NeuralNetRegressor, "_train_block", staticmethod(counted))
+        monkeypatch.setattr(NeuralNetRegressor, "_fit_parts", classmethod(counted))
         self.on_cpus(monkeypatch, 1)  # inline, so that the counts stay in this process
         report, _ = run_study(small_cohort, dataclasses.replace(FAST_CONFIG, selection=selection))
         # both feature groups of all 12 channels: on one split, or on their 12 inner splits

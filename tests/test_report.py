@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from impforecast.domain import FeatureGroup, ModelKind
-from impforecast.errors import UnsupportedFormatError
+from impforecast.errors import IncompatibleBundleError, UnsupportedFormatError
 from impforecast.metrics import ErrorBands
 from impforecast.pipeline import (
     SelectionEntry,
@@ -118,6 +120,30 @@ class TestExport:
         report = reference_report()
         data = export_study(report, "json")
         assert report_from_json(data.decode("utf-8")) == report
+
+    @pytest.mark.parametrize("key, value", [
+        ("pct", [58.34, 33.33, 8.33, 0.0]),
+        ("pct", [58.33, 33.33, 8.33]),
+        ("cum_0_2", 91.66),
+        ("cum_0_3", 99.99),
+        ("cum_0_3", "100.0"),
+    ])
+    def test_percentages_must_follow_from_the_counts(self, key, value):
+        doc = json.loads(export_study(reference_report(), "json"))
+        doc["entries"][4]["bands"][key] = value
+        with pytest.raises(IncompatibleBundleError, match="the percentages of its counts"):
+            report_from_json(json.dumps(doc))
+
+    def test_percentages_are_floats_and_present(self):
+        doc = json.loads(export_study(reference_report(band_counts=(1, 99, 0, 0)), "json"))
+        assert doc["entries"][0]["bands"]["pct"][0] == 1.0
+        for wrong_type in (True, 1):
+            doc["entries"][0]["bands"]["pct"][0] = wrong_type
+            with pytest.raises(IncompatibleBundleError, match="the percentages of its counts"):
+                report_from_json(json.dumps(doc))
+        del doc["entries"][0]["bands"]["pct"]
+        with pytest.raises(IncompatibleBundleError, match="report lacks key 'pct'"):
+            report_from_json(json.dumps(doc))
 
     def test_csv_has_12_rows(self):
         data = export_study(reference_report(), "csv")
