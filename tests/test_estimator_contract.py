@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impforecast.domain import ModelKind
-from impforecast.errors import DegenerateInputError, DimensionMismatchError, FitError
+from impforecast.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    FitError,
+    NonFiniteLossError,
+)
 from impforecast.regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 
 KINDS = list(ModelKind)
@@ -140,6 +145,43 @@ def test_fit_columns_matches_lone_fits(kind, columns, n, d, data_seed):
     assert all(joint is estimator for joint, estimator in zip(together, estimators))
     for joint, lone in zip(together, lone_fits(kind, X, Y, seeds)):
         assert_same_fit(joint, lone, X)
+
+
+# the FitError each kind records for finite labels near the float limit;
+# the linear kinds' closed forms return their estimator, whose weights
+# overflow to NaN (a study records that by its non-finite score)
+TOO_LARGE_LABELS = {
+    ModelKind.LR: None,
+    ModelKind.BLR: None,
+    ModelKind.DFR: DegenerateInputError,
+    ModelKind.BDTR: DegenerateInputError,
+    ModelKind.NNR: NonFiniteLossError,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_columns_records_a_bad_column(kind):
+    """A column whose finite labels are too large to train on is recorded
+    for that column as its lone fit records it, a FitError for the kinds
+    that cannot train on it; the call does not raise and the other columns
+    fit as they do alone."""
+    X, _ = problem()
+    Y = np.column_stack([problem(seed=s)[1] for s in range(3)])
+    Y[:, 1] = np.abs(Y[:, 1]) * (1.7e308 / np.abs(Y[:, 1]).max())
+    seeds = [3, 4, 5]
+    with np.errstate(all="ignore"):
+        (together,) = ESTIMATOR_CLASSES[kind].fit_parts(
+            [([make_regressor(kind, FAST, seed=s) for s in seeds], X, Y)]
+        )
+        lone = lone_fits(kind, X, Y, seeds)
+    error = TOO_LARGE_LABELS[kind]
+    if error is None:
+        assert not isinstance(together[1], FitError) and not isinstance(lone[1], FitError)
+    else:
+        assert type(together[1]) is error and type(lone[1]) is error
+        assert str(together[1]) == str(lone[1])
+    for column in (0, 2):
+        assert_same_fit(together[column], lone[column], X)
 
 
 @pytest.mark.parametrize("kind", KINDS)

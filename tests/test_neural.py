@@ -180,6 +180,18 @@ class TestFitColumns:
         )
         assert all(isinstance(o, NonFiniteLossError) for o in outcomes)
 
+    def test_bad_column_is_recorded_not_raised(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(12, 1))
+        Y = rng.uniform(1.0, 2.0, size=(12, 2))
+        Y[:, 0] *= 1.7e308 / Y[:, 0].max()  # finite, but too large to train on
+        with np.errstate(all="ignore"):
+            ((first, second),) = NeuralNetRegressor.fit_parts(
+                [([NeuralNetRegressor(epochs=20, seed=s) for s in (1, 2)], X, Y)]
+            )
+        assert isinstance(first, NonFiniteLossError)
+        assert_same_network(second, NeuralNetRegressor(epochs=20, seed=2).fit(X, Y[:, 1]), X)
+
     def test_networks_must_share_hyperparameters(self):
         X, Y = np.ones((4, 1)), np.ones((4, 2))
         with pytest.raises(ValueError):
