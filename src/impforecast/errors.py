@@ -122,8 +122,10 @@ class EmptyInputError(MetricError):
     pass
 
 
-class AllCandidatesFailedError(ImpforecastError):
-    pass
+class AllCandidatesFailedError(DataInputError):
+    """Every candidate of a channel failed. A study fits only a valid cohort
+    with validated hyperparameters, so the cause lies in those inputs (such
+    as labels near the float limit), not in the program."""
 
 
 class IncompatibleBundleError(DataInputError):

@@ -10,10 +10,13 @@ boosting fits one channel per call. Every candidate fit gets its own seed
 derived from the master seed, and a fit does not depend on which other
 fits share the call.
 
-A study maps its candidate calls over the process's CPUs (``_parallel_map``)
-and merges the results in candidate and channel order, so the outputs have
-the same bytes on any number of CPUs. A nested study runs the same grid
-twice: on the inner splits, then to refit the picks, one part per pick.
+A study maps its candidate calls over the process's CPUs (``_parallel_map``).
+A call returns one ``Candidate`` per fit, tagged with its channel, kind and
+group, and the grid files each under those tags, so the outputs have the
+same bytes on any number of CPUs. That record is the one result from fit
+to winner: ``pick_winner`` and ``run_study`` read it as it is. A nested
+study runs the same grid twice: on the inner splits, then to refit the
+picks, one part per pick.
 """
 
 from __future__ import annotations
@@ -37,14 +40,8 @@ from .domain import (
     feature_matrix,
     group_index,
     kind_index,
-    label_vector,
 )
-from .errors import (
-    AllCandidatesFailedError,
-    FitError,
-    NonFiniteOutputError,
-    TooSmallError,
-)
+from .errors import AllCandidatesFailedError, FitError, NonFiniteOutputError, TooSmallError
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 # The report document lives in ``report``; its JSON functions stay importable from here.
@@ -77,43 +74,56 @@ class StudyConfig:
 
 
 @dataclass(frozen=True)
-class CandidateResult:
-    rmse: float
-    bands: ErrorBands
-    model: object
+class Candidate:
+    """One candidate of one channel: its RMSE, error bands and fitted model
+    on the test part, or ``error``, the FitError that ended it, with None in
+    those three fields."""
+
+    channel: int
+    kind: ModelKind
+    group: FeatureGroup
+    rmse: float | None = None
+    bands: ErrorBands | None = None
+    model: object = None
+    error: FitError | None = None
 
 
 def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: FeatureGroup) -> int:
     return derive_seed(master_seed, channel, kind_index(kind), group_index(group))
 
 
-def _fit_and_score(kind, hyper, parts) -> list:
-    """Fit ``kind`` on every ``(seeds, X_train, Y_train, X_test, y_tests)``
-    part in one ``fit_parts`` call (column j of ``Y_train`` with
-    ``seeds[j]``) and score column j on ``y_tests[j]``.
+def _fit_and_score(kind, config, parts) -> list:
+    """Fit ``kind`` on every ``(group, channels, X_train, Y_train, X_test,
+    Y_test)`` part in one ``fit_parts`` call, column j of ``Y_train`` with
+    the candidate seed of ``channels[j]``, and score it on column j of
+    ``Y_test``.
 
-    Returns, per part, one CandidateResult or FitError per column; a
-    non-finite outcome is recorded as a FitError, so numpy's overflow
-    warnings (labels near the float limit) are off, as in ``predict_batch``.
+    Returns the Candidate of every column, part by part. A non-finite
+    outcome is recorded as a FitError, so numpy's overflow warnings
+    (labels near the float limit) are off, as in ``predict_batch``.
     """
     with np.errstate(all="ignore"):
         fitted = ESTIMATOR_CLASSES[kind].fit_parts([
-            ([make_regressor(kind, hyper, seed) for seed in seeds], X_train, Y_train)
-            for seeds, X_train, Y_train, _, _ in parts
+            ([make_regressor(kind, config.hyper, candidate_seed(config.seed, c, kind, group))
+              for c in channels], X_train, Y_train)
+            for group, channels, X_train, Y_train, _, _ in parts
         ])
-        return [[_score(model, X_test, y_test) for model, y_test in zip(models, y_tests)]
-                for models, (_, _, _, X_test, y_tests) in zip(fitted, parts)]
+        return [_score(c, kind, group, model, X_test, y_test)
+                for models, (group, channels, _, _, X_test, Y_test) in zip(fitted, parts)
+                for c, model, y_test in zip(channels, models, Y_test.T)]
 
 
-def _score(model, X_test, y_test):
-    """The CandidateResult of a fitted model on the test part, or its FitError."""
+def _score(channel, kind, group, model, X_test, y_test) -> Candidate:
+    """The Candidate of a ``fit_parts`` outcome, a fitted model or its
+    FitError, scored on the test part."""
     if isinstance(model, FitError):
-        return model
+        return Candidate(channel, kind, group, error=model)
     y_hat = model.predict(X_test)
     try:
-        return CandidateResult(rmse(y_hat, y_test), error_bands(y_hat, y_test), model)
+        return Candidate(channel, kind, group, rmse(y_hat, y_test), error_bands(y_hat, y_test),
+                         model)
     except FitError as exc:
-        return exc
+        return Candidate(channel, kind, group, error=exc)
 
 
 def _parallel_map(fn, tasks) -> list:
@@ -153,50 +163,37 @@ def _grid(problems, config: StudyConfig) -> dict[int, dict]:
     """Fit and score the candidates of ``(channels, train, test, candidates)``
     problems with disjoint channels, all on one ``_parallel_map``.
 
-    A part is one problem's candidate for all its channels. The network
-    parts of the whole round go in one call, which trains them as one
-    block. Boosting shares nothing across columns, so it goes one channel
-    per call. Every other part is a call of its own. The pool takes the
-    calls in ``_SUBMIT_ORDER``. Returns ``{channel: {(kind, group):
-    CandidateResult or the FitError of that fit}}`` in candidate order.
+    A part is one problem's candidate for its channels, with their label
+    columns; boosting shares nothing across columns, so it gets one part
+    per channel. The network parts of the whole round go in one call,
+    which trains them as one block; every other part is a call of its own.
+    The pool takes the calls in ``_SUBMIT_ORDER``. Every Candidate comes
+    back tagged with its channel, kind and group, and is filed under them:
+    returns ``{channel: {(kind, group): Candidate}}`` in candidate order.
     """
-    parts = []  # ((problem, kind, group), part)
-    for p, (channels, train, test, candidates) in enumerate(problems):
-        Y_train = train.labels.take([c - 1 for c in channels], axis=1)  # C-contiguous copy
-        y_tests = [label_vector(test, c) for c in channels]
+    parts = {kind: [] for kind in _SUBMIT_ORDER}
+    for channels, train, test, candidates in problems:
+        columns = [c - 1 for c in channels]
+        Y_train, Y_test = (cohort.labels.take(columns, axis=1) for cohort in (train, test))
         features = {g: (feature_matrix(train, g), feature_matrix(test, g))
                     for g in dict.fromkeys(g for _, g in candidates)}
         for kind, group in candidates:
-            seeds = [candidate_seed(config.seed, c, kind, group) for c in channels]
             X_train, X_test = features[group]
-            parts.append(((p, kind, group), (seeds, X_train, Y_train, X_test, y_tests)))
-    calls = []  # (kind, [(key, part)])
+            if kind is ModelKind.BDTR:
+                parts[kind] += [(group, (c,), X_train, Y_train[:, [j]], X_test, Y_test[:, [j]])
+                                for j, c in enumerate(channels)]
+            else:
+                parts[kind].append((group, channels, X_train, Y_train, X_test, Y_test))
+    tasks = []
     for kind in _SUBMIT_ORDER:
-        mine = [(key, part) for key, part in parts if key[1] is kind]
-        if kind is ModelKind.NNR:
-            calls.append((kind, mine))
-        elif kind is ModelKind.BDTR:
-            calls += [(kind, [(key, _column(part, j))])
-                      for key, part in mine for j in range(len(part[0]))]
-        else:
-            calls += [(kind, [item]) for item in mine]
-    calls = [(kind, items) for kind, items in calls if items]
-    results = _parallel_map(_fit_and_score,
-                            [(kind, config.hyper, [part for _, part in items]) for kind, items in calls])
-    outcomes = {}  # a key's column outcomes, extended call by call in channel order
-    for (_, items), result in zip(calls, results):
-        for (key, _), part_outcomes in zip(items, result):
-            outcomes.setdefault(key, []).extend(part_outcomes)
-    return {
-        c: {key: outcomes[(p, *key)][i] for key in candidates}
-        for p, (channels, _, _, candidates) in enumerate(problems) for i, c in enumerate(channels)
-    }
-
-
-def _column(part, j):
-    """Column j of a ``(seeds, X_train, Y_train, X_test, y_tests)`` part, as a part."""
-    seeds, X_train, Y_train, X_test, y_tests = part
-    return seeds[j:j + 1], X_train, Y_train[:, j:j + 1], X_test, y_tests[j:j + 1]
+        if kind is not ModelKind.NNR:
+            tasks += [(kind, config, [part]) for part in parts[kind]]
+        elif parts[kind]:
+            tasks.append((kind, config, parts[kind]))
+    filed = {(r.channel, r.kind, r.group): r
+             for records in _parallel_map(_fit_and_score, tasks) for r in records}
+    return {c: {key: filed[(c, *key)] for key in candidates}
+            for channels, _, _, candidates in problems for c in channels}
 
 
 def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
@@ -206,22 +203,16 @@ def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
     return _grid([(tuple(check_channel(c) for c in channels), train, test, candidates)], config)
 
 
-def pick_winner(results: dict) -> tuple[ModelKind, FeatureGroup, CandidateResult]:
-    """Argmin by RMSE over CANDIDATES order (strict improvement only, so
-    the earlier = simpler candidate survives exact ties)."""
-    best = None
-    for key in CANDIDATES:
-        outcome = results.get(key)
-        if outcome is None or isinstance(outcome, Exception):
-            continue
-        if best is None or outcome.rmse < best[2].rmse:
-            best = (key[0], key[1], outcome)
-    if best is None:
-        failures = "; ".join(
-            f"{k.value}/{g.value}: {results[(k, g)]}" for k, g in CANDIDATES if (k, g) in results
-        )
+def pick_winner(results: dict) -> Candidate:
+    """The scored Candidate of least RMSE. ``min`` keeps the first of equal
+    scores in CANDIDATES order, so the simpler kind, then the smaller
+    feature group, survives an exact tie."""
+    records = [results[key] for key in CANDIDATES if key in results]
+    scored = [r for r in records if r.error is None]
+    if not scored:
+        failures = "; ".join(f"{r.kind.value}/{r.group.value}: {r.error}" for r in records)
         raise AllCandidatesFailedError(f"every candidate failed: {failures}")
-    return best
+    return min(scored, key=lambda r: r.rmse)
 
 
 def _split_for_fitting(cohort: Cohort, spec: SplitSpec, name: str) -> tuple:
@@ -240,7 +231,9 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
     Returns the selection report and the bundle of winning fitted models.
     Output is a pure function of (cohort, config). The cohort's values are
     finite and > 0 by construction, so none is checked here; labels outside
-    the published ranges are trained on as they are.
+    the published ranges are trained on as they are. Raises
+    AllCandidatesFailedError for a channel whose every candidate fails, or,
+    in a nested study, whose pick fails its refit.
     """
     if len(cohort) < 10:
         raise TooSmallError(f"study needs at least 10 records, got {len(cohort)}")
@@ -258,22 +251,14 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
     winners = [pick_winner(grid[c]) for c in CHANNELS]
 
     if nested:  # refit each pick on train, in one call for all the channels that picked it
-        picks = [(kind, group) for kind, group, _ in winners]
+        picks = [(w.kind, w.group) for w in winners]
         refit = _grid([([c for c, p in zip(CHANNELS, picks) if p == key], train, test, (key,))
                        for key in dict.fromkeys(picks)], config)
-        winners = [(*key, refit[c][key]) for c, key in zip(CHANNELS, picks)]
-        for _, _, outcome in winners:
-            if isinstance(outcome, FitError):
-                raise outcome
+        winners = [pick_winner(refit[c]) for c in CHANNELS]  # raises if a refit failed
 
-    entries = tuple(
-        SelectionEntry(channel=c, kind=kind, group=group, rmse=o.rmse, bands=o.bands)
-        for c, (kind, group, o) in zip(CHANNELS, winners)
-    )
-    models = ModelBundle(models=tuple(
-        ChannelModel(channel=c, kind=kind, group=group, rmse=o.rmse, estimator=o.model)
-        for c, (kind, group, o) in zip(CHANNELS, winners)
-    )).check_complete()
+    entries = tuple(SelectionEntry(w.channel, w.kind, w.group, w.rmse, w.bands) for w in winners)
+    models = ModelBundle(tuple(ChannelModel(w.channel, w.kind, w.group, w.rmse, w.model)
+                               for w in winners)).check_complete()
     histogram = histogram_of_kinds(e.kind for e in entries)
     return StudyReport(entries=entries, histogram=histogram, config=asdict(config)), models
 

@@ -15,7 +15,8 @@ part, a training matrix X with its target columns Y, raising on a bad one,
 fits one ``Standardizer`` on X and hands the parts to the kind's
 ``_fit_parts``, which calls ``_fit_columns`` part by part unless the kind
 trains them together, as the network does. A kind's own failure of a
-column is its FitError outcome. ``fit`` is one part of one column.
+column, or a Standardizer that overflows, is its FitError outcome.
+``fit`` is one part of one column.
 """
 
 from __future__ import annotations
@@ -210,7 +211,9 @@ class BaseRegressor:
         part differ only in ``seed``. Returns, per part, the list of its
         columns' outcomes: the fitted estimator or the FitError of its
         column. Each part has its own Standardizer fit on its X, and each
-        column the bits of a fit on it alone.
+        column the bits of a fit on it alone. A part whose Standardizer or
+        standardized X is not finite (finite values near the float limit)
+        is not fit: each of its columns gets a DegenerateInputError.
         """
         checked = []
         for estimators, X, Y in parts:
@@ -222,16 +225,28 @@ class BaseRegressor:
             checked.append((estimators, *check_fit_inputs(X, Y)))
         if len({e.hyper for estimators, _, _ in checked for e in estimators}) > 1:
             raise ValueError("the estimators of one fit must differ only in seed")
-        standardizers = [Standardizer().fit(X) for _, X, _ in checked]
-        fitted = cls._fit_parts([
-            (estimators, standardizer.transform(X), np.ascontiguousarray(Y.T))
-            for (estimators, X, Y), standardizer in zip(checked, standardizers)
-        ])
-        for outcomes, standardizer in zip(fitted, standardizers):
-            for outcome in outcomes:
+        standardizers = [Standardizer() for _ in checked]
+        with np.errstate(all="ignore"):  # an overflow is recorded below, not warned about
+            standardized = [s.fit_transform(X) for s, (_, X, _) in zip(standardizers, checked)]
+        too_large = []  # per part: its first feature column that overflows, or None
+        for s, Xs in zip(standardizers, standardized):
+            finite = np.isfinite(s.means_) & np.isfinite(s.stdevs_) & np.isfinite(Xs).all(axis=0)
+            too_large.append(None if finite.all() else int(np.argmin(finite)))
+        fitted = iter(cls._fit_parts([
+            (estimators, Xs, np.ascontiguousarray(Y.T))
+            for (estimators, _, Y), Xs, k in zip(checked, standardized, too_large) if k is None
+        ]))
+        outcomes = []
+        for (estimators, _, _), standardizer, k in zip(checked, standardizers, too_large):
+            if k is not None:
+                message = f"feature column {k} is too large to standardize"
+                outcomes.append([DegenerateInputError(message) for _ in estimators])
+                continue
+            outcomes.append(next(fitted))
+            for outcome in outcomes[-1]:
                 if not isinstance(outcome, FitError):
                     outcome.standardizer_ = standardizer
-        return fitted
+        return outcomes
 
     @classmethod
     def _fit_parts(cls, parts) -> list:

@@ -50,7 +50,8 @@ class LinearRegressor(BaseRegressor):
 
     @classmethod
     def _fit_columns(cls, estimators, Xs, Yt) -> list:
-        """Solve every column's normal equations with one ``Z'Z + ridge*I``."""
+        """Solve every column's normal equations with one ``Z'Z + ridge*I``;
+        a column whose weights are not finite gets a DegenerateInputError."""
         Z = _design(Xs)
         A = Z.T @ Z + estimators[0].hyper.ridge * np.eye(Z.shape[1])
         outcomes = list(estimators)
@@ -59,6 +60,11 @@ class LinearRegressor(BaseRegressor):
                 w = np.linalg.solve(A, Z.T @ y)
             except np.linalg.LinAlgError as exc:
                 outcomes[row] = DegenerateInputError(f"singular normal equations: {exc}")
+                continue
+            if not np.isfinite(w).all():
+                outcomes[row] = DegenerateInputError(
+                    "fitted weights are not finite: the labels are too large"
+                )
                 continue
             estimator.weights_ = w[:-1]
             estimator.intercept_ = float(w[-1])
@@ -105,11 +111,11 @@ class BayesianLinearRegressor(BaseRegressor):
         D = np.eye(Z.shape[1])
         D[-1, -1] = 0.0
         ZtZ = Z.T @ Z
-        for estimator, y in zip(estimators, Yt):
-            estimator._fit_posterior(Z, ZtZ, D, y)
-        return estimators
+        return [estimator._fit_posterior(Z, ZtZ, D, y) for estimator, y in zip(estimators, Yt)]
 
-    def _fit_posterior(self, Z, ZtZ, D, y) -> None:
+    def _fit_posterior(self, Z, ZtZ, D, y):
+        """The estimator with its posterior on ``y`` set, or a
+        DegenerateInputError if the posterior is not finite."""
         n, p = Z.shape
         d = p - 1  # penalized coordinates (intercept excluded)
         Zty = Z.T @ y
@@ -134,10 +140,15 @@ class BayesianLinearRegressor(BaseRegressor):
             if converged:
                 break
 
+        if not np.isfinite([*m, alpha, beta]).all():
+            return DegenerateInputError(
+                "posterior weights or precisions are not finite: the labels are too large"
+            )
         self.alpha_ = alpha
         self.beta_ = beta
         self.weights_ = m[:-1]
         self.intercept_ = float(m[-1])
+        return self
 
     def predict(self, X) -> np.ndarray:
         return _affine(self._standardized(X), self.weights_, self.intercept_)

@@ -5,13 +5,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
 from impforecast.dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
-from impforecast.domain import Cohort, FeatureGroup, ModelKind
+from impforecast.domain import BASE_COLUMNS, LABEL_COLUMNS, Cohort, FeatureGroup, ModelKind
 from impforecast.errors import CsvSyntaxError
 from impforecast.regressors import BoostedTreesRegressor
 
@@ -92,14 +92,19 @@ class TestGenerate:
         assert not out.exists()
 
 
-def scaled_labels_csv(path, top):
-    """The seed-1 80-patient cohort, channel 1's labels scaled to a max of
-    ``top``: every value finite and > 0."""
+def scaled_csv(path, column, top):
+    """The seed-1 80-patient cohort, its CSV column ``column`` scaled to a
+    max of ``top``: every value finite and > 0."""
     cohort = generate_synthetic_cohort(80, 1)
-    labels = cohort.labels.copy()
-    labels[:, 0] *= top / labels[:, 0].max()
-    path.write_text(serialize_cohort_csv(Cohort(cohort.ages, cohort.intra, labels)))
+    table = np.column_stack([cohort.ages, cohort.intra, cohort.labels])
+    j = (BASE_COLUMNS + LABEL_COLUMNS).index(column)
+    table[:, j] *= top / table[:, j].max()
+    path.write_text(serialize_cohort_csv(Cohort(table[:, 0], table[:, 1:13], table[:, 13:])))
     return path
+
+
+# the fewest trees and epochs, so that a study of 80 patients takes a fraction of a second
+TINY_HYPER = ["--hyper", "dfr.trees=3", "--hyper", "bdtr.trees=5", "--hyper", "nnr.epochs=20"]
 
 
 class TestStudy:
@@ -108,22 +113,65 @@ class TestStudy:
                                                                  monkeypatch, cpus):
         """capfd also reads what the forked workers write to stderr."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        data = scaled_labels_csv(tmp_path / "big.csv", 1e154)
+        data = scaled_csv(tmp_path / "big.csv", "ei_1m_1", 1e154)
         code = run(["study", "--data", str(data), "--out-report", str(tmp_path / "r.json"),
                     "--out-models", str(tmp_path / "m.json"), *FAST_HYPER])
         err = capfd.readouterr().err
         assert code == 0 and err.startswith("study complete: ") and len(err.splitlines()) == 1
 
     def test_trees_that_overflow_fail_as_candidates(self, tmp_path, capfd):
-        data = scaled_labels_csv(tmp_path / "huge.csv", 1.7e308)
+        data = scaled_csv(tmp_path / "huge.csv", "ei_1m_1", 1.7e308)
         code = run(["study", "--data", str(data), "--out-report", str(tmp_path / "r.json"),
                     "--out-models", str(tmp_path / "m.json"), *FAST_HYPER])
         err = capfd.readouterr().err
-        assert code == 3 and len(err.splitlines()) == 1, err
-        assert err.startswith("internal error: every candidate failed: ")
+        assert code == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("data error: every candidate failed: ")
         for candidate in ("DFR/G1", "DFR/G2", "BDTR/G1", "BDTR/G2"):
             assert f"{candidate}: grown leaf values are not finite" in err
+        for candidate in ("LR/G1", "LR/G2"):
+            assert f"{candidate}: fitted weights are not finite: the labels are too large" in err
+        for candidate in ("BLR/G1", "BLR/G2"):
+            assert f"{candidate}: posterior weights or precisions are not finite" in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_a_pick_whose_refit_fails_is_a_data_error(self, tmp_path, capfd):
+        """ei_intra_1 at 1e154 standardizes on every inner split (39 rows) but
+        overflows on the whole training split (56 rows), where each channel's
+        pick is refit."""
+        data = scaled_csv(tmp_path / "wide.csv", "ei_intra_1", 1e154)
+        code = run(["study", "--data", str(data), "--selection", "inner_validation",
+                    "--out-report", str(tmp_path / "r.json"), "--out-models", str(tmp_path / "m.json"),
+                    *TINY_HYPER])
+        err = capfd.readouterr().err
+        assert code == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("data error: every candidate failed: ")
+        assert err.endswith("/G2: feature column 1 is too large to standardize\n")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(column=st.sampled_from(BASE_COLUMNS + LABEL_COLUMNS),
+           top=st.integers(-300, 309).map(lambda k: 1.7e308 if k == 309 else 10.0**k))
+    def test_a_column_scaled_anywhere_in_range_never_exits_3(self, tmp_path, capfd, monkeypatch,
+                                                             cpus, column, top):
+        """A study of a valid cohort ends in success or a data error, with one
+        stderr line, whatever the scale of a column; so does predict with the
+        bundle of a study that succeeds, on the same cohort."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        data = scaled_csv(tmp_path / "scaled.csv", column, top)
+        report, models, out = tmp_path / "r.json", tmp_path / "m.json", tmp_path / "p.csv"
+        for path in (report, models, out):
+            path.unlink(missing_ok=True)
+        capfd.readouterr()
+        code = run(["study", "--data", str(data), "--out-report", str(report),
+                    "--out-models", str(models), *TINY_HYPER])
+        err = capfd.readouterr().err
+        assert code in (0, 2) and len(err.splitlines()) == 1, err
+        if code == 0:
+            code = run(["predict", "--models", str(models), "--data", str(data), "--out", str(out)])
+            err = capfd.readouterr().err
+            assert code in (0, 2) and len(err.splitlines()) == 1, err
 
     def test_end_to_end_deterministic(self, tmp_path, cohort_csv):
         r1, m1 = study_files(tmp_path, cohort_csv, "one")
@@ -618,12 +666,12 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot write ") and len(err.strip().splitlines()) == 1
 
-    def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch):
+    def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch, capsys):
         import impforecast.commands as commands
-        from impforecast.errors import AllCandidatesFailedError
+        from impforecast.errors import LengthMismatchError
 
         def boom(cohort, config):
-            raise AllCandidatesFailedError("every candidate failed")
+            raise LengthMismatchError("prediction/target shapes differ: (3,) vs (4,)")
 
         monkeypatch.setattr(commands, "run_study", boom)
         code = run(
@@ -631,6 +679,8 @@ class TestUsage:
              "--out-models", str(tmp_path / "m.json")]
         )
         assert code == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: prediction/target shapes differ: (3,) vs (4,)\n"
 
     def test_unexpected_exception_is_one_line_internal_error(self, tmp_path, cohort_csv, monkeypatch, capsys):
         import impforecast.cli as cli

@@ -147,12 +147,10 @@ def test_fit_columns_matches_lone_fits(kind, columns, n, d, data_seed):
         assert_same_fit(joint, lone, X)
 
 
-# the FitError each kind records for finite labels near the float limit;
-# the linear kinds' closed forms return their estimator, whose weights
-# overflow to NaN (a study records that by its non-finite score)
+# the FitError each kind records for finite labels near the float limit
 TOO_LARGE_LABELS = {
-    ModelKind.LR: None,
-    ModelKind.BLR: None,
+    ModelKind.LR: DegenerateInputError,
+    ModelKind.BLR: DegenerateInputError,
     ModelKind.DFR: DegenerateInputError,
     ModelKind.BDTR: DegenerateInputError,
     ModelKind.NNR: NonFiniteLossError,
@@ -162,9 +160,8 @@ TOO_LARGE_LABELS = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_fit_columns_records_a_bad_column(kind):
     """A column whose finite labels are too large to train on is recorded
-    for that column as its lone fit records it, a FitError for the kinds
-    that cannot train on it; the call does not raise and the other columns
-    fit as they do alone."""
+    for that column as its lone fit records it, as a FitError; the call does
+    not raise and the other columns fit as they do alone."""
     X, _ = problem()
     Y = np.column_stack([problem(seed=s)[1] for s in range(3)])
     Y[:, 1] = np.abs(Y[:, 1]) * (1.7e308 / np.abs(Y[:, 1]).max())
@@ -175,13 +172,30 @@ def test_fit_columns_records_a_bad_column(kind):
         )
         lone = lone_fits(kind, X, Y, seeds)
     error = TOO_LARGE_LABELS[kind]
-    if error is None:
-        assert not isinstance(together[1], FitError) and not isinstance(lone[1], FitError)
-    else:
-        assert type(together[1]) is error and type(lone[1]) is error
-        assert str(together[1]) == str(lone[1])
+    assert type(together[1]) is error and type(lone[1]) is error
+    assert str(together[1]) == str(lone[1])
     for column in (0, 2):
         assert_same_fit(together[column], lone[column], X)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_parts_records_a_part_too_large_to_standardize(kind):
+    """A part with a finite feature whose stdev overflows gets a
+    DegenerateInputError for each of its columns, with no warning; the call
+    does not raise and the other part fits as it does alone."""
+    X, _ = problem()
+    Y = np.column_stack([problem(seed=s)[1] for s in range(2)])
+    huge = X.copy()
+    huge[:, 1] *= 1e200 / np.abs(huge[:, 1]).max()
+    seeds = [3, 4]
+    good, bad = ESTIMATOR_CLASSES[kind].fit_parts(  # a RuntimeWarning fails the test
+        [([make_regressor(kind, FAST, seed=s) for s in seeds], X_part, Y) for X_part in (X, huge)]
+    )
+    assert [(type(e), str(e)) for e in bad] == (
+        [(DegenerateInputError, "feature column 1 is too large to standardize")] * 2
+    )
+    for joint, lone in zip(good, lone_fits(kind, X, Y, seeds)):
+        assert_same_fit(joint, lone, X)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -10,7 +10,6 @@ from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohor
 from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
 from impforecast.cli import run_cli
 from impforecast.errors import (
-    FitError,
     IncompatibleBundleError,
     NonFiniteLossError,
     NonFinitePredictionError,
@@ -71,7 +70,7 @@ def one_candidate(kind, group, channel, train, test):
     """``evaluate_grid`` for one channel and one candidate."""
     outcome = evaluate_grid((channel,), train, test, FAST_CONFIG, ((kind, group),))
     assert list(outcome) == [channel] and list(outcome[channel]) == [(kind, group)]
-    assert not isinstance(outcome[channel][(kind, group)], FitError)
+    assert outcome[channel][(kind, group)].error is None
     return outcome[channel][(kind, group)]
 
 
@@ -107,14 +106,15 @@ class TestSelectBest:
     def test_argmin_over_grid(self, small_split):
         train, test = small_split
         results = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)[4]
-        _, _, winner = pick_winner(results)
+        winner = pick_winner(results)
         assert len(results) == 10
         for cand in results.values():
             assert winner.rmse <= cand.rmse
 
     def test_winner_matches_direct_evaluation(self, small_split):
         train, test = small_split
-        kind, group, winner = pick_winner(evaluate_grid(CHANNELS, train, test, FAST_CONFIG)[7])
+        winner = pick_winner(evaluate_grid(CHANNELS, train, test, FAST_CONFIG)[7])
+        kind, group = winner.kind, winner.group
         lone = make_regressor(kind, FAST, candidate_seed(FAST_CONFIG.seed, 7, kind, group)).fit(
             feature_matrix(train, group), label_vector(train, 7)
         )
@@ -127,9 +127,9 @@ class TestSelectBest:
 
         train, test = small_split
         monkeypatch.setattr(pipeline, "rmse", lambda y_hat, y: 0.5)  # exact 10-way tie
-        kind, group, _ = pick_winner(evaluate_grid((1,), train, test, FAST_CONFIG)[1])
-        assert kind is ModelKind.LR
-        assert group is FeatureGroup.G1
+        winner = pick_winner(evaluate_grid((1,), train, test, FAST_CONFIG)[1])
+        assert winner.kind is ModelKind.LR
+        assert winner.group is FeatureGroup.G1
 
     def test_non_finite_predictions_are_a_recorded_failure(self, monkeypatch, small_split):
         train, test = small_split
@@ -138,10 +138,10 @@ class TestSelectBest:
         for channel in CHANNELS:
             results = grid[channel]
             for group in FeatureGroup:
-                assert isinstance(results[(ModelKind.LR, group)], NonFinitePredictionError)
-            kind, group, winner = pick_winner(results)
-            assert kind is not ModelKind.LR
-            scored = [r.rmse for r in results.values() if not isinstance(r, Exception)]
+                assert isinstance(results[(ModelKind.LR, group)].error, NonFinitePredictionError)
+            winner = pick_winner(results)
+            assert winner.kind is not ModelKind.LR
+            scored = [r.rmse for r in results.values() if r.error is None]
             assert len(scored) == 8 and winner.rmse == min(scored)
 
     def test_linear_generator_favors_linear_family(self, linear_cohort_factory):
@@ -150,8 +150,7 @@ class TestSelectBest:
         grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
         wins = 0
         for channel in CHANNELS:
-            kind, _, _ = pick_winner(grid[channel])
-            wins += kind in (ModelKind.LR, ModelKind.BLR)
+            wins += pick_winner(grid[channel]).kind in (ModelKind.LR, ModelKind.BLR)
         assert wins >= 10
 
 
@@ -283,7 +282,7 @@ class TestWorkerPool:
             outputs.append(study_bytes(small_cohort, config))
         for channel in CHANNELS:
             for group in FeatureGroup:
-                inline, pooled = (grid[channel][(ModelKind.NNR, group)] for grid in grids)
+                inline, pooled = (grid[channel][(ModelKind.NNR, group)].error for grid in grids)
                 assert isinstance(pooled, NonFiniteLossError)
                 assert (type(pooled), str(pooled)) == (type(inline), str(inline))
         assert outputs[0] == outputs[1]
@@ -295,7 +294,7 @@ class TestWorkerPool:
 
         def inline_map(fn, tasks):
             # per call: its kind and each part's (feature count, channel count)
-            submitted.extend((kind, [(part[1].shape[1], len(part[0])) for part in parts])
+            submitted.extend((kind, [(part[2].shape[1], len(part[1])) for part in parts])
                              for kind, _, parts in tasks)
             return [fn(*t) for t in tasks]
 

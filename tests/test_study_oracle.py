@@ -25,6 +25,7 @@ from impforecast import (
     SplitSpec,
     StudyConfig,
     bundle_to_json,
+    evaluate_grid,
     generate_synthetic_cohort,
     make_regressor,
     report_to_json,
@@ -129,3 +130,29 @@ def test_run_study_matches_the_serial_reference(study):
         raise AssertionError("run_study succeeded where the reference study failed")
     report, models = run_study(cohort, config)
     assert (report_to_json(report), bundle_to_json(models)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(study=studies())
+def test_every_grid_record_matches_its_lone_fit(study):
+    """Every record of ``evaluate_grid``, 12 channels x 10 candidates, is
+    filed under its own channel and candidate, and equals that candidate
+    fit alone: the same error type and message for a failure, else the same
+    rmse, bands and fitted parameters. The byte oracle above sees only the
+    12 winners, so a losing candidate filed under another cell passes it."""
+    cohort, config = study
+    train, test = split_cohort(cohort, SplitSpec(config.test_fraction, config.seed))
+    grid = evaluate_grid(CHANNELS, train, test, config)
+    assert list(grid) == list(CHANNELS)
+    for channel in CHANNELS:
+        assert list(grid[channel]) == [(k, g) for k in KIND_ORDER for g in GROUP_ORDER]
+        for (kind, group), record in grid[channel].items():
+            assert (record.channel, record.kind, record.group) == (channel, kind, group)
+            try:
+                score, bands, model = lone_candidate(kind, group, channel, train, test, config)
+            except FitError as exc:
+                assert (type(record.error), str(record.error)) == (type(exc), str(exc))
+                continue
+            assert record.error is None
+            assert (record.rmse, record.bands) == (score, bands)
+            assert record.model.fitted_params() == model.fitted_params()
