@@ -73,37 +73,35 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Complete per-channel model set (channels 1..12, ascending)."""
+    """One model for each channel 1..12, stored in channel order; raises
+    IncompatibleBundleError for a channel missing, named twice or outside."""
 
     models: tuple[ChannelModel, ...]
 
-    def model_for(self, channel: int) -> ChannelModel:
-        for m in self.models:
-            if m.channel == channel:
-                return m
-        raise IncompatibleBundleError(f"bundle has no model for channel {channel}")
-
-    def check_complete(self) -> "ModelBundle":
-        have = {m.channel for m in self.models}
-        missing = [c for c in CHANNELS if c not in have]
-        if missing:
-            raise IncompatibleBundleError(
-                "bundle is missing channel(s): " + ", ".join(map(str, missing))
-            )
-        return self
+    def __post_init__(self):
+        channels = [m.channel for m in self.models]
+        outside = [c for c in channels if c not in CHANNELS]
+        for rule, bad in (
+            ("has a model for channel(s) outside 1..12", outside),
+            ("has more than one model for channel(s)", repeated(channels)),
+            ("is missing channel(s)", [c for c in CHANNELS if c not in channels]),
+        ):
+            if bad:
+                raise IncompatibleBundleError(f"bundle {rule}: " + ", ".join(map(str, bad)))
+        object.__setattr__(self, "models", tuple(sorted(self.models, key=lambda m: m.channel)))
 
 
 def bundle_to_json(bundle: ModelBundle) -> str:
     doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
-        "models": [m.to_dict() for m in sorted(bundle.models, key=lambda m: m.channel)],
+        "models": [m.to_dict() for m in bundle.models],
     }
     return dump_json(doc)
 
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:
     """Raises IncompatibleBundleError unless ``text`` is a bundle (strict
-    JSON, see ``textio.load_json``) with at most one model per channel."""
+    JSON, see ``textio.load_json``) with one model for each channel."""
     doc = load_json(text, "bundle", BUNDLE_FORMAT_VERSION)
     models = doc.get("models")
     if not isinstance(models, list):
@@ -114,10 +112,6 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
             loaded.append(ChannelModel.from_dict(entry))
         except IncompatibleBundleError as exc:
             raise IncompatibleBundleError(f"models[{i}]: {exc}") from None
-    if twice := repeated(m.channel for m in loaded):
-        raise IncompatibleBundleError(
-            "bundle has more than one model for channel(s): " + ", ".join(map(str, twice))
-        )
     return ModelBundle(models=tuple(loaded))
 
 

@@ -70,7 +70,7 @@ def study(args) -> int:
 
 
 def predict(args) -> int:
-    bundle = load_bundle(args.models).check_complete()
+    bundle = load_bundle(args.models)
     cohort = parse_cohort_csv(read_text(args.data))
     P = predict_batch(bundle, cohort)
     lines = [",".join(f"pred_ei_1m_{c}" for c in CHANNELS)]

@@ -44,7 +44,7 @@ from .domain import (
 from .errors import AllCandidatesFailedError, FitError, NonFiniteOutputError, TooSmallError
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
-# The report document lives in ``report``; its JSON functions stay importable from here.
+# The report document lives in ``report``; these names stay importable from here.
 from .report import SelectionEntry, StudyReport, histogram_of_kinds, report_from_json, report_to_json
 from .seeding import derive_seed
 
@@ -211,7 +211,8 @@ def pick_winner(results: dict) -> Candidate:
     scored = [r for r in records if r.error is None]
     if not scored:
         failures = "; ".join(f"{r.kind.value}/{r.group.value}: {r.error}" for r in records)
-        raise AllCandidatesFailedError(f"every candidate failed: {failures}")
+        channel = records[0].channel
+        raise AllCandidatesFailedError(f"channel {channel}: every candidate failed: {failures}")
     return min(scored, key=lambda r: r.rmse)
 
 
@@ -258,9 +259,8 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
 
     entries = tuple(SelectionEntry(w.channel, w.kind, w.group, w.rmse, w.bands) for w in winners)
     models = ModelBundle(tuple(ChannelModel(w.channel, w.kind, w.group, w.rmse, w.model)
-                               for w in winners)).check_complete()
-    histogram = histogram_of_kinds(e.kind for e in entries)
-    return StudyReport(entries=entries, histogram=histogram, config=asdict(config)), models
+                               for w in winners))
+    return StudyReport(entries=entries, config=asdict(config)), models
 
 
 # --- prediction on new patients -------------------------------------------------
@@ -287,19 +287,17 @@ def predict_batch(bundle: ModelBundle, cohort: Cohort) -> np.ndarray:
     patients in the batch. Raises NonFiniteOutputError, naming the first
     such channel, if a prediction is NaN or infinite.
     """
-    bundle.check_complete()
     features = {}
     out = np.empty((len(cohort), len(CHANNELS)), dtype=float)
     with np.errstate(all="ignore"):  # a non-finite output is raised below, not warned about
-        for column, channel in enumerate(CHANNELS):
-            m = bundle.model_for(channel)
+        for column, m in enumerate(bundle.models):
             if m.group not in features:
                 features[m.group] = feature_matrix(cohort, m.group)
             out[:, column] = m.estimator.predict(features[m.group])
             bad = len(cohort) - np.count_nonzero(np.isfinite(out[:, column]))
             if bad:
                 raise NonFiniteOutputError(
-                    channel,
+                    m.channel,
                     f"the {m.kind.value} {m.group.value} model predicts NaN or infinity for "
                     f"{bad} of {len(cohort)} patients",
                 )
@@ -313,6 +311,6 @@ def predict_one(bundle: ModelBundle, patient: Cohort) -> list[ChannelPrediction]
         raise ValueError(f"predict_one needs a cohort of one patient, got {len(patient)}")
     values = predict_batch(bundle, patient)[0].tolist()
     return [
-        ChannelPrediction(channel=c, value=v, rmse=bundle.model_for(c).rmse)
-        for c, v in zip(CHANNELS, values)
+        ChannelPrediction(channel=m.channel, value=v, rmse=m.rmse)
+        for m, v in zip(bundle.models, values)
     ]

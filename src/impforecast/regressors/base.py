@@ -202,6 +202,7 @@ class BaseRegressor:
         return self
 
     @classmethod
+    @np.errstate(all="ignore")  # an overflow is recorded as a FitError, not warned about
     def fit_parts(cls, parts) -> list:
         """Fit ``estimators[j]`` on ``(X, Y[:, j])`` for every column j of
         every ``(estimators, X, Y)`` part, all in one ``_fit_parts`` call.
@@ -226,8 +227,7 @@ class BaseRegressor:
         if len({e.hyper for estimators, _, _ in checked for e in estimators}) > 1:
             raise ValueError("the estimators of one fit must differ only in seed")
         standardizers = [Standardizer() for _ in checked]
-        with np.errstate(all="ignore"):  # an overflow is recorded below, not warned about
-            standardized = [s.fit_transform(X) for s, (_, X, _) in zip(standardizers, checked)]
+        standardized = [s.fit_transform(X) for s, (_, X, _) in zip(standardizers, checked)]
         too_large = []  # per part: its first feature column that overflows, or None
         for s, Xs in zip(standardizers, standardized):
             finite = np.isfinite(s.means_) & np.isfinite(s.stdevs_) & np.isfinite(Xs).all(axis=0)

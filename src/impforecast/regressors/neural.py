@@ -207,7 +207,7 @@ class NeuralNetRegressor(BaseRegressor):
 
     Full-batch gradient descent with momentum; weights start uniform in
     +-init_scale/sqrt(fan_in), biases at zero. Raises NonFiniteLossError if
-    the loss diverges (step size too large).
+    the loss is not finite (data or step size too large).
     """
 
     kind = ModelKind.NNR
@@ -233,8 +233,8 @@ class NeuralNetRegressor(BaseRegressor):
 
         Each network starts from its own estimator's initialisation. A
         network whose loss goes non-finite in any epoch, or whose final
-        parameters are non-finite, gets a NonFiniteLossError; the block
-        stops training once every network in it has one.
+        parameters are non-finite, gets a NonFiniteLossError (blaming the
+        data if before any step); the block stops once every network has one.
         """
         if len({Xs.shape[0] for _, Xs, _ in parts}) > 1:
             raise ValueError("the parts of one network fit must have the same number of rows")
@@ -249,25 +249,27 @@ class NeuralNetRegressor(BaseRegressor):
         params = networks.params
         velocity = np.zeros_like(params)
         diverged = np.zeros(len(estimators), dtype=bool)
-        # divergence is detected via the loss; intermediate overflow in a
-        # diverging iterate is expected, not worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(hyper.epochs):
-                losses = networks.losses()
-                finite = np.isfinite(losses)
-                if not finite.all():
-                    diverged |= ~finite
-                    if diverged.all():
-                        break
-                networks.grads *= hyper.step
-                velocity *= hyper.momentum
-                velocity -= networks.grads
-                params += velocity
+        for epoch in range(hyper.epochs):  # divergence is detected via the loss
+            losses = networks.losses()
+            finite = np.isfinite(losses)
+            if epoch == 0:  # before any step: the data are too large, not the step
+                too_large = ~finite
+            if not finite.all():
+                diverged |= ~finite
+                if diverged.all():
+                    break
+            networks.grads *= hyper.step
+            velocity *= hyper.momentum
+            velocity -= networks.grads
+            params += velocity
 
         outcomes = list(estimators)
         for c, estimator in enumerate(estimators):
             fitted = networks.network(params, c)
-            if diverged[c]:
+            if too_large[c]:
+                outcomes[c] = NonFiniteLossError("training loss is not finite at the initial "
+                                                 "weights: the labels or features are too large")
+            elif diverged[c]:
                 outcomes[c] = NonFiniteLossError(
                     f"training loss diverged (step={hyper.step}); reduce the step size"
                 )

@@ -444,12 +444,12 @@ def grow_forest(
     tree before any tree grows (as one (trees, n) draw, which numpy fills
     with the same numbers); without it every tree grows on all rows.
 
-    ``feature_subset`` below d limits each split to that many features,
-    chosen by a key: the root of tree t of column c has key
-    ``derive_seed(seeds[c], t)``, a node with key k gives its children
-    ``splitmix64(k ^ 1)`` (left) and ``splitmix64(k ^ 2)`` (right), and
-    considers the ``feature_subset`` features f with the smallest
-    ``splitmix64(k ^ (3 + f))``. None means every feature. Each tree equals
+    Each split considers ``feature_subset`` features (None, or d or more,
+    means every feature), chosen by a key: the root of tree t of column c
+    has key ``derive_seed(seeds[c], t)``, a node with key k gives its
+    children ``splitmix64(k ^ 1)`` (left) and ``splitmix64(k ^ 2)``
+    (right), and considers the ``feature_subset`` features f with the
+    smallest ``splitmix64(k ^ (3 + f))``. Each tree equals
     ``build_tree`` on its sample when every feature is considered, and no
     tree depends on the other columns.
     """
@@ -473,11 +473,10 @@ def grow_forest(
     del samples
     tree = np.arange(count)
     m = np.full(count, n)
-    if subset < d:
-        key = np.concatenate([
-            splitmix64_array(np.uint64(derive_seed(s)) ^ np.arange(trees, dtype=np.uint64))
-            for s in seeds
-        ])
+    key = np.concatenate([
+        splitmix64_array(np.uint64(derive_seed(s)) ^ np.arange(trees, dtype=np.uint64))
+        for s in seeds
+    ])
     levels = []
     for depth in range(max_depth + 1):
         start = np.cumsum(m) - m
@@ -498,10 +497,7 @@ def grow_forest(
                 in_class = candidates[size_class == c]
                 for lo in range(0, in_class.shape[0], SPLIT_BLOCK_NODES):
                     nodes = in_class[lo : lo + SPLIT_BLOCK_NODES]
-                    if subset < d:
-                        feats = _node_features(key[nodes], d, subset)
-                    else:
-                        feats = np.broadcast_to(np.arange(d), (nodes.shape[0], d))
+                    feats = _node_features(key[nodes], d, subset)
                     f, thr, nl, ok = _score_nodes(
                         X, y_rows, rows, start[nodes], m[nodes], feats, total[nodes], min_leaf
                     )
@@ -520,9 +516,7 @@ def grow_forest(
         rows = np.concatenate([body[in_split & goes_left], body[in_split & ~goes_left], rows[-1:]])
         m = np.concatenate([n_left[split], m[split] - n_left[split]])
         tree = np.tile(tree[split], 2)
-        if subset < d:
-            key = np.concatenate([key[split] ^ np.uint64(1), key[split] ^ np.uint64(2)])
-            key = splitmix64_array(key)
+        key = splitmix64_array(np.concatenate([key[split] ^ np.uint64(1), key[split] ^ np.uint64(2)]))
     grown = _preorder_trees(levels, count)
     return [grown[c * trees : (c + 1) * trees] for c in range(columns)]
 

@@ -115,9 +115,22 @@ class SelectionEntry:
 
 @dataclass(frozen=True)
 class StudyReport:
+    """A study's winners, stored in channel order, and its config; raises
+    IncompatibleBundleError for a channel named twice."""
+
     entries: tuple[SelectionEntry, ...]
-    histogram: dict[str, int]
     config: dict
+
+    def __post_init__(self):
+        if twice := repeated(e.channel for e in self.entries):
+            raise IncompatibleBundleError(
+                "report has more than one entry for channel(s): " + ", ".join(map(str, twice))
+            )
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.channel)))
+
+    @property
+    def histogram(self) -> dict[str, int]:
+        return histogram_of_kinds(e.kind for e in self.entries)
 
 
 def histogram_of_kinds(kinds) -> dict[str, int]:
@@ -143,7 +156,7 @@ def report_to_json(report: StudyReport) -> str:
                 "rmse": e.rmse,
                 "bands": e.bands.to_dict(),
             }
-            for e in sorted(report.entries, key=lambda e: e.channel)
+            for e in report.entries
         ],
         "histogram": report.histogram,
     }
@@ -171,11 +184,8 @@ def report_from_json(text: str | bytes) -> StudyReport:
         raise IncompatibleBundleError(f"report lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
         raise IncompatibleBundleError(f"malformed report: {exc}") from None
-    if twice := repeated(e.channel for e in entries):
-        raise IncompatibleBundleError(
-            "report has more than one entry for channel(s): " + ", ".join(map(str, twice))
-        )
-    expected = histogram_of_kinds(e.kind for e in entries)
+    report = StudyReport(entries=entries, config=config)
+    expected = report.histogram
     # only a dict equals ``expected``; == takes true and 1.0 for 1, so the counts' types are checked too
     if histogram != expected or not all(is_count(n) for n in histogram.values()):
         raise IncompatibleBundleError(
@@ -183,7 +193,7 @@ def report_from_json(text: str | bytes) -> StudyReport:
         )
     if not isinstance(config, dict):
         raise IncompatibleBundleError(f"report config must be a JSON object, got {config!r}")
-    return StudyReport(entries=entries, histogram=expected, config=config)
+    return report
 
 
 # --- rendering -------------------------------------------------------------------
@@ -210,7 +220,7 @@ def _cells(report: StudyReport):
     in channel order. Every render picks its columns from these, so each
     kind of cell is formatted here only."""
     pct = lambda v: f"{v:.{PCT_DECIMALS}f}"
-    for e in sorted(report.entries, key=lambda e: e.channel):
+    for e in report.entries:
         b = e.bands
         yield {
             "label": f"EI_1M_{e.channel}",

@@ -38,8 +38,7 @@ def test_save_load_predict_bit_identical(fitted, tmp_path):
     save_bundle(models, path)
     reloaded = load_bundle(path)
     X = feature_matrix(cohort, FeatureGroup.G2)
-    for channel_model in models.models:
-        again = reloaded.model_for(channel_model.channel)
+    for channel_model, again in zip(models.models, reloaded.models):
         assert again.kind == channel_model.kind
         assert again.group == channel_model.group
         Xg = feature_matrix(cohort, channel_model.group)
@@ -69,9 +68,8 @@ def test_wrong_format_version_rejected(fitted):
 
 def test_incomplete_bundle_detected(fitted):
     _, models = fitted
-    partial = ModelBundle(models=models.models[:11])
     with pytest.raises(IncompatibleBundleError) as info:
-        partial.check_complete()
+        ModelBundle(models=models.models[:11])
     assert "12" in str(info.value)
 
 

@@ -125,13 +125,16 @@ class TestStudy:
                     "--out-models", str(tmp_path / "m.json"), *FAST_HYPER])
         err = capfd.readouterr().err
         assert code == 2 and len(err.splitlines()) == 1, err
-        assert err.startswith("data error: every candidate failed: ")
+        assert err.startswith("data error: channel 1: every candidate failed: ")
         for candidate in ("DFR/G1", "DFR/G2", "BDTR/G1", "BDTR/G2"):
             assert f"{candidate}: grown leaf values are not finite" in err
         for candidate in ("LR/G1", "LR/G2"):
             assert f"{candidate}: fitted weights are not finite: the labels are too large" in err
         for candidate in ("BLR/G1", "BLR/G2"):
             assert f"{candidate}: posterior weights or precisions are not finite" in err
+        for candidate in ("NNR/G1", "NNR/G2"):
+            assert (f"{candidate}: training loss is not finite at the initial weights: "
+                    "the labels or features are too large") in err
         assert not (tmp_path / "r.json").exists()
 
     def test_a_pick_whose_refit_fails_is_a_data_error(self, tmp_path, capfd):
@@ -144,7 +147,7 @@ class TestStudy:
                     *TINY_HYPER])
         err = capfd.readouterr().err
         assert code == 2 and len(err.splitlines()) == 1, err
-        assert err.startswith("data error: every candidate failed: ")
+        assert err.startswith("data error: channel 1: every candidate failed: ")
         assert err.endswith("/G2: feature column 1 is too large to standardize\n")
         assert not (tmp_path / "r.json").exists()
 

@@ -2,12 +2,15 @@
 input validation, determinism, empty-input prediction, and ``fit_parts``
 of several columns against lone fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impforecast.domain import ModelKind
+from impforecast.dataio import generate_synthetic_cohort
+from impforecast.domain import FeatureGroup, ModelKind, feature_matrix
 from impforecast.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -196,6 +199,22 @@ def test_fit_parts_records_a_part_too_large_to_standardize(kind):
     )
     for joint, lone in zip(good, lone_fits(kind, X, Y, seeds)):
         assert_same_fit(joint, lone, X)
+
+
+@pytest.mark.parametrize("group", list(FeatureGroup))
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_on_labels_near_the_overflow_is_silent(kind, group):
+    """Labels that overflow a kind's intermediate sums (the seed-1 cohort's
+    channel 1, scaled to a max of 1e154) give a fitted estimator or a
+    FitError, never a numpy warning: the whole fit runs under one errstate."""
+    cohort = generate_synthetic_cohort(80, 1)
+    y = cohort.labels[:, 0] * (1e154 / cohort.labels[:, 0].max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            make_regressor(kind, seed=1).fit(feature_matrix(cohort, group), y)
+        except FitError:
+            pass
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -19,7 +19,7 @@ import pytest
 import impforecast
 from impforecast.cli import run_cli
 from impforecast.domain import FeatureGroup, ModelKind
-from impforecast.report import ErrorBands, SelectionEntry, StudyReport, histogram_of_kinds, report_to_json
+from impforecast.report import ErrorBands, SelectionEntry, StudyReport, report_to_json
 
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
@@ -58,8 +58,7 @@ def saved_report(tmp_path_factory):
                        bands=ErrorBands.from_counts((20, 3, 1, 0), 24))
         for c, kind in zip(range(1, 13), [ModelKind.BLR, ModelKind.NNR, ModelKind.LR] * 4)
     )
-    report = StudyReport(entries=entries, histogram=histogram_of_kinds(e.kind for e in entries),
-                         config={"seed": 1})
+    report = StudyReport(entries=entries, config={"seed": 1})
     path = tmp_path_factory.mktemp("imports") / "report.json"
     path.write_text(report_to_json(report), encoding="utf-8")
     return path

@@ -8,7 +8,6 @@ from impforecast.metrics import ErrorBands
 from impforecast.pipeline import (
     SelectionEntry,
     StudyReport,
-    histogram_of_kinds,
     report_from_json,
 )
 from impforecast.report import (
@@ -45,7 +44,6 @@ def reference_report(band_counts=(14, 8, 2, 0)) -> StudyReport:
     )
     return StudyReport(
         entries=entries,
-        histogram=histogram_of_kinds(e.kind for e in entries),
         config={"seed": 42, "test_fraction": 0.30, "selection": "test", "hyper": {}},
     )
 
@@ -75,7 +73,7 @@ class TestSelectionTable:
         assert row11[3] == "0.903880"
 
     def test_empty_report_is_header_only(self):
-        empty = StudyReport(entries=(), histogram=histogram_of_kinds([]), config={})
+        empty = StudyReport(entries=(), config={})
         text = render_selection_table(empty)
         assert text.splitlines() == ["Label | Best Algorithm | Features Group | RMSE"]
 
@@ -83,7 +81,6 @@ class TestSelectionTable:
         report = reference_report()
         shuffled = StudyReport(
             entries=tuple(reversed(report.entries)),
-            histogram=report.histogram,
             config=report.config,
         )
         labels = [cells(l)[0] for l in render_selection_table(shuffled).splitlines()[1:]]

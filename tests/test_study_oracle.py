@@ -36,7 +36,7 @@ from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, feature_matrix
 from impforecast.errors import AllCandidatesFailedError, FitError
 from impforecast.metrics import error_bands, rmse
 from impforecast.pipeline import candidate_seed
-from impforecast.report import StudyReport, histogram_of_kinds
+from impforecast.report import StudyReport
 from impforecast.seeding import derive_seed
 
 # a nested study splits channel c's training part with seed derive_seed(seed, c, 101)
@@ -83,7 +83,7 @@ def reference_study(cohort, config) -> tuple[str, str]:
         SelectionEntry(channel=c, kind=kind, group=group, rmse=score, bands=bands)
         for c, (kind, group, (score, bands, _)) in zip(CHANNELS, winners)
     )
-    report = StudyReport(entries, histogram_of_kinds(e.kind for e in entries), asdict(config))
+    report = StudyReport(entries, asdict(config))
     bundle = ModelBundle(tuple(
         ChannelModel(channel=c, kind=kind, group=group, rmse=score, estimator=model)
         for c, (kind, group, (score, _, model)) in zip(CHANNELS, winners)

@@ -16,7 +16,6 @@ from impforecast.report import (
     ErrorBands,
     SelectionEntry,
     StudyReport,
-    histogram_of_kinds,
     report_from_json,
     report_to_json,
 )
@@ -124,7 +123,7 @@ def documents(mixed_bundle, tmp_path_factory):
         )
         for c in CHANNELS
     )
-    report = StudyReport(entries, histogram_of_kinds(e.kind for e in entries), {"seed": 3})
+    report = StudyReport(entries, {"seed": 3})
     texts = {
         parse_cohort_csv: serialize_cohort_csv(generate_synthetic_cohort(6, 4)),
         bundle_from_json: bundle_to_json(mixed_bundle),
