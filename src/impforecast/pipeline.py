@@ -10,13 +10,16 @@ boosting fits one channel per call. Every candidate fit gets its own seed
 derived from the master seed, and a fit does not depend on which other
 fits share the call.
 
-A study maps its candidate calls over the process's CPUs (``_parallel_map``).
-A call returns one ``Candidate`` per fit, tagged with its channel, kind and
-group, and the grid files each under those tags, so the outputs have the
-same bytes on any number of CPUs. That record is the one result from fit
-to winner: ``pick_winner`` and ``run_study`` read it as it is. A nested
-study runs the same grid twice: on the inner splits, then to refit the
-picks, one part per pick.
+A grid round fits its linear candidates (LR and BLR) in the calling
+process first, then maps the other candidate calls over the process's CPUs
+(``_parallel_map``). A call returns one ``Candidate`` per fit, tagged with
+its channel, kind and group, and the grid files each under those tags, so
+the outputs have the same bytes on any number of CPUs. That record is the
+one result from fit to winner: ``pick_winner`` and ``run_study`` read it
+as it is. In a study, a channel's least linear RMSE bounds its other
+candidates: a record that does not score below it cannot win, so it comes
+back from its worker without its model. A nested study runs the same grid
+twice: on the inner splits, then to refit the picks, one part per pick.
 """
 
 from __future__ import annotations
@@ -51,10 +54,14 @@ from .seeding import derive_seed
 # Canonical candidate order; also the tie-breaking order (simpler first).
 CANDIDATES = tuple((kind, group) for kind in KIND_ORDER for group in GROUP_ORDER)
 
-# The order in which a study's pool takes the candidate calls: the one network
-# call first, as it is the longest, then the forest, then boosting's small
-# one-channel calls, so that the workers finish at about the same time.
-_SUBMIT_ORDER = (ModelKind.NNR, ModelKind.DFR, ModelKind.BDTR, ModelKind.BLR, ModelKind.LR)
+# The kinds a grid round fits in the calling process, before its pool: they
+# are the cheapest, and their scores bound what the other kinds must beat.
+_LINEAR = (ModelKind.LR, ModelKind.BLR)
+
+# The order in which a study's pool takes the other candidate calls: the one
+# network call first, as it is the longest, then the forest, then boosting's
+# small one-channel calls, so that the workers finish at about the same time.
+_SUBMIT_ORDER = (ModelKind.NNR, ModelKind.DFR, ModelKind.BDTR)
 
 # Salt distinguishing the inner selection split from candidate fits.
 _INNER_SPLIT_SALT = 101
@@ -77,7 +84,8 @@ class StudyConfig:
 class Candidate:
     """One candidate of one channel: its RMSE, error bands and fitted model
     on the test part, or ``error``, the FitError that ended it, with None in
-    those three fields."""
+    those three fields. ``model`` is also None when the RMSE is not below
+    its channel's bound, as a candidate that cannot win is not kept."""
 
     channel: int
     kind: ModelKind
@@ -92,15 +100,17 @@ def candidate_seed(master_seed: int, channel: int, kind: ModelKind, group: Featu
     return derive_seed(master_seed, channel, kind_index(kind), group_index(group))
 
 
-def _fit_and_score(kind, config, parts) -> list:
+def _fit_and_score(kind, config, parts, bounds) -> list:
     """Fit ``kind`` on every ``(group, channels, X_train, Y_train, X_test,
     Y_test)`` part in one ``fit_parts`` call, column j of ``Y_train`` with
     the candidate seed of ``channels[j]``, and score it on column j of
     ``Y_test``.
 
-    Returns the Candidate of every column, part by part. A non-finite
-    outcome is recorded as a FitError, so numpy's overflow warnings
-    (labels near the float limit) are off, as in ``predict_batch``.
+    Returns the Candidate of every column, part by part, without its model
+    where ``bounds`` has an RMSE for the channel that the candidate's does
+    not beat. A non-finite outcome is recorded as a FitError, so numpy's
+    overflow warnings (labels near the float limit) are off, as in
+    ``predict_batch``.
     """
     with np.errstate(all="ignore"):
         fitted = ESTIMATOR_CLASSES[kind].fit_parts([
@@ -108,20 +118,22 @@ def _fit_and_score(kind, config, parts) -> list:
               for c in channels], X_train, Y_train)
             for group, channels, X_train, Y_train, _, _ in parts
         ])
-        return [_score(c, kind, group, model, X_test, y_test)
+        return [_score(c, kind, group, model, X_test, y_test, bounds.get(c))
                 for models, (group, channels, _, _, X_test, Y_test) in zip(fitted, parts)
                 for c, model, y_test in zip(channels, models, Y_test.T)]
 
 
-def _score(channel, kind, group, model, X_test, y_test) -> Candidate:
+def _score(channel, kind, group, model, X_test, y_test, bound) -> Candidate:
     """The Candidate of a ``fit_parts`` outcome, a fitted model or its
-    FitError, scored on the test part."""
+    FitError, scored on the test part; it keeps the model unless ``bound``
+    is an RMSE that its own does not beat."""
     if isinstance(model, FitError):
         return Candidate(channel, kind, group, error=model)
     y_hat = model.predict(X_test)
     try:
-        return Candidate(channel, kind, group, rmse(y_hat, y_test), error_bands(y_hat, y_test),
-                         model)
+        score = rmse(y_hat, y_test)
+        return Candidate(channel, kind, group, score, error_bands(y_hat, y_test),
+                         model if bound is None or score < bound else None)
     except FitError as exc:
         return Candidate(channel, kind, group, error=exc)
 
@@ -159,19 +171,24 @@ def _parallel_map(fn, tasks) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _grid(problems, config: StudyConfig) -> dict[int, dict]:
+def _grid(problems, config: StudyConfig, *, prune: bool) -> dict[int, dict]:
     """Fit and score the candidates of ``(channels, train, test, candidates)``
-    problems with disjoint channels, all on one ``_parallel_map``.
+    problems with disjoint channels.
 
     A part is one problem's candidate for its channels, with their label
     columns; boosting shares nothing across columns, so it gets one part
-    per channel. The network parts of the whole round go in one call,
-    which trains them as one block; every other part is a call of its own.
-    The pool takes the calls in ``_SUBMIT_ORDER``. Every Candidate comes
-    back tagged with its channel, kind and group, and is filed under them:
+    per channel. The linear parts are fit here, one call each, before the
+    other calls go to one ``_parallel_map``: the network parts of the whole
+    round in one call, which trains them as one block, and every other part
+    in a call of its own, taken in ``_SUBMIT_ORDER``. With ``prune``, a
+    channel's least linear RMSE bounds its pooled candidates, and a pooled
+    record that does not beat it comes back without its model: ``min`` in
+    ``pick_winner`` keeps the first of equal scores, and the linear kinds
+    come first, so such a record cannot win. Every Candidate comes back
+    tagged with its channel, kind and group, and is filed under them:
     returns ``{channel: {(kind, group): Candidate}}`` in candidate order.
     """
-    parts = {kind: [] for kind in _SUBMIT_ORDER}
+    parts = {kind: [] for kind in ModelKind}
     for channels, train, test, candidates in problems:
         columns = [c - 1 for c in channels]
         Y_train, Y_test = (cohort.labels.take(columns, axis=1) for cohort in (train, test))
@@ -184,14 +201,21 @@ def _grid(problems, config: StudyConfig) -> dict[int, dict]:
                                 for j, c in enumerate(channels)]
             else:
                 parts[kind].append((group, channels, X_train, Y_train, X_test, Y_test))
+    linear = [r for kind in _LINEAR for part in parts[kind]
+              for r in _fit_and_score(kind, config, [part], {})]
+    bounds = {}  # channel: its least linear RMSE
+    if prune:
+        for r in linear:
+            if r.error is None:
+                bounds[r.channel] = min(r.rmse, bounds.get(r.channel, r.rmse))
     tasks = []
     for kind in _SUBMIT_ORDER:
         if kind is not ModelKind.NNR:
-            tasks += [(kind, config, [part]) for part in parts[kind]]
+            tasks += [(kind, config, [part], bounds) for part in parts[kind]]
         elif parts[kind]:
-            tasks.append((kind, config, parts[kind]))
+            tasks.append((kind, config, parts[kind], bounds))
     filed = {(r.channel, r.kind, r.group): r
-             for records in _parallel_map(_fit_and_score, tasks) for r in records}
+             for records in [linear, *_parallel_map(_fit_and_score, tasks)] for r in records}
     return {c: {key: filed[(c, *key)] for key in candidates}
             for channels, _, _, candidates in problems for c in channels}
 
@@ -199,8 +223,10 @@ def _grid(problems, config: StudyConfig) -> dict[int, dict]:
 def evaluate_grid(channels, train: Cohort, test: Cohort, config: StudyConfig,
                   candidates=CANDIDATES) -> dict[int, dict]:
     """Fit ``candidates`` for every channel in ``channels`` on the training
-    cohort and score them on the test cohort: ``_grid`` of one problem."""
-    return _grid([(tuple(check_channel(c) for c in channels), train, test, candidates)], config)
+    cohort and score them on the test cohort: ``_grid`` of one problem,
+    every record with its fitted model."""
+    return _grid([(tuple(check_channel(c) for c in channels), train, test, candidates)], config,
+                 prune=False)
 
 
 def pick_winner(results: dict) -> Candidate:
@@ -235,6 +261,9 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
     the published ranges are trained on as they are. Raises
     AllCandidatesFailedError for a channel whose every candidate fails, or,
     in a nested study, whose pick fails its refit.
+
+    Both grid rounds prune: only a record that can still win keeps its
+    model. A refit round whose picks are all linear opens no pool.
     """
     if len(cohort) < 10:
         raise TooSmallError(f"study needs at least 10 records, got {len(cohort)}")
@@ -248,13 +277,13 @@ def run_study(cohort: Cohort, config: StudyConfig = StudyConfig()) -> tuple[Stud
                    for c, spec in inner.items()]
     else:
         ranking = [(CHANNELS, train, test, CANDIDATES)]
-    grid = _grid(ranking, config)
+    grid = _grid(ranking, config, prune=True)
     winners = [pick_winner(grid[c]) for c in CHANNELS]
 
     if nested:  # refit each pick on train, in one call for all the channels that picked it
         picks = [(w.kind, w.group) for w in winners]
         refit = _grid([([c for c, p in zip(CHANNELS, picks) if p == key], train, test, (key,))
-                       for key in dict.fromkeys(picks)], config)
+                       for key in dict.fromkeys(picks)], config, prune=True)
         winners = [pick_winner(refit[c]) for c in CHANNELS]  # raises if a refit failed
 
     entries = tuple(SelectionEntry(w.channel, w.kind, w.group, w.rmse, w.bands) for w in winners)

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .checks import is_count, loaded_rmse, repeated, require
-from .domain import KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
+from .domain import CHANNELS, KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
 from .errors import (
     EmptyInputError,
     IncompatibleBundleError,
@@ -116,16 +116,20 @@ class SelectionEntry:
 @dataclass(frozen=True)
 class StudyReport:
     """A study's winners, stored in channel order, and its config; raises
-    IncompatibleBundleError for a channel named twice."""
+    IncompatibleBundleError for a channel outside 1..12 or named twice."""
 
     entries: tuple[SelectionEntry, ...]
     config: dict
 
     def __post_init__(self):
-        if twice := repeated(e.channel for e in self.entries):
-            raise IncompatibleBundleError(
-                "report has more than one entry for channel(s): " + ", ".join(map(str, twice))
-            )
+        channels = [e.channel for e in self.entries]
+        outside = [c for c in channels if c not in CHANNELS]
+        for rule, bad in (
+            ("has an entry for channel(s) outside 1..12", outside),
+            ("has more than one entry for channel(s)", repeated(channels)),
+        ):
+            if bad:
+                raise IncompatibleBundleError(f"report {rule}: " + ", ".join(map(str, bad)))
         object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.channel)))
 
     @property

@@ -3,6 +3,8 @@ their channels come in, and with some dropped or named twice, each either
 refuses them at construction or writes JSON that its reader loads back
 equal, with the same bytes on a second write."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,3 +91,17 @@ def test_a_bundle_names_the_channels_it_refuses(study):
     with pytest.raises(IncompatibleBundleError,
                        match="^bundle has a model for channel\\(s\\) outside 1..12: 13$"):
         ModelBundle(models.models + (stray,))
+
+
+def test_a_report_names_the_channels_it_refuses(study):
+    report, _ = study
+    three = report.entries[2]
+    with pytest.raises(IncompatibleBundleError,
+                       match="^report has more than one entry for channel\\(s\\): 3$"):
+        StudyReport(report.entries + (three,), report.config)
+    stray = dataclasses.replace(three, channel=13)
+    with pytest.raises(IncompatibleBundleError,
+                       match="^report has an entry for channel\\(s\\) outside 1..12: 13$"):
+        StudyReport(report.entries + (stray,), report.config)
+    with pytest.raises(IncompatibleBundleError, match="outside 1..12: 0, 13$"):
+        StudyReport((dataclasses.replace(three, channel=0), stray), report.config)

@@ -42,6 +42,10 @@ FAST = HyperParams().with_overrides(
     {"dfr.trees": 15, "bdtr.trees": 30, "nnr.epochs": 150}
 )
 FAST_CONFIG = StudyConfig(hyper=FAST)
+# linear kinds held near the mean, so that trees and networks win channels
+HANDICAPPED_LINEAR_CONFIG = StudyConfig(
+    hyper=FAST.with_overrides({"lr.ridge": 1e6, "blr.alpha": 1e6, "blr.evidence_iters": 0})
+)
 
 # reference per-channel winners this pipeline's tables mirror
 REFERENCE_WINNERS = [
@@ -290,29 +294,73 @@ class TestWorkerPool:
 
     def test_costliest_kinds_go_first_and_come_back_in_candidate_order(self, monkeypatch,
                                                                        small_split):
+        # the linear calls run before the pool, which takes the rest longest first
         train, test = small_split
-        submitted = []
+        calls = []
+        fit_and_score = pipeline._fit_and_score
+
+        def logged(kind, config, parts, bounds):
+            # per call: its kind and each part's (feature count, channel count)
+            calls.append((kind, [(part[2].shape[1], len(part[1])) for part in parts]))
+            return fit_and_score(kind, config, parts, bounds)
 
         def inline_map(fn, tasks):
-            # per call: its kind and each part's (feature count, channel count)
-            submitted.extend((kind, [(part[2].shape[1], len(part[1])) for part in parts])
-                             for kind, _, parts in tasks)
+            calls.append("pool")
             return [fn(*t) for t in tasks]
 
+        monkeypatch.setattr(pipeline, "_fit_and_score", logged)
         monkeypatch.setattr(pipeline, "_parallel_map", inline_map)
         grid = evaluate_grid(CHANNELS, train, test, FAST_CONFIG)
         every_channel = [[(g.dimension, len(CHANNELS))] for g in FeatureGroup]
-        assert submitted == (
-            [(ModelKind.NNR, [(g.dimension, len(CHANNELS)) for g in FeatureGroup])]
+        assert calls == (
+            [(kind, part) for kind in (ModelKind.LR, ModelKind.BLR) for part in every_channel]
+            + ["pool", (ModelKind.NNR, [(g.dimension, len(CHANNELS)) for g in FeatureGroup])]
             + [(ModelKind.DFR, part) for part in every_channel]
             + [(ModelKind.BDTR, [(g.dimension, 1)]) for g in FeatureGroup for _ in CHANNELS]
-            + [(kind, part) for kind in (ModelKind.BLR, ModelKind.LR) for part in every_channel]
         )
         for channel in CHANNELS:
             assert list(grid[channel]) == list(CANDIDATES)
             for (kind, group), outcome in grid[channel].items():
                 assert outcome.model.kind is kind
                 assert outcome.model.standardizer_.means_.shape == (group.dimension,)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("config", [FAST_CONFIG, HANDICAPPED_LINEAR_CONFIG],
+                             ids=["linear_kinds_win", "trees_and_networks_win"])
+    def test_a_pooled_record_keeps_its_model_only_if_it_can_win(self, monkeypatch, small_cohort,
+                                                               small_split, config, cpus):
+        # a channel's least linear RMSE bounds the rest: pick_winner keeps the
+        # first of equal scores and the linear kinds come first
+        train, test = small_split
+        grid = evaluate_grid(CHANNELS, train, test, config)  # every record with its model
+        linear = (ModelKind.LR, ModelKind.BLR)
+        bounds = {c: min(r.rmse for key, r in grid[c].items() if key[0] in linear and r.error is None)
+                  for c in CHANNELS}
+        returned = []
+        parallel_map = pipeline._parallel_map
+
+        def captured(fn, tasks):
+            results = parallel_map(fn, tasks)
+            returned.extend(r for records in results for r in records)
+            return results
+
+        monkeypatch.setattr(pipeline, "_parallel_map", captured)
+        self.on_cpus(monkeypatch, cpus)
+        _, bundle = run_study(small_cohort, config)
+        for r in returned:
+            alone = grid[r.channel][(r.kind, r.group)]
+            assert (r.rmse, r.bands, type(r.error)) == (alone.rmse, alone.bands, type(alone.error))
+            assert (r.model is not None) == (r.error is None and r.rmse < bounds[r.channel])
+        assert 0 < sum(r.model is not None for r in returned) < len(returned)
+        pooled = {(r.channel, r.kind, r.group): r for r in returned}
+        assert len(returned) == len(pooled) == 6 * len(CHANNELS)
+        assert {kind for _, kind, _ in pooled} == {ModelKind.NNR, ModelKind.DFR, ModelKind.BDTR}
+        for m in bundle.models:
+            winner = pick_winner(grid[m.channel])
+            assert (m.kind, m.group) == (winner.kind, winner.group)
+            if m.kind not in linear:
+                assert pooled[(m.channel, m.kind, m.group)].model is not None
+            assert m.estimator.fitted_params() == winner.model.fitted_params()
 
     @pytest.mark.parametrize("selection", ["test", "inner_validation"])
     def test_a_grid_round_trains_its_networks_in_one_block(self, monkeypatch, small_cohort,
