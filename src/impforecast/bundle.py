@@ -15,7 +15,7 @@ from .checks import loaded_rmse, repeated
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
-from .textio import check_version, dump_json, load_json, read_text, write_text
+from .textio import check_version, dump_json, load_json, read_text, write_json
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -91,12 +91,15 @@ class ModelBundle:
         object.__setattr__(self, "models", tuple(sorted(self.models, key=lambda m: m.channel)))
 
 
-def bundle_to_json(bundle: ModelBundle) -> str:
-    doc = {
+def _bundle_doc(bundle: ModelBundle) -> dict:
+    return {
         "format_version": BUNDLE_FORMAT_VERSION,
         "models": [m.to_dict() for m in bundle.models],
     }
-    return dump_json(doc)
+
+
+def bundle_to_json(bundle: ModelBundle) -> str:
+    return dump_json(_bundle_doc(bundle))
 
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:
@@ -116,8 +119,10 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
-    """Raises DataInputError if ``path`` cannot be written."""
-    write_text(path, bundle_to_json(bundle))
+    """Write ``bundle_to_json(bundle)`` to ``path`` as it is encoded. Raises
+    DataInputError if ``path`` cannot be written and ValueError on a
+    non-finite number, and then leaves no file at ``path``."""
+    write_json(path, _bundle_doc(bundle))
 
 
 def load_bundle(path) -> ModelBundle:

@@ -16,8 +16,8 @@ from .dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohor
 from .domain import CHANNELS
 from .errors import UsageError
 from .pipeline import StudyConfig, predict_batch, run_study
-from .report import report_to_json
-from .textio import read_text, write_text
+from .report import save_report
+from .textio import discard, read_text, write_text
 
 
 def _coerce_override(raw: str) -> tuple[str, object]:
@@ -60,8 +60,12 @@ def study(args) -> int:
         raise UsageError(str(exc.args[0])) from exc
     cohort = parse_cohort_csv(read_text(args.data))
     report, models = run_study(cohort, config)
-    write_text(args.out_report, report_to_json(report))
-    save_bundle(models, args.out_models)
+    save_report(report, args.out_report)
+    try:
+        save_bundle(models, args.out_models)
+    except BaseException:  # a study writes both files or neither
+        discard(args.out_report)
+        raise
     print(
         f"study complete: report -> {args.out_report}, models -> {args.out_models}",
         file=sys.stderr,

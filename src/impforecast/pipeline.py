@@ -12,7 +12,8 @@ fits share the call.
 
 A grid round fits its linear candidates (LR and BLR) in the calling
 process first, then maps the other candidate calls over the process's CPUs
-(``_parallel_map``). A call returns one ``Candidate`` per fit, tagged with
+(``_parallel_map``, forked workers that inherit the calls, with no
+executor). A call returns one ``Candidate`` per fit, tagged with
 its channel, kind and group, and the grid files each under those tags, so
 the outputs have the same bytes on any number of CPUs. That record is the
 one result from fit to winner: ``pick_winner`` and ``run_study`` read it
@@ -25,6 +26,8 @@ twice: on the inner splits, then to refit the picks, one part per pick.
 from __future__ import annotations
 
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,7 +47,13 @@ from .domain import (
     group_index,
     kind_index,
 )
-from .errors import AllCandidatesFailedError, FitError, NonFiniteOutputError, TooSmallError
+from .errors import (
+    AllCandidatesFailedError,
+    FitError,
+    ImpforecastError,
+    NonFiniteOutputError,
+    TooSmallError,
+)
 from .metrics import ErrorBands, error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
 # The report document lives in ``report``; these names stay importable from here.
@@ -138,37 +147,121 @@ def _score(channel, kind, group, model, X_test, y_test, bound) -> Candidate:
         return Candidate(channel, kind, group, error=exc)
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker: the cause
+    of the same exception raised again in the parent."""
+
+
+# Set in a worker of ``_parallel_map``, whose own maps then run inline.
+_IN_WORKER = False
+
+# Bytes of one task index in the pipe the workers take their tasks from. The
+# parent writes every index before it forks, so the pipe must hold them all:
+# a grid round has at most 49 tasks, and a pipe holds at least PIPE_BUF
+# (4,096) bytes.
+_INDEX_BYTES = 4
+
+
 def _parallel_map(fn, tasks) -> list:
-    """``[fn(*t) for t in tasks]``, computed by a pool of forked worker
-    processes when the affinity mask holds at least 2 CPUs and this process
-    is not itself a worker; inline otherwise.
+    """``[fn(*t) for t in tasks]``, computed by forked worker processes when
+    the affinity mask holds at least 2 CPUs; inline on one CPU, in a worker
+    of this map, or in a ``multiprocessing`` child (a ``Pool`` worker is
+    daemonic and may not have children).
 
-    ``fn`` must be a module-level function, and its arguments and results
-    must pickle. Results come back in task order. An exception raised by
-    ``fn``, or a worker that dies, is raised here.
-
-    The workers are forked, not spawned: a spawned worker would import
-    numpy and the estimators again, which costs more than most tasks. The
-    process forks before the pool starts its own thread, so call this from
-    the main thread of a process that runs no other threads.
-
-    A study run inside a ``multiprocessing.Pool`` worker runs inline: that
-    worker is daemonic, and a daemonic process may not have children.
+    The parent writes the task indices into one pipe, then forks one worker
+    per CPU, up to one per task. A worker inherits ``fn`` and ``tasks``, so
+    no task is pickled; it takes indices from the pipe until it is empty and
+    sends back its ``(index, result)`` pairs, pickled, on a pipe of its own,
+    which the parent reads as data arrives, so the results must pickle.
+    Results come back in task order.
+    An exception raised by ``fn`` is raised here, with the worker's traceback
+    as its cause; a worker that exits without sending its results raises
+    ImpforecastError naming its exit status. The workers are forked, not
+    spawned: a spawned worker would import numpy and the estimators again,
+    which costs more than most tasks.
     """
-    import multiprocessing  # here, so that predict and report never load it
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
-    if workers < 2 or multiprocessing.parent_process() is not None:
+    mp = sys.modules.get("multiprocessing")  # loaded only if the caller uses it
+    if workers < 2 or _IN_WORKER or (mp is not None and mp.parent_process() is not None):
         return [fn(*t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    import selectors, signal  # here, so that predict never loads them
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    todo, queue = os.pipe()
+    os.write(queue, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
+    os.close(queue)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    sent, status = {}, {}  # worker pid: the chunks read from its pipe; its exit status
+    with selectors.DefaultSelector() as selector:
+        try:
+            for _ in range(workers):
+                out, into = os.pipe()
+                chunks = []
+                selector.register(out, selectors.EVENT_READ, chunks)
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, tasks, todo, out, into)  # never returns
+                os.close(into)
+                sent[pid] = chunks
+            while selector.get_map():
+                for key, _ in selector.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        key.data.append(chunk)
+                    else:
+                        selector.unregister(key.fd)
+                        os.close(key.fd)
+        except BaseException:
+            for pid in sent:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(todo)
+            for fd in list(selector.get_map()):
+                os.close(fd)
+            for pid in sent:
+                status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    results = [None] * len(tasks)
+    for pid, chunks in sent.items():
+        if status[pid] or not chunks:
+            ended = (f"was killed by signal {-status[pid]}" if status[pid] < 0
+                     else f"exited with status {status[pid]}")
+            raise ImpforecastError(f"a study worker {ended} before it sent its results")
+        pairs, exc, trace = pickle.loads(b"".join(chunks))
+        if exc is not None:
+            raise exc from _WorkerTraceback(trace)
+        for i, result in pairs:
+            results[i] = result
+    return results
+
+
+def _work(fn, tasks, todo: int, out: int, into: int) -> None:
+    """A forked worker of ``_parallel_map``: ``fn`` of the tasks whose indices
+    it takes from ``todo``, and then one message on ``into``, the pickled
+    ``(pairs, None, None)``, or ``([], exception, traceback)`` for an
+    exception in ``fn``. It ends with ``os._exit``, so the parent's exit
+    handlers do not run here, and exits 0 only once the message is sent."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    code = 1
     try:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+        os.close(out)
+        pairs = []
+        try:
+            while index := os.read(todo, _INDEX_BYTES):
+                i = int.from_bytes(index, "little")
+                pairs.append((i, fn(*tasks[i])))
+            message = pickle.dumps((pairs, None, None))
+        except Exception as exc:
+            import traceback
+
+            message = pickle.dumps(([], exc, traceback.format_exc()))
+        with open(into, "wb") as fh:
+            fh.write(message)
+        code = 0
     finally:
-        pool.shutdown(cancel_futures=True)
+        os._exit(code)
 
 
 def _grid(problems, config: StudyConfig, *, prune: bool) -> dict[int, dict]:

@@ -25,7 +25,7 @@ from .errors import (
     MetricError,
     UnsupportedFormatError,
 )
-from .textio import dump_json, load_json
+from .textio import dump_json, load_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 FORMATS = ("text", "csv", "json")
@@ -148,8 +148,8 @@ def histogram_of_kinds(kinds) -> dict[str, int]:
 # --- JSON ----------------------------------------------------------------------
 
 
-def report_to_json(report: StudyReport) -> str:
-    doc = {
+def _report_doc(report: StudyReport) -> dict:
+    return {
         "format_version": REPORT_FORMAT_VERSION,
         "config": report.config,
         "entries": [
@@ -164,7 +164,15 @@ def report_to_json(report: StudyReport) -> str:
         ],
         "histogram": report.histogram,
     }
-    return dump_json(doc)
+
+
+def report_to_json(report: StudyReport) -> str:
+    return dump_json(_report_doc(report))
+
+
+def save_report(report: StudyReport, path) -> None:
+    """Write ``report_to_json(report)`` to ``path``; see ``textio.write_json``."""
+    write_json(path, _report_doc(report))
 
 
 def report_from_json(text: str | bytes) -> StudyReport:

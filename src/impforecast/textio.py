@@ -6,8 +6,11 @@ Files are UTF-8. Reads keep line endings as they are; writes use LF.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 
 from .checks import is_count
 from .errors import DataInputError, EncodingError, IncompatibleBundleError
@@ -55,9 +58,38 @@ def check_version(doc, what: str, version: int) -> dict:
     return doc
 
 
+# The one JSON form of the report and the bundle: indented, standard JSON.
+_JSON_FORM = {"indent": 2, "allow_nan": False}
+
+
 def dump_json(doc) -> str:
     """``doc`` as indented standard JSON; ValueError on a non-finite float."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, **_JSON_FORM) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``dump_json(doc)`` to ``path`` as it is encoded, piece by piece,
+    so that the whole text is never held. Raises DataInputError if ``path``
+    cannot be written and ValueError on a non-finite float; after a failed
+    write, no file is left at ``path`` (see ``discard``)."""
+    fh = _open_for_writing(path)
+    try:
+        with fh:
+            json.dump(doc, fh, **_JSON_FORM)
+            fh.write("\n")
+    except BaseException as exc:
+        discard(path)
+        if isinstance(exc, OSError):
+            raise DataInputError(f"cannot write {path}: {exc}") from None
+        raise
+
+
+def discard(path) -> None:
+    """Remove ``path`` if it is a regular file, as a failed write leaves it.
+    A device such as /dev/null, or a link, is left as it is."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
 
 
 def read_text(path) -> str:
@@ -70,9 +102,16 @@ def read_text(path) -> str:
         raise DataInputError(f"cannot read {path}: {exc}") from None
 
 
+def _open_for_writing(path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataInputError(f"cannot write {path}: {exc}") from None
+
+
 def write_text(path, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_for_writing(path) as fh:
             fh.write(text)
     except OSError as exc:
         raise DataInputError(f"cannot write {path}: {exc}") from None

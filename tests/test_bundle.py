@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from impforecast.bundle import (
     save_bundle,
 )
 from impforecast.dataio import generate_synthetic_cohort
-from impforecast.domain import FeatureGroup, feature_matrix
+from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, FeatureGroup, feature_matrix, label_vector
 from impforecast.errors import IncompatibleBundleError
 from impforecast.pipeline import StudyConfig, run_study
-from impforecast.regressors import HyperParams
+from impforecast.regressors import HyperParams, make_regressor
+from impforecast.textio import write_json
 
 FAST = StudyConfig(
     hyper=HyperParams().with_overrides(
@@ -101,3 +104,53 @@ def test_in_memory_model_with_nan_is_refused(mixed_bundle, channel, path):
     node[path[-1]] = float("nan")
     with pytest.raises(IncompatibleBundleError):
         ChannelModel.from_dict(doc)
+
+
+@pytest.fixture(scope="module")
+def default_mixed_bundle():
+    """Every kind and both feature groups with the default hyperparameters,
+    fit on an 80-patient cohort: about 1.8 MB of JSON."""
+    cohort = generate_synthetic_cohort(80, 11)
+    models = []
+    for channel in CHANNELS:
+        kind = KIND_ORDER[(channel - 1) % len(KIND_ORDER)]
+        group = GROUP_ORDER[(channel - 1) % len(GROUP_ORDER)]
+        estimator = make_regressor(kind, seed=channel).fit(feature_matrix(cohort, group),
+                                                          label_vector(cohort, channel))
+        models.append(ChannelModel(channel, kind, group, 1.0, estimator))
+    return ModelBundle(models=tuple(models))
+
+
+def test_saved_bundle_is_its_json_text(fitted, mixed_bundle, default_mixed_bundle, tmp_path):
+    path = tmp_path / "models.json"
+    for bundle in (fitted[1], mixed_bundle, default_mixed_bundle):
+        save_bundle(bundle, path)
+        assert path.read_bytes() == bundle_to_json(bundle).encode("utf-8")
+
+
+def test_writing_a_bundle_holds_no_copy_of_its_text(default_mixed_bundle, tmp_path):
+    """The text goes to the file as it is encoded: writing it allocates, as
+    tracemalloc sees it, less than a quarter of the file's size."""
+    path = tmp_path / "models.json"
+    doc = json.loads(bundle_to_json(default_mixed_bundle))  # the document save_bundle writes
+    tracemalloc.start()
+    try:
+        write_json(path, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == bundle_to_json(default_mixed_bundle)
+    assert peak < path.stat().st_size / 4
+
+
+def test_bundle_with_nan_is_not_saved(mixed_bundle, tmp_path):
+    first = mixed_bundle.models[0]  # LR: its weights are one array
+    estimator = copy.deepcopy(first.estimator)
+    estimator.weights_[0] = float("nan")
+    bundle = ModelBundle(models=(dataclasses.replace(first, estimator=estimator),
+                                 *mixed_bundle.models[1:]))
+    path = tmp_path / "models.json"
+    path.write_text("an earlier bundle")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_bundle(bundle, path)
+    assert not path.exists()

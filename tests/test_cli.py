@@ -668,6 +668,8 @@ class TestUsage:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot write ") and len(err.strip().splitlines()) == 1
+        if command == "study_models":  # a study writes its report and bundle both, or neither
+            assert not (tmp_path / "r.json").exists()
 
     def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch, capsys):
         import impforecast.commands as commands

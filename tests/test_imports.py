@@ -2,8 +2,8 @@
 ``python -m impforecast.cli`` route.
 
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
-the estimators; the package's public names load on first access. Only a
-study loads the worker pool's modules: ``predict`` and ``report`` do not.
+the estimators; the package's public names load on first access. No
+command loads an executor's modules: a study forks its workers itself.
 A command that loads numpy asks OpenBLAS for one thread first, unless the
 user chose a thread count or numpy is already loaded.
 """
@@ -23,7 +23,7 @@ from impforecast.report import ErrorBands, SelectionEntry, StudyReport, report_t
 
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
-POOL = ("multiprocessing", "concurrent.futures")
+POOL = ("multiprocessing", "concurrent.futures", "subprocess", "socket", "logging", "queue")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -93,6 +93,28 @@ def test_predict_loads_no_pool(tmp_path):
     code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
     assert modules_after(code, POOL) == []
     assert len(out.read_text().splitlines()) == 21
+
+
+def test_pooled_study_loads_no_executor(tmp_path):
+    cohort = tmp_path / "c.csv"
+    assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
+    argv = ["study", "--data", str(cohort), "--out-report", str(tmp_path / "r.json"),
+            "--out-models", str(tmp_path / "m.json"), "--hyper", "dfr.trees=5",
+            "--hyper", "bdtr.trees=5", "--hyper", "nnr.epochs=20"]
+    code = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    pid = fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted\n"
+        "from impforecast.cli import run_cli\n"
+        f"assert run_cli({argv!r}) == 0\n"
+        "assert len(forks) == 2, forks  # the study ran in two workers"
+    )
+    assert modules_after(code, POOL) == []
 
 
 def blas_env_after(code: str, blas_env: dict) -> tuple[dict, int | None]:

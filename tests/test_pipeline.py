@@ -1,6 +1,7 @@
 import dataclasses
 import os
-from concurrent.futures.process import _RemoteTraceback
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from impforecast.dataio import SplitSpec, generate_synthetic_cohort, split_cohor
 from impforecast.domain import CHANNELS, FeatureGroup, ModelKind, feature_matrix, label_vector
 from impforecast.cli import run_cli
 from impforecast.errors import (
+    ImpforecastError,
     IncompatibleBundleError,
     NonFiniteLossError,
     NonFinitePredictionError,
@@ -259,6 +261,18 @@ def broken_fit(estimators, Xs, Yt):
     raise RuntimeError("broken\nfit")
 
 
+def in_workers(action):
+    """A ``_fit_columns`` that runs ``action`` in a forked worker; in this
+    process it fails the test, so that ``os._exit`` never ends pytest."""
+    parent = os.getpid()
+
+    def fit(estimators, Xs, Yt):
+        assert os.getpid() != parent, "the study ran inline"
+        action()
+
+    return fit
+
+
 class TestWorkerPool:
     """A study on one CPU runs inline; on two it forks a pool of workers.
     The outputs must have the same bytes either way."""
@@ -386,7 +400,10 @@ class TestWorkerPool:
         self.on_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="broken") as info:
             run_study(small_cohort, FAST_CONFIG)
-        assert isinstance(info.value.__cause__, _RemoteTraceback)  # raised in a worker
+        cause = info.value.__cause__  # raised in a worker, whose traceback it holds
+        assert isinstance(cause, pipeline._WorkerTraceback)
+        assert "Traceback (most recent call last)" in str(cause)
+        assert "in broken_fit" in str(cause) and "RuntimeError: broken" in str(cause)
 
     def test_worker_exception_is_a_one_line_internal_error(self, monkeypatch, tmp_path, capsys):
         cohort = tmp_path / "cohort.csv"
@@ -400,6 +417,69 @@ class TestWorkerPool:
         assert code == 3
         assert err == "internal error: RuntimeError: broken fit\n"
         assert not (tmp_path / "m.json").exists()
+
+    @staticmethod
+    def forked(monkeypatch) -> list:
+        """The pids of the workers forked from here on."""
+        pids, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids) -> None:
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no longer a child, not even a zombie
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_worker_that_dies_is_an_error_naming_its_exit_status(self, monkeypatch, small_cohort):
+        monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", in_workers(lambda: os._exit(9)))
+        self.on_cpus(monkeypatch, 2)
+        pids = self.forked(monkeypatch)
+        with pytest.raises(ImpforecastError, match="^a study worker exited with status 9 before "):
+            run_study(small_cohort, FAST_CONFIG)
+        self.assert_reaped(pids)
+
+    def test_worker_that_dies_is_a_one_line_internal_error(self, monkeypatch, tmp_path, capsys):
+        cohort = tmp_path / "cohort.csv"
+        assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
+        monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns", in_workers(lambda: os._exit(9)))
+        self.on_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        code = run_cli(["study", "--data", str(cohort), "--out-report", str(tmp_path / "r.json"),
+                        "--out-models", str(tmp_path / "m.json"), "--hyper", "nnr.epochs=20"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("internal error: a study worker exited with status 9 ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.json").exists()
+
+    def test_interrupted_study_kills_and_reaps_its_workers(self, monkeypatch, small_cohort):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(BoostedTreesRegressor, "_fit_columns",
+                            in_workers(lambda: time.sleep(60)))
+        self.on_cpus(monkeypatch, 2)
+        pids = self.forked(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, interrupt)  # a forked child has no timer
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                run_study(small_cohort, FAST_CONFIG)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30  # the workers did not sleep their 60 s out
+        self.assert_reaped(pids)
 
     @pytest.mark.parametrize("selection", ["test", "inner_validation"])
     def test_study_in_a_daemonic_pool_worker_runs_inline(self, monkeypatch, small_cohort, selection):

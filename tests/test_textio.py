@@ -19,9 +19,29 @@ from impforecast.report import (
     report_from_json,
     report_to_json,
 )
-from impforecast.textio import check_version, decode, load_json
+from impforecast.textio import check_version, decode, dump_json, load_json, write_json
 
 PARSERS = [parse_cohort_csv, bundle_from_json, report_from_json]
+
+
+@pytest.mark.parametrize("doc", [{}, {"a": [1, 2.5, None, True], "b": {"c": "é"}}, [[]]])
+def test_write_json_writes_dump_json(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == dump_json(doc).encode("utf-8")
+
+
+def test_failed_write_json_leaves_no_file_but_keeps_a_link(tmp_path):
+    path, target, link = tmp_path / "doc.json", tmp_path / "target.json", tmp_path / "link.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"a": [1.0, float("nan")]})
+    assert not path.exists()
+    link.symlink_to(target)
+    with pytest.raises(ValueError):
+        write_json(link, {"a": float("inf")})
+    assert link.is_symlink()
+    with pytest.raises(DataInputError, match="^cannot write "):
+        write_json(tmp_path / "no_such_dir" / "doc.json", {})
 
 
 @pytest.mark.parametrize("text", ["age,x\n", b"age,x\n", "\ufeffage,x\n", b"\xef\xbb\xbfage,x\n"])
