@@ -34,6 +34,7 @@ from .errors import (
     TooSmallError,
     UnlabeledCohortError,
 )
+from .seeding import PCG64Stream
 from .textio import decode
 
 
@@ -240,7 +241,7 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     if not cohort.labeled:
         raise UnlabeledCohortError("cannot split an unlabeled cohort for training")
     n_test = test_count(n, spec.test_fraction)
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    perm = PCG64Stream(spec.seed).permutation(n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     return cohort.take(train_idx), cohort.take(test_idx)

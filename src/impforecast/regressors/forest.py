@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..domain import ModelKind
+from ..seeding import PCG64Stream
 from .base import BaseRegressor
 from .hyper import ForestConfig
 from .tree import TreeTable, grow_forest, with_grown_table
@@ -44,7 +45,7 @@ class DecisionForestRegressor(BaseRegressor):
                 math.ceil(math.sqrt(d)) if hyper.feature_subset is None else hyper.feature_subset
             ),
             seeds=seeds,
-            rngs=[np.random.default_rng(s) for s in seeds] if hyper.bootstrap else None,
+            rngs=[PCG64Stream(s) for s in seeds] if hyper.bootstrap else None,
         )
         return [with_grown_table(estimator, trees, n_features=d, n_trees=hyper.trees)
                 for estimator, trees in zip(estimators, forests)]

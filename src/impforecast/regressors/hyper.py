@@ -20,12 +20,29 @@ from ..checks import is_count, is_number, require
 from ..domain import ModelKind
 
 
+# Caps on the fields that size an array or a kept model. They are generous
+# for a study on tens to hundreds of rows; past them a value is a usage
+# error, not an allocation the host cannot hold. The depth cap also keeps
+# boosting's depth-first grower under Python's recursion limit.
+MAX_TREES = 10_000
+MAX_DEPTH = 256
+MAX_HIDDEN_UNITS = 4_096
+
+
+def _require_count(key: str, value, low: int, high: int | None = None) -> None:
+    """An integer >= ``low``, and at most ``high`` when one is given."""
+    if high is None:
+        require(is_count(value) and value >= low, key, f"an integer >= {low}", value)
+    else:
+        require(is_count(value) and low <= value <= high, key, f"an integer in [{low}, {high}]", value)
+
+
 def _check_tree_sizes(kind: str, block) -> None:
     """Ranges that every tree ensemble needs: at least one tree, leaves of
-    at least one row."""
-    for name, low in (("trees", 1), ("max_depth", 0), ("min_leaf", 1)):
-        value = getattr(block, name)
-        require(is_count(value) and value >= low, f"{kind}.{name}", f"an integer >= {low}", value)
+    at least one row, and at most ``MAX_TREES`` trees of depth at most
+    ``MAX_DEPTH``."""
+    for name, low, high in (("trees", 1, MAX_TREES), ("max_depth", 0, MAX_DEPTH), ("min_leaf", 1, None)):
+        _require_count(f"{kind}.{name}", getattr(block, name), low, high)
 
 
 @dataclass(frozen=True)
@@ -47,8 +64,7 @@ class BayesConfig:
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             require(is_number(value) and value > 0, f"blr.{name}", "finite and > 0", value)
-        n = self.evidence_iters
-        require(is_count(n) and n >= 0, "blr.evidence_iters", "an integer >= 0", n)
+        _require_count("blr.evidence_iters", self.evidence_iters, 0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +104,8 @@ class NeuralConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("hidden_units", "epochs"):
-            value = getattr(self, name)
-            require(is_count(value) and value >= 1, f"nnr.{name}", "an integer >= 1", value)
+        _require_count("nnr.hidden_units", self.hidden_units, 1, MAX_HIDDEN_UNITS)
+        _require_count("nnr.epochs", self.epochs, 1)
         for name in ("step", "init_scale"):
             value = getattr(self, name)
             require(is_number(value) and value > 0, f"nnr.{name}", "finite and > 0", value)

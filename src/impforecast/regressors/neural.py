@@ -19,6 +19,7 @@ import numpy as np
 
 from ..domain import ModelKind
 from ..errors import DimensionMismatchError, NonFiniteLossError
+from ..seeding import PCG64Stream
 from .base import BaseRegressor, as_matrix, as_vector, loaded_numbers
 from .hyper import NeuralConfig
 
@@ -214,7 +215,7 @@ class NeuralNetRegressor(BaseRegressor):
     Config = NeuralConfig
 
     def _init_params(self, d: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+        rng = PCG64Stream(self.seed)
         h = self.hyper.hidden_units
         s1 = self.hyper.init_scale / np.sqrt(d)
         s2 = self.hyper.init_scale / np.sqrt(h)

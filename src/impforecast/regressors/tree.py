@@ -439,9 +439,10 @@ def grow_forest(
     all together, one pass per depth, and return each column's trees as
     dicts of node arrays.
 
-    With ``rngs``, tree t of column c grows on the bootstrap sample
+    With ``rngs`` (``seeding.PCG64Stream``s, or numpy ``Generator``s, which
+    draw the same), tree t of column c grows on the bootstrap sample
     ``rngs[c].integers(0, n, size=n)``, each column's samples drawn tree by
-    tree before any tree grows (as one (trees, n) draw, which numpy fills
+    tree before any tree grows (as one (trees, n) draw, which is filled
     with the same numbers); without it every tree grows on all rows.
 
     Each split considers ``feature_subset`` features (None, or d or more,

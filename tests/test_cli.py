@@ -275,6 +275,7 @@ class TestStudy:
             "bdtr.trees=0",
             "dfr.feature_subset=0",
             "bdtr.learning_rate=nan",
+            "dfr.trees=1000000000000",  # past its cap: refused before any tree is grown
         ],
     )
     def test_out_of_range_tree_hyper_is_usage_error(self, tmp_path, cohort_csv, capsys, override):
@@ -304,6 +305,7 @@ class TestStudy:
             "nnr.epochs=10.7",
             "nnr.hidden_units=1e30",
             "blr.evidence_iters=2.5",
+            "nnr.hidden_units=1000000000000",  # past its cap: refused before any weight is drawn
         ],
     )
     def test_out_of_range_model_hyper_is_usage_error(self, tmp_path, cohort_csv, capsys, override):
@@ -439,6 +441,8 @@ class TestPredict:
             "bool_format_version",
             "float_model_format_version",
             "negative_rmse",
+            "tree_count_past_cap",
+            "hidden_units_past_cap",
         ],
     )
     def test_malformed_bundle_is_data_error(self, tmp_path, cohort_csv, capsys, mixed_bundle, probe):
@@ -486,6 +490,10 @@ class TestPredict:
             lr_g2["format_version"] = 1.0
         elif probe == "negative_rmse":
             lr_g2["rmse"] = -3.0
+        elif probe == "tree_count_past_cap":
+            bdtr["hyper"]["trees"] = 10**12
+        elif probe == "hidden_units_past_cap":
+            nnr["hyper"]["hidden_units"] = 10**12
         models, out = tmp_path / "models.json", tmp_path / "p.csv"
         models.write_text(json.dumps(doc))
         code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])

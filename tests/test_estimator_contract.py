@@ -113,6 +113,17 @@ def test_hyper_override_rejects_unknown_keys():
         HyperParams().with_overrides({"svm.trees": 1})
 
 
+@pytest.mark.parametrize("key, cap", [("dfr.trees", 10_000), ("bdtr.trees", 10_000), ("dfr.max_depth", 256),
+                                      ("bdtr.max_depth", 256), ("nnr.hidden_units", 4_096)])
+def test_sizes_past_their_cap_are_refused(key, cap):
+    """Checked where the block is built, so no test allocates what a value
+    past its cap would ask for."""
+    block, _, field = key.partition(".")
+    assert getattr(getattr(HyperParams().with_overrides({key: cap}), block), field) == cap
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer in \[\d, {cap}\], got {cap + 1}$"):
+        HyperParams().with_overrides({key: cap + 1})
+
+
 def lone_fits(kind, X, Y, seeds) -> list:
     """One estimator per column of Y, each fit on its column alone."""
     outcomes = []

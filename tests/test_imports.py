@@ -4,6 +4,9 @@
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
 the estimators; the package's public names load on first access. No
 command loads an executor's modules: a study forks its workers itself.
+Neither a study, in its parent or its workers, nor ``predict`` loads
+``numpy.random`` or the ``secrets``/``hmac``/``_hashlib`` modules it pulls
+in: a study draws from ``seeding.PCG64Stream``.
 A command that loads numpy asks OpenBLAS for one thread first, unless the
 user chose a thread count or numpy is already loaded.
 """
@@ -24,6 +27,7 @@ from impforecast.report import ErrorBands, SelectionEntry, StudyReport, report_t
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
 POOL = ("multiprocessing", "concurrent.futures", "subprocess", "socket", "logging", "queue")
+RANDOM = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -91,7 +95,7 @@ def test_predict_loads_no_pool(tmp_path):
     out = tmp_path / "p.csv"
     argv = ["predict", "--models", str(models), "--data", str(cohort), "--out", str(out)]
     code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
-    assert modules_after(code, POOL) == []
+    assert modules_after(code, POOL + RANDOM) == []
     assert len(out.read_text().splitlines()) == 21
 
 
@@ -115,6 +119,36 @@ def test_pooled_study_loads_no_executor(tmp_path):
         "assert len(forks) == 2, forks  # the study ran in two workers"
     )
     assert modules_after(code, POOL) == []
+
+
+@pytest.mark.parametrize("cpus, selection, workers", [
+    ({0, 1}, "test", 2),
+    ({0}, "test", 0),  # one CPU: the study fits inline
+    ({0, 1}, "inner_validation", 4),  # two grid rounds, each with a pool of 2
+])
+def test_study_loads_no_numpy_random(tmp_path, cpus, selection, workers):
+    """Checked in the parent once the study is done, and in each worker as
+    it exits (a worker ends with ``os._exit``, which the probe wraps)."""
+    cohort, log = tmp_path / "c.csv", tmp_path / "workers.jsonl"
+    assert run_cli(["generate", "--n", "20", "--seed", "3", "--out", str(cohort)]) == 0
+    argv = ["study", "--data", str(cohort), "--out-report", str(tmp_path / "r.json"),
+            "--out-models", str(tmp_path / "m.json"), "--selection", selection,
+            "--hyper", "dfr.trees=5", "--hyper", "bdtr.trees=5", "--hyper", "nnr.epochs=20"]
+    code = (
+        "import json, os, sys\n"
+        f"os.sched_getaffinity = lambda pid: {cpus!r}\n"
+        "exit_now = os._exit\n"
+        "def logged_exit(status):\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        f"        fh.write(json.dumps([m for m in {RANDOM!r} if m in sys.modules]) + '\\n')\n"
+        "    exit_now(status)\n"
+        "os._exit = logged_exit\n"
+        "from impforecast.cli import run_cli\n"
+        f"assert run_cli({argv!r}) == 0"
+    )
+    assert modules_after(code, RANDOM) == []
+    in_workers = log.read_text().splitlines() if log.exists() else []
+    assert in_workers == ["[]"] * workers
 
 
 def blas_env_after(code: str, blas_env: dict) -> tuple[dict, int | None]:
