@@ -185,6 +185,9 @@ SYNTH_SLOPE = 0.6
 SYNTH_AGE_COEF = 0.15
 SYNTH_SIGMA_FACTOR = 0.02
 AGE_RANGE = (1.0, 6.0)
+# The most patients a synthetic cohort holds (about 0.25 GiB to generate): a
+# larger count is refused before anything is allocated.
+SYNTH_MAX_PATIENTS = 100_000
 
 
 def synth_sigma(channel: int) -> float:
@@ -206,8 +209,8 @@ def generate_synthetic_cohort(n: int, seed: int) -> Cohort:
     within each channel's published bounds (the only published bounds
     available, reused as a modeling convenience).
     """
-    if n < 1:
-        raise InvalidCountError(f"n must be >= 1, got {n}")
+    if not (is_count(n) and 1 <= n <= SYNTH_MAX_PATIENTS):
+        raise InvalidCountError(f"n must be an integer in 1..{SYNTH_MAX_PATIENTS}, got {n!r}")
     require(is_count(seed) and seed >= 0, "seed", "an integer >= 0", seed)
     rng = np.random.default_rng(seed)
     lo = np.array([published_range(c).min for c in CHANNELS])

@@ -152,9 +152,6 @@ class _WorkerTraceback(Exception):
     of the same exception raised again in the parent."""
 
 
-# Set in a worker of ``_parallel_map``, whose own maps then run inline.
-_IN_WORKER = False
-
 # Bytes of one task index in the pipe the workers take their tasks from. The
 # parent writes every index before it forks, so the pipe must hold them all:
 # a grid round has at most 49 tasks, and a pipe holds at least PIPE_BUF
@@ -164,16 +161,21 @@ _INDEX_BYTES = 4
 
 def _parallel_map(fn, tasks) -> list:
     """``[fn(*t) for t in tasks]``, computed by forked worker processes when
-    the affinity mask holds at least 2 CPUs; inline on one CPU, in a worker
-    of this map, or in a ``multiprocessing`` child (a ``Pool`` worker is
-    daemonic and may not have children).
+    the affinity mask holds at least 2 CPUs; inline on one CPU or in a
+    ``multiprocessing`` child (a ``Pool`` worker is daemonic and may not
+    have children).
 
     The parent writes the task indices into one pipe, then forks one worker
     per CPU, up to one per task. A worker inherits ``fn`` and ``tasks``, so
     no task is pickled; it takes indices from the pipe until it is empty and
     sends back its ``(index, result)`` pairs, pickled, on a pipe of its own,
-    which the parent reads as data arrives, so the results must pickle.
-    Results come back in task order.
+    so the results must pickle. The parent reads each worker's pipe to its
+    end, in fork order, which cannot deadlock: a worker writes one message,
+    after its last task, and needs nothing from the parent once forked; the
+    index pipe is filled and closed before the first fork; and the parent
+    closes a worker's write end before it forks the next, so the end of
+    pipe i waits on worker i alone. A worker whose pipe is full waits with
+    its tasks done. Results come back in task order.
     An exception raised by ``fn`` is raised here, with the worker's traceback
     as its cause; a worker that exits without sending its results raises
     ImpforecastError naming its exit status. The workers are forked, not
@@ -183,52 +185,46 @@ def _parallel_map(fn, tasks) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     mp = sys.modules.get("multiprocessing")  # loaded only if the caller uses it
-    if workers < 2 or _IN_WORKER or (mp is not None and mp.parent_process() is not None):
+    if workers < 2 or (mp is not None and mp.parent_process() is not None):
         return [fn(*t) for t in tasks]
-    import selectors, signal  # here, so that predict never loads them
+    import signal  # here, so that predict never loads it
 
     todo, queue = os.pipe()
     os.write(queue, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
     os.close(queue)
     sys.stdout.flush()
     sys.stderr.flush()
-    sent, status = {}, {}  # worker pid: the chunks read from its pipe; its exit status
-    with selectors.DefaultSelector() as selector:
-        try:
-            for _ in range(workers):
-                out, into = os.pipe()
-                chunks = []
-                selector.register(out, selectors.EVENT_READ, chunks)
+    sent, status = {}, []  # worker pid: the read end of its pipe; their exit statuses
+    try:
+        for _ in range(workers):
+            out, into = os.pipe()
+            try:
                 pid = os.fork()
-                if pid == 0:
-                    _work(fn, tasks, todo, out, into)  # never returns
+            except BaseException:
+                os.close(out)
                 os.close(into)
-                sent[pid] = chunks
-            while selector.get_map():
-                for key, _ in selector.select():
-                    chunk = os.read(key.fd, 1 << 16)
-                    if chunk:
-                        key.data.append(chunk)
-                    else:
-                        selector.unregister(key.fd)
-                        os.close(key.fd)
-        except BaseException:
-            for pid in sent:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.close(todo)
-            for fd in list(selector.get_map()):
-                os.close(fd)
-            for pid in sent:
-                status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise
+            if pid == 0:
+                _work(fn, tasks, todo, out, into)  # never returns
+            os.close(into)  # before the next fork, so that no later worker holds it
+            sent[pid] = open(out, "rb")
+        # in fork order: the end of each pipe waits on its own worker alone
+        messages = [reader.read() for reader in sent.values()]
+    except BaseException:
+        for pid in sent:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(todo)
+        for pid, reader in sent.items():
+            reader.close()
+            status.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     results = [None] * len(tasks)
-    for pid, chunks in sent.items():
-        if status[pid] or not chunks:
-            ended = (f"was killed by signal {-status[pid]}" if status[pid] < 0
-                     else f"exited with status {status[pid]}")
+    for code, message in zip(status, messages):
+        if code or not message:
+            ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise ImpforecastError(f"a study worker {ended} before it sent its results")
-        pairs, exc, trace = pickle.loads(b"".join(chunks))
+        pairs, exc, trace = pickle.loads(message)
         if exc is not None:
             raise exc from _WorkerTraceback(trace)
         for i, result in pairs:
@@ -242,8 +238,6 @@ def _work(fn, tasks, todo: int, out: int, into: int) -> None:
     ``(pairs, None, None)``, or ``([], exception, traceback)`` for an
     exception in ``fn``. It ends with ``os._exit``, so the parent's exit
     handlers do not run here, and exits 0 only once the message is sent."""
-    global _IN_WORKER
-    _IN_WORKER = True
     code = 1
     try:
         os.close(out)

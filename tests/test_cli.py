@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from hypothesis import strategies as st
 
 from impforecast.bundle import ChannelModel, bundle_to_json
 from impforecast.cli import run_cli
-from impforecast.dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
+from impforecast.dataio import (
+    SYNTH_MAX_PATIENTS,
+    generate_synthetic_cohort,
+    parse_cohort_csv,
+    serialize_cohort_csv,
+)
 from impforecast.domain import BASE_COLUMNS, LABEL_COLUMNS, Cohort, FeatureGroup, ModelKind
 from impforecast.errors import CsvSyntaxError
 from impforecast.regressors import BoostedTreesRegressor
@@ -80,8 +87,13 @@ class TestGenerate:
         assert run(["generate", "--n", "20", "--seed", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_count_is_data_error(self, tmp_path):
-        assert run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    @pytest.mark.parametrize("n", [0, SYNTH_MAX_PATIENTS + 1, 10**12])
+    def test_invalid_count_is_data_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x.csv"
+        assert run(["generate", "--n", str(n), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: n must be an integer in 1..{SYNTH_MAX_PATIENTS}, got {n}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "-5", "1.5", "x"])
     def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
@@ -709,6 +721,34 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+# --- README ----------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each command in README's ``## Command line`` block, with
+    its continuation lines joined and its comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [argv for line in block.replace("\\\n", " ").splitlines()
+            if (argv := shlex.split(line, comments=True))]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # step 4 reads new_patients.csv, which the block does not make
+    monkeypatch.chdir(tmp_path)
+    patients = generate_synthetic_cohort(5, 11)
+    (tmp_path / "new_patients.csv").write_text(
+        serialize_cohort_csv(Cohort(patients.ages, patients.intra)), encoding="utf-8")
+    commands = readme_commands()
+    steps = ("generate", "study", "report", "report", "predict")
+    assert [argv[:2] for argv in commands] == [["impforecast", step] for step in steps]
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
+    assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 6
 
 
 # --- random hyperparameters -------------------------------------------------------

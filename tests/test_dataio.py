@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from impforecast.dataio import (
+    SYNTH_MAX_PATIENTS,
     SplitSpec,
     generate_synthetic_cohort,
     parse_cohort_csv,
@@ -343,9 +344,10 @@ class TestSyntheticCohort:
     def test_passes_validation_clean(self):
         assert validate_cohort(generate_synthetic_cohort(120, 5)) == []
 
-    def test_rejects_zero_count(self):
-        with pytest.raises(InvalidCountError):
-            generate_synthetic_cohort(0, 1)
+    @pytest.mark.parametrize("n", [0, SYNTH_MAX_PATIENTS + 1, 10**12, 1.5, True])
+    def test_rejects_zero_count(self, n):
+        with pytest.raises(InvalidCountError, match=rf"^n must be an integer in 1\.\.{SYNTH_MAX_PATIENTS}, got "):
+            generate_synthetic_cohort(n, 1)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
     def test_rejects_a_seed_that_is_not_an_integer_ge_0(self, seed):

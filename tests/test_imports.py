@@ -3,7 +3,8 @@
 
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
 the estimators; the package's public names load on first access. No
-command loads an executor's modules: a study forks its workers itself.
+command loads an executor's modules or ``selectors``: a study forks its
+workers itself and reads their pipes one after another.
 Neither a study, in its parent or its workers, nor ``predict`` loads
 ``numpy.random`` or the ``secrets``/``hmac``/``_hashlib`` modules it pulls
 in: a study draws from ``seeding.PCG64Stream``.
@@ -26,7 +27,8 @@ from impforecast.report import ErrorBands, SelectionEntry, StudyReport, report_t
 
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
-POOL = ("multiprocessing", "concurrent.futures", "subprocess", "socket", "logging", "queue")
+POOL = ("multiprocessing", "concurrent.futures", "subprocess", "socket", "logging", "queue",
+        "selectors")
 RANDOM = ("numpy.random", "secrets", "hmac", "_hashlib")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import time
@@ -479,6 +480,48 @@ class TestWorkerPool:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30  # the workers did not sleep their 60 s out
+        self.assert_reaped(pids)
+
+    def test_results_past_a_pipe_buffer_come_back_in_task_order(self, monkeypatch):
+        # every result fills a pipe many times over and the first task is slow: the
+        # later workers wait on full pipes while the parent reads the first to its end
+        def task(i, delay):
+            time.sleep(delay)
+            return bytes([i]) * (1 << 20)
+
+        def overdue(signum, frame):
+            raise TimeoutError("the map did not return within 30 s")
+
+        tasks = [(i, 0.5 if i == 0 else 0.0) for i in range(6)]
+        self.on_cpus(monkeypatch, 3)
+        pids = self.forked(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, overdue)  # a forked child has no timer
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 30.0)
+            results = pipeline._parallel_map(task, tasks)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(pids) == 3
+        assert results == [task(*t) for t in tasks]
+        self.assert_reaped(pids)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_a_fork_that_fails_leaks_no_descriptor(self, monkeypatch):
+        self.on_cpus(monkeypatch, 2)
+        pids = self.forked(monkeypatch)
+        fork = os.fork  # the recording one
+
+        def second_fails():
+            if pids:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            pipeline._parallel_map(time.sleep, [(0,), (0,)])
+        assert sorted(os.listdir("/proc/self/fd")) == before
         self.assert_reaped(pids)
 
     @pytest.mark.parametrize("selection", ["test", "inner_validation"])
