@@ -91,9 +91,13 @@ def _cmd_report(args) -> int:
     report = report_from_json(read_text(args.in_path))
     rendered = export_study(report, args.format).decode("utf-8")
     if args.out:
-        write_text(args.out, rendered)
-    else:
+        write_text(args.out, [rendered])
+        return EXIT_OK
+    try:
         sys.stdout.write(rendered)
+        sys.stdout.flush()  # here, so that a failed write is caught
+    except OSError as exc:  # a full disk, or a reader that has closed the pipe
+        raise DataInputError(f"cannot write standard output: {exc}") from None
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ command returns exit code 0 or raises.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .bundle import load_bundle, save_bundle
@@ -42,12 +43,14 @@ def _coerce_override(raw: str) -> tuple[str, object]:
 
 def generate(args) -> int:
     cohort = generate_synthetic_cohort(args.n, args.seed)
-    write_text(args.out, serialize_cohort_csv(cohort))
+    write_text(args.out, [serialize_cohort_csv(cohort)])
     print(f"wrote {len(cohort)} synthetic records to {args.out}", file=sys.stderr)
     return 0
 
 
 def study(args) -> int:
+    if os.path.realpath(args.out_report) == os.path.realpath(args.out_models):
+        raise UsageError("--out-report and --out-models name the same file")
     overrides = dict(_coerce_override(item) for item in args.hyper)
     try:
         config = StudyConfig(
@@ -77,9 +80,8 @@ def predict(args) -> int:
     bundle = load_bundle(args.models)
     cohort = parse_cohort_csv(read_text(args.data))
     P = predict_batch(bundle, cohort)
-    lines = [",".join(f"pred_ei_1m_{c}" for c in CHANNELS)]
-    lines += [",".join(map(repr, row)) for row in P.tolist()]
-    write_text(args.out, "\n".join(lines) + "\n")
+    header = ",".join(f"pred_ei_1m_{c}" for c in CHANNELS) + "\n"
+    write_text(args.out, [header, *(",".join(map(repr, row)) + "\n" for row in P.tolist())])
     print(f"wrote predictions for {len(cohort)} records to {args.out}", file=sys.stderr)
     return 0
 

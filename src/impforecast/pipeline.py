@@ -161,9 +161,7 @@ _INDEX_BYTES = 4
 
 def _parallel_map(fn, tasks) -> list:
     """``[fn(*t) for t in tasks]``, computed by forked worker processes when
-    the affinity mask holds at least 2 CPUs; inline on one CPU or in a
-    ``multiprocessing`` child (a ``Pool`` worker is daemonic and may not
-    have children).
+    the affinity mask holds at least 2 CPUs; inline on one CPU.
 
     The parent writes the task indices into one pipe, then forks one worker
     per CPU, up to one per task. A worker inherits ``fn`` and ``tasks``, so
@@ -184,8 +182,7 @@ def _parallel_map(fn, tasks) -> list:
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
-    mp = sys.modules.get("multiprocessing")  # loaded only if the caller uses it
-    if workers < 2 or (mp is not None and mp.parent_process() is not None):
+    if workers < 2:
         return [fn(*t) for t in tasks]
     import signal  # here, so that predict never loads it
 

@@ -1,5 +1,5 @@
-"""Whole-file text reads and writes that fail with ``DataInputError``, the
-document parsers' one decode step, and the report's and bundle's JSON form.
+"""Whole-file reads and the one file writer, which fail with DataInputError,
+the document parsers' one decode step, and the report's and bundle's JSON form.
 
 Files are UTF-8. Reads keep line endings as they are; writes use LF.
 """
@@ -7,6 +7,7 @@ Files are UTF-8. Reads keep line endings as they are; writes use LF.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -59,26 +60,35 @@ def check_version(doc, what: str, version: int) -> dict:
 
 
 # The one JSON form of the report and the bundle: indented, standard JSON.
-_JSON_FORM = {"indent": 2, "allow_nan": False}
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def dump_json(doc) -> str:
     """``doc`` as indented standard JSON; ValueError on a non-finite float."""
-    return json.dumps(doc, **_JSON_FORM) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def write_json(path, doc) -> None:
     """Write ``dump_json(doc)`` to ``path`` as it is encoded, piece by piece,
-    so that the whole text is never held. Raises DataInputError if ``path``
-    cannot be written and ValueError on a non-finite float; after a failed
-    write, no file is left at ``path`` (see ``discard``)."""
-    fh = _open_for_writing(path)
+    so that the whole text is never held; see ``write_text``. Raises
+    ValueError on a non-finite float."""
+    write_text(path, itertools.chain(_ENCODER.iterencode(doc), ("\n",)))
+
+
+def write_text(path, pieces) -> None:
+    """Write the strings of ``pieces`` to ``path`` as they come: the
+    package's one writer of files. Raises DataInputError if ``path`` cannot
+    be written. Once ``path`` is opened, any failure, an exception that the
+    pieces raise included, leaves no file at ``path`` (see ``discard``)."""
+    opened = False
     try:
-        with fh:
-            json.dump(doc, fh, **_JSON_FORM)
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            opened = True
+            for piece in pieces:
+                fh.write(piece)
     except BaseException as exc:
-        discard(path)
+        if opened:
+            discard(path)
         if isinstance(exc, OSError):
             raise DataInputError(f"cannot write {path}: {exc}") from None
         raise
@@ -100,18 +110,3 @@ def read_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataInputError(f"cannot read {path}: {exc}") from None
-
-
-def _open_for_writing(path):
-    try:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise DataInputError(f"cannot write {path}: {exc}") from None
-
-
-def write_text(path, text: str) -> None:
-    try:
-        with _open_for_writing(path) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataInputError(f"cannot write {path}: {exc}") from None

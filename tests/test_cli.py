@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +694,14 @@ class TestUsage:
         if command == "study_models":  # a study writes its report and bundle both, or neither
             assert not (tmp_path / "r.json").exists()
 
+    def test_one_path_for_both_documents_is_usage_error(self, tmp_path, cohort_csv, capsys):
+        same = tmp_path / "same.json"
+        argv = ["study", "--data", str(cohort_csv), *FAST_HYPER,
+                "--out-report", str(same), "--out-models", str(tmp_path / "." / "same.json")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: --out-report and --out-models name the same file\n"
+        assert not same.exists()
+
     def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch, capsys):
         import impforecast.commands as commands
         from impforecast.errors import LengthMismatchError
@@ -721,6 +732,71 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+# --- failed writes, in a fresh interpreter ------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_process(args, stdout=subprocess.DEVNULL, fsize=None) -> subprocess.CompletedProcess:
+    """``impforecast args`` run by a fresh interpreter from this source tree.
+    With ``fsize``, the child alone may write no file past ``fsize`` bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    limit = None if fsize is None else lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+    return subprocess.run([sys.executable, "-m", "impforecast.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, preexec_fn=limit, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def written_report(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("written")
+    cohort = folder / "cohort.csv"
+    assert run(["generate", "--n", "30", "--seed", "5", "--out", str(cohort)]) == 0
+    return study_files(folder, cohort, "written")[0]
+
+
+class TestFailedWrites:
+    """A file or standard output that cannot be written is a data error
+    (exit 2) in one stderr line, and no partial file is left."""
+
+    @pytest.mark.parametrize("command", ["generate", "predict", "report"])
+    def test_a_write_past_the_file_size_limit_leaves_no_file(self, tmp_path, cohort_csv, mixed_bundle,
+                                                              written_report, command):
+        out = tmp_path / "out"
+        models = tmp_path / "models.json"
+        models.write_text(bundle_to_json(mixed_bundle))
+        argv = {
+            "generate": ["generate", "--n", "30", "--out", str(out)],
+            "predict": ["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)],
+            "report": ["report", "--in", str(written_report), "--out", str(out)],
+        }[command]
+        assert run(argv) == 0 and out.stat().st_size > 1024  # without the limit, past it
+        out.unlink()
+        proc = cli_process(argv, fsize=512)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: cannot write ") and len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stdout", ["a closed pipe", "/dev/full"])
+    def test_report_to_standard_output_that_fails_is_a_data_error(self, written_report, stdout):
+        argv = ["report", "--in", str(written_report)]
+        if stdout == "/dev/full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = cli_process(argv, stdout=full)
+        else:
+            read, write = os.pipe()
+            os.close(read)  # before the child starts, so that its first write fails
+            try:
+                proc = cli_process(argv, stdout=write)
+            finally:
+                os.close(write)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 # --- README ----------------------------------------------------------------------

@@ -258,6 +258,25 @@ def study_bytes(cohort, config) -> tuple[str, str]:
     return report_to_json(report), bundle_to_json(models)
 
 
+def forks_and_study_bytes(cohort, config) -> tuple[int, tuple[str, str]]:
+    """The number of processes that ``study_bytes`` forks from the calling
+    process, and its bytes."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    os.fork = counted
+    try:
+        out = study_bytes(cohort, config)
+    finally:
+        os.fork = fork
+    return len(forks), out
+
+
 def broken_fit(estimators, Xs, Yt):
     raise RuntimeError("broken\nfit")
 
@@ -525,14 +544,16 @@ class TestWorkerPool:
         self.assert_reaped(pids)
 
     @pytest.mark.parametrize("selection", ["test", "inner_validation"])
-    def test_study_in_a_daemonic_pool_worker_runs_inline(self, monkeypatch, small_cohort, selection):
-        # a multiprocessing.Pool worker is daemonic and may not start a pool of its own
+    def test_daemonic_pool_worker_forks_its_workers(self, monkeypatch, small_cohort, selection):
+        # a multiprocessing.Pool worker is daemonic: multiprocessing would not
+        # start a process there, but the fork map does not go through it
         import multiprocessing
 
         self.on_cpus(monkeypatch, 2)
         config = dataclasses.replace(FAST_CONFIG, selection=selection)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            in_worker = pool.apply_async(study_bytes, (small_cohort, config)).get(timeout=300)
+            forks, in_worker = pool.apply_async(forks_and_study_bytes, (small_cohort, config)).get(timeout=300)
+        assert forks > 0
         assert in_worker == study_bytes(small_cohort, config)
 
 

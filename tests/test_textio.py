@@ -1,6 +1,9 @@
 import contextlib
+import errno
 import io
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from impforecast.report import (
     report_from_json,
     report_to_json,
 )
-from impforecast.textio import check_version, decode, dump_json, load_json, write_json
+from impforecast import textio
+from impforecast.textio import check_version, decode, dump_json, load_json, write_json, write_text
 
 PARSERS = [parse_cohort_csv, bundle_from_json, report_from_json]
 
@@ -42,6 +46,38 @@ def test_failed_write_json_leaves_no_file_but_keeps_a_link(tmp_path):
     assert link.is_symlink()
     with pytest.raises(DataInputError, match="^cannot write "):
         write_json(tmp_path / "no_such_dir" / "doc.json", {})
+
+
+def test_pieces_that_raise_leave_no_file_and_raise_again(tmp_path):
+    path = tmp_path / "out.csv"
+
+    def pieces():
+        yield "written\n"
+        raise RuntimeError("the second piece")
+
+    with pytest.raises(RuntimeError, match="^the second piece$"):
+        write_text(path, pieces())
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_is_a_data_error_and_is_kept():
+    with pytest.raises(DataInputError, match="^cannot write /dev/full: "):
+        write_text("/dev/full", ["x"])
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+def test_a_file_that_cannot_be_opened_is_kept(tmp_path, monkeypatch):
+    path = tmp_path / "earlier.csv"
+    path.write_text("earlier")
+
+    def refused(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(textio, "open", refused, raising=False)
+    with pytest.raises(DataInputError, match="^cannot write .*Permission denied"):
+        write_text(path, ["new"])
+    assert path.read_text() == "earlier"
 
 
 @pytest.mark.parametrize("text", ["age,x\n", b"age,x\n", "\ufeffage,x\n", b"\xef\xbb\xbfage,x\n"])
