@@ -20,15 +20,43 @@ from .textio import check_version, dump_json, load_json, read_text, write_json
 BUNDLE_FORMAT_VERSION = 1
 
 
+def _check_standardizer(group: FeatureGroup, standardizer) -> None:
+    """Raise IncompatibleBundleError unless ``standardizer`` is fitted on
+    the group's features."""
+    means = getattr(standardizer, "means_", None)
+    if means is None:
+        raise IncompatibleBundleError("the estimator is not fitted")
+    if means.shape[0] != group.dimension:
+        raise IncompatibleBundleError(
+            f"group {group.value} has {group.dimension} features but the "
+            f"standardizer has {means.shape[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class ChannelModel:
-    """One channel's winning fitted regressor with its selection context."""
+    """One channel's winning fitted regressor with its selection context.
+
+    Built under its reader's rules: raises ValueError for a channel outside
+    1..12 or an ``rmse`` that is not a finite number >= 0, and
+    IncompatibleBundleError for an estimator that is not of ``kind`` or has
+    no fitted standardizer of the group's width."""
 
     channel: int
     kind: ModelKind
     group: FeatureGroup
     rmse: float
     estimator: BaseRegressor
+
+    def __post_init__(self):
+        object.__setattr__(self, "channel", check_channel(self.channel))
+        object.__setattr__(self, "rmse", loaded_rmse(self.rmse))
+        held = type(self.estimator)
+        if getattr(held, "kind", None) is not self.kind:
+            raise IncompatibleBundleError(
+                f"a {self.kind.value} model cannot hold a {held.__name__}"
+            )
+        _check_standardizer(self.group, getattr(self.estimator, "standardizer_", None))
 
     def to_dict(self) -> dict:
         params = dict(self.estimator.get_params())
@@ -48,41 +76,34 @@ class ChannelModel:
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelModel":
         """Raises IncompatibleBundleError on a missing key, a value of the
-        wrong type, a non-finite number, a channel outside 1..12, a negative
-        ``rmse``, or a standardizer whose width is not the feature group's."""
+        wrong type, a non-finite number, or an entry that breaks a rule of
+        the constructor."""
         check_version(d, "model", BUNDLE_FORMAT_VERSION)
         try:
-            channel = check_channel(d["channel"])
-            kind = ModelKind(d["kind"])
-            group = FeatureGroup(d["group"])
+            kind, group = ModelKind(d["kind"]), FeatureGroup(d["group"])
             standardizer = Standardizer.from_dict(d["standardizer"])
-            if standardizer.means_.shape[0] != group.dimension:
-                raise IncompatibleBundleError(
-                    f"group {group.value} has {group.dimension} features but the "
-                    f"standardizer has {standardizer.means_.shape[0]}"
-                )
+            # before the params, which are read at the standardizer's width
+            _check_standardizer(group, standardizer)
             estimator = ESTIMATOR_CLASSES[kind](seed=d["seed"], **d["hyper"])
             estimator.load_fitted_params(d["params"], standardizer)
-            rmse = loaded_rmse(d["rmse"])
+            return cls(channel=d["channel"], kind=kind, group=group, rmse=d["rmse"],
+                       estimator=estimator)
         except KeyError as exc:
             raise IncompatibleBundleError(f"model entry lacks key {exc}") from None
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise IncompatibleBundleError(f"malformed model entry: {exc}") from None
-        return cls(channel=channel, kind=kind, group=group, rmse=rmse, estimator=estimator)
 
 
 @dataclass(frozen=True)
 class ModelBundle:
     """One model for each channel 1..12, stored in channel order; raises
-    IncompatibleBundleError for a channel missing, named twice or outside."""
+    IncompatibleBundleError for a channel missing or named twice."""
 
     models: tuple[ChannelModel, ...]
 
     def __post_init__(self):
         channels = [m.channel for m in self.models]
-        outside = [c for c in channels if c not in CHANNELS]
         for rule, bad in (
-            ("has a model for channel(s) outside 1..12", outside),
             ("has more than one model for channel(s)", repeated(channels)),
             ("is missing channel(s)", [c for c in CHANNELS if c not in channels]),
         ):

@@ -64,16 +64,10 @@ class _Networks:
     while the vectors are updated in place.
 
     A network gets the bits of its lone fit, whichever networks share the
-    block:
-
-    - the work arrays are network-major, (C, n, H), so every stacked matmul
-      runs the same BLAS call on a network's slice as on that network
-      alone. Only the first-layer product and its gradient run per part;
-    - with d_p = 1 the first layer is a plain product, which has the bits
-      of a one-term matmul;
-    - with H > 1 the b1 gradient sums a sample-major (n, C, H) copy. That
-      is the sequential order of the network-major sum, about 4x faster.
-      With H = 1 the network-major sum is pairwise, so it stays.
+    block: the work arrays are network-major, (C, n, H), so every stacked
+    matmul and einsum runs the same loop on a network's slice as on that
+    network alone. Only the first-layer product and its gradient run per
+    part.
 
     The work arrays are allocated once and every epoch fills them through
     ``out=``: a 24-network block's temporaries are past the size at which
@@ -97,15 +91,14 @@ class _Networks:
         self.params = np.zeros(sum(math.prod(shape) for shape in shapes))
         self.grads = np.empty_like(self.params)
         *self.W1, b1, w2, b2 = _views(self.params, shapes)
-        self.b1, self.w2_col, self.w2_row, self.b2 = (
-            b1[:, None, :], w2[:, :, None], w2[:, None, :], b2[:, None, None]
+        self.b1, self.w2, self.w2_col, self.b2 = (
+            b1[:, None, :], w2, w2[:, :, None], b2[:, None, None]
         )
         *self.g_W1, self.g_b1, g_w2, g_b2 = _views(self.grads, shapes)
         self.g_w2, self.g_b2 = g_w2[:, :, None], g_b2[:, None]
         self.hidden = np.empty((C, n, H))
         self.d_hidden = np.empty((C, n, H))
         self.slope = np.empty((C, n, H))
-        self.by_sample = np.empty((n, C, H))
         self.err = np.empty((C, n, 1))
         self.d_out = np.empty((C, n, 1))
         self.squares = np.empty((C, 1, 1))
@@ -134,10 +127,7 @@ class _Networks:
             self.n, self.hidden, self.err, self.d_out, self.d_hidden, self.slope
         )
         for (X, _), W1, rows in zip(self.X, self.W1, self.rows):
-            if X.shape[1] == 1:
-                np.multiply(X, W1, out=hidden[rows])
-            else:
-                np.matmul(X, W1, out=hidden[rows])
+            np.matmul(X, W1, out=hidden[rows])
         hidden += self.b1
         np.tanh(hidden, out=hidden)
         np.matmul(hidden, self.w2_col, out=err)
@@ -150,17 +140,13 @@ class _Networks:
         d_out /= n
         np.matmul(hidden.transpose(0, 2, 1), d_out, out=self.g_w2)
         d_out.sum(axis=1, out=self.g_b2)
-        np.multiply(d_out, self.w2_row, out=d_hidden)
+        np.einsum("cn,ch->cnh", d_out[:, :, 0], self.w2, out=d_hidden)
         np.square(hidden, out=slope)
         np.subtract(1.0, slope, out=slope)
         d_hidden *= slope
         for (_, XT), g_W1, rows in zip(self.X, self.g_W1, self.rows):
             np.matmul(XT, d_hidden[rows], out=g_W1)
-        if self.H == 1:
-            d_hidden.sum(axis=1, out=self.g_b1)
-        else:
-            np.copyto(self.by_sample.transpose(1, 0, 2), d_hidden)
-            self.by_sample.sum(axis=0, out=self.g_b1)
+        np.einsum("cnh->ch", d_hidden, out=self.g_b1)
         return losses
 
 
@@ -208,7 +194,7 @@ class NeuralNetRegressor(BaseRegressor):
 
     Full-batch gradient descent with momentum; weights start uniform in
     +-init_scale/sqrt(fan_in), biases at zero. Raises NonFiniteLossError if
-    the loss is not finite (data or step size too large).
+    the loss is not finite (data, init_scale or step size too large).
     """
 
     kind = ModelKind.NNR
@@ -235,7 +221,8 @@ class NeuralNetRegressor(BaseRegressor):
         Each network starts from its own estimator's initialisation. A
         network whose loss goes non-finite in any epoch, or whose final
         parameters are non-finite, gets a NonFiniteLossError (blaming the
-        data if before any step); the block stops once every network has one.
+        data or the initial scale if before any step); the block stops once
+        every network has one.
         """
         if len({Xs.shape[0] for _, Xs, _ in parts}) > 1:
             raise ValueError("the parts of one network fit must have the same number of rows")
@@ -253,7 +240,7 @@ class NeuralNetRegressor(BaseRegressor):
         for epoch in range(hyper.epochs):  # divergence is detected via the loss
             losses = networks.losses()
             finite = np.isfinite(losses)
-            if epoch == 0:  # before any step: the data are too large, not the step
+            if epoch == 0:  # before any step: the data or init_scale are too large, not the step
                 too_large = ~finite
             if not finite.all():
                 diverged |= ~finite
@@ -268,8 +255,10 @@ class NeuralNetRegressor(BaseRegressor):
         for c, estimator in enumerate(estimators):
             fitted = networks.network(params, c)
             if too_large[c]:
-                outcomes[c] = NonFiniteLossError("training loss is not finite at the initial "
-                                                 "weights: the labels or features are too large")
+                outcomes[c] = NonFiniteLossError(
+                    "training loss is not finite at the initial weights: the labels, "
+                    "the features or nnr.init_scale are too large"
+                )
             elif diverged[c]:
                 outcomes[c] = NonFiniteLossError(
                     f"training loss diverged (step={hyper.step}); reduce the step size"

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .checks import is_count, loaded_rmse, repeated, require
-from .domain import CHANNELS, KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
+from .domain import KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
 from .errors import (
     EmptyInputError,
     IncompatibleBundleError,
@@ -104,7 +104,9 @@ class ErrorBands:
 
 @dataclass(frozen=True)
 class SelectionEntry:
-    """Per-channel winner, mirroring one selection-table row."""
+    """Per-channel winner, mirroring one selection-table row; raises
+    ValueError for a channel outside 1..12 or an ``rmse`` that is not a
+    finite number >= 0, as its reader does."""
 
     channel: int
     kind: ModelKind
@@ -112,24 +114,25 @@ class SelectionEntry:
     rmse: float
     bands: ErrorBands
 
+    def __post_init__(self):
+        object.__setattr__(self, "channel", check_channel(self.channel))
+        object.__setattr__(self, "rmse", loaded_rmse(self.rmse))
+
 
 @dataclass(frozen=True)
 class StudyReport:
     """A study's winners, stored in channel order, and its config; raises
-    IncompatibleBundleError for a channel outside 1..12 or named twice."""
+    IncompatibleBundleError for a channel named twice."""
 
     entries: tuple[SelectionEntry, ...]
     config: dict
 
     def __post_init__(self):
-        channels = [e.channel for e in self.entries]
-        outside = [c for c in channels if c not in CHANNELS]
-        for rule, bad in (
-            ("has an entry for channel(s) outside 1..12", outside),
-            ("has more than one entry for channel(s)", repeated(channels)),
-        ):
-            if bad:
-                raise IncompatibleBundleError(f"report {rule}: " + ", ".join(map(str, bad)))
+        twice = repeated(e.channel for e in self.entries)
+        if twice:
+            raise IncompatibleBundleError(
+                "report has more than one entry for channel(s): " + ", ".join(map(str, twice))
+            )
         object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.channel)))
 
     @property
@@ -183,10 +186,10 @@ def report_from_json(text: str | bytes) -> StudyReport:
     try:
         entries = tuple(
             SelectionEntry(
-                channel=check_channel(e["channel"]),
+                channel=e["channel"],
                 kind=ModelKind(e["kind"]),
                 group=FeatureGroup(e["group"]),
-                rmse=loaded_rmse(e["rmse"]),
+                rmse=e["rmse"],
                 bands=ErrorBands.from_dict(e["bands"]),
             )
             for e in doc["entries"]

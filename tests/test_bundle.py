@@ -15,7 +15,15 @@ from impforecast.bundle import (
     save_bundle,
 )
 from impforecast.dataio import generate_synthetic_cohort
-from impforecast.domain import CHANNELS, GROUP_ORDER, KIND_ORDER, FeatureGroup, feature_matrix, label_vector
+from impforecast.domain import (
+    CHANNELS,
+    GROUP_ORDER,
+    KIND_ORDER,
+    FeatureGroup,
+    ModelKind,
+    feature_matrix,
+    label_vector,
+)
 from impforecast.errors import IncompatibleBundleError
 from impforecast.pipeline import StudyConfig, run_study
 from impforecast.regressors import HyperParams, make_regressor
@@ -104,6 +112,33 @@ def test_in_memory_model_with_nan_is_refused(mixed_bundle, channel, path):
     node[path[-1]] = float("nan")
     with pytest.raises(IncompatibleBundleError):
         ChannelModel.from_dict(doc)
+
+
+def test_a_negative_rmse_cannot_be_built(mixed_bundle):
+    """The reader refuses a negative rmse, so no bundle that holds one can
+    be built and saved."""
+    with pytest.raises(ValueError, match="^rmse must be a finite number >= 0, got -1.0$"):
+        dataclasses.replace(mixed_bundle.models[2], rmse=-1.0)
+    doc = json.loads(bundle_to_json(mixed_bundle))
+    doc["models"][2]["rmse"] = -1.0
+    with pytest.raises(IncompatibleBundleError, match="^models\\[2\\]: malformed model entry: "
+                                                      "rmse must be a finite number >= 0, got -1.0$"):
+        bundle_from_json(json.dumps(doc))
+
+
+def test_a_model_holds_an_estimator_of_its_kind(mixed_bundle):
+    linear = next(m for m in mixed_bundle.models if m.kind is ModelKind.LR)
+    with pytest.raises(IncompatibleBundleError, match="^a NNR model cannot hold a LinearRegressor$"):
+        dataclasses.replace(linear, kind=ModelKind.NNR)
+
+
+def test_a_model_holds_an_estimator_fitted_on_its_group(mixed_bundle):
+    one_feature = next(m for m in mixed_bundle.models if m.group is FeatureGroup.G1)
+    with pytest.raises(IncompatibleBundleError,
+                       match="^group G2 has 13 features but the standardizer has 1$"):
+        dataclasses.replace(one_feature, group=FeatureGroup.G2)
+    with pytest.raises(IncompatibleBundleError, match="^the estimator is not fitted$"):
+        dataclasses.replace(one_feature, estimator=make_regressor(one_feature.kind))
 
 
 @pytest.fixture(scope="module")

@@ -149,7 +149,7 @@ class TestStudy:
             assert f"{candidate}: posterior weights or precisions are not finite" in err
         for candidate in ("NNR/G1", "NNR/G2"):
             assert (f"{candidate}: training loss is not finite at the initial weights: "
-                    "the labels or features are too large") in err
+                    "the labels, the features or nnr.init_scale are too large") in err
         assert not (tmp_path / "r.json").exists()
 
     def test_a_pick_whose_refit_fails_is_a_data_error(self, tmp_path, capfd):

@@ -24,6 +24,7 @@ import impforecast
 from impforecast.cli import run_cli
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.report import ErrorBands, SelectionEntry, StudyReport, report_to_json
+from test_cli import TINY_HYPER
 
 SRC = str(Path(impforecast.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "impforecast.regressors")
@@ -233,6 +234,33 @@ class TestModuleRoute:
         assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == [
             f"EI_1M_{c}" for c in range(1, 13)
         ]
+
+    def test_every_command_writes_what_run_cli_writes(self, tmp_path, capsys, monkeypatch):
+        """generate, study, predict and report, each run once through
+        ``run_cli`` and once through ``-m``, from directories of their own
+        with the same relative paths: every file and stream is the same."""
+        commands = [
+            ["generate", "--n", "20", "--seed", "3", "--out", "c.csv"],
+            ["study", "--data", "c.csv", "--out-report", "r.json", "--out-models", "m.json",
+             *TINY_HYPER],
+            ["predict", "--models", "m.json", "--data", "c.csv", "--out", "p.csv"],
+            ["report", "--in", "r.json", "--format", "csv"],
+        ]
+        here, there = tmp_path / "run_cli", tmp_path / "module"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        for argv in commands:
+            assert run_cli(argv) == 0
+            streams = capsys.readouterr()
+            proc = python("-m", "impforecast.cli", *argv, cwd=there)
+            assert proc.returncode == 0, proc.stderr
+            assert (proc.stdout, proc.stderr) == (streams.out, streams.err)
+        assert len(streams.out.splitlines()) == 13  # the report's header and 12 channels
+        written = ["c.csv", "r.json", "m.json", "p.csv"]
+        for name in written:
+            assert (there / name).read_bytes() == (here / name).read_bytes(), name
+        assert sorted(p.name for p in there.iterdir()) == sorted(written)
 
     def test_unknown_hyper_key_is_usage_error(self, tmp_path):
         proc = python(

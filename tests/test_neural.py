@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impforecast import generate_synthetic_cohort
@@ -92,6 +92,13 @@ class TestNeuralNetRegressor:
         with pytest.raises(NonFiniteLossError):
             NeuralNetRegressor(step=1e4, epochs=200, seed=0).fit(X, y)
 
+    def test_overflow_at_the_initial_weights_names_init_scale(self):
+        # the data are small: only init_scale can make the first loss overflow
+        X = np.random.default_rng(7).uniform(1.0, 5.0, size=(30, 2))
+        model = NeuralNetRegressor(seed=1, epochs=5, init_scale=1e300)
+        with pytest.raises(NonFiniteLossError, match="at the initial weights: .*nnr.init_scale"):
+            model.fit(X, X.sum(axis=1))
+
     def test_init_respects_seed_and_scale(self):
         model = NeuralNetRegressor(hidden_units=4, init_scale=1.0, seed=3)
         params = model._init_params(d=5)
@@ -129,6 +136,10 @@ class TestFitColumns:
         hidden_units=st.integers(1, 17),
         data_seed=st.integers(0, 2**32 - 1),
     )
+    # a one-feature part and a one-unit layer on every run, alone and together
+    @example(d=1, k=2, other_k=3, n=2, hidden_units=1, data_seed=0)
+    @example(d=13, k=2, other_k=3, n=30, hidden_units=1, data_seed=1)
+    @example(d=1, k=2, other_k=3, n=30, hidden_units=16, data_seed=2)
     def test_columns_fit_together_match_lone_fits(self, d, k, other_k, n, hidden_units,
                                                   data_seed):
         # two parts in one block: k columns on d features, other_k on the other width

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -157,3 +158,13 @@ class TestExport:
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormatError):
             export_study(reference_report(), "yaml")
+
+    def test_an_entry_the_reader_refuses_cannot_be_built(self):
+        entry = reference_report().entries[0]
+        with pytest.raises(ValueError, match="^rmse must be a finite number >= 0, got -2.0$"):
+            dataclasses.replace(entry, rmse=-2.0)
+        doc = json.loads(export_study(reference_report(), "json"))
+        doc["entries"][0]["rmse"] = -2.0
+        with pytest.raises(IncompatibleBundleError,
+                           match="^malformed report: rmse must be a finite number >= 0, got -2.0$"):
+            report_from_json(json.dumps(doc))
