@@ -15,7 +15,7 @@ from .checks import loaded_rmse, repeated
 from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
-from .textio import check_version, dump_json, load_json, read_text, write_json
+from .textio import check_saves_back, check_version, dump_json, load_json, read_text, write_json
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -75,9 +75,11 @@ class ChannelModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelModel":
-        """Raises IncompatibleBundleError on a missing key, a value of the
-        wrong type, a non-finite number, or an entry that breaks a rule of
-        the constructor."""
+        """Raises IncompatibleBundleError on a missing key that the entry is
+        read from, a value of the wrong type, a non-finite number, or an
+        entry that breaks a rule of the constructor. Keys it does not read,
+        and values that load as something else, are ``bundle_from_json``'s
+        to refuse: the entry must save back to itself."""
         check_version(d, "model", BUNDLE_FORMAT_VERSION)
         try:
             kind, group = ModelKind(d["kind"]), FeatureGroup(d["group"])
@@ -125,7 +127,8 @@ def bundle_to_json(bundle: ModelBundle) -> str:
 
 def bundle_from_json(text: str | bytes) -> ModelBundle:
     """Raises IncompatibleBundleError unless ``text`` is a bundle (strict
-    JSON, see ``textio.load_json``) with one model for each channel."""
+    JSON, see ``textio.load_json``) with one model for each channel, in
+    channel order, that saves back to itself (``textio.check_saves_back``)."""
     doc = load_json(text, "bundle", BUNDLE_FORMAT_VERSION)
     models = doc.get("models")
     if not isinstance(models, list):
@@ -136,7 +139,9 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
             loaded.append(ChannelModel.from_dict(entry))
         except IncompatibleBundleError as exc:
             raise IncompatibleBundleError(f"models[{i}]: {exc}") from None
-    return ModelBundle(models=tuple(loaded))
+    bundle = ModelBundle(models=tuple(loaded))
+    check_saves_back(doc, _bundle_doc(bundle), "bundle")
+    return bundle
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -7,7 +7,6 @@ from typing import Iterator
 import numpy as np
 
 from ..domain import ModelKind
-from ..errors import IncompatibleBundleError
 from .base import BaseRegressor, loaded_numbers
 from .hyper import BoostConfig
 from .tree import SplitMemo, TreeTable, build_tree, with_grown_table
@@ -81,10 +80,5 @@ class BoostedTreesRegressor(BaseRegressor):
         }
 
     def _load_params(self, params, d):
-        table = TreeTable(params["trees"], n_features=d, n_trees=self.hyper.trees)
+        self.table_ = TreeTable(params["trees"], n_features=d, n_trees=self.hyper.trees)
         self.base_value_ = float(loaded_numbers(params["base_value"], "base_value", ()))
-        if "tree_weights" in params:  # written by older versions, one entry per tree
-            weights = loaded_numbers(params["tree_weights"], "tree_weights", (table.n_trees,))
-            if np.any(weights != self.hyper.learning_rate):
-                raise IncompatibleBundleError("every tree weight must equal learning_rate")
-        self.table_ = table

@@ -13,7 +13,6 @@ adding already-rounded cells.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .checks import is_count, loaded_rmse, repeated, require
@@ -25,7 +24,7 @@ from .errors import (
     MetricError,
     UnsupportedFormatError,
 )
-from .textio import dump_json, load_json, write_json
+from .textio import check_saves_back, dump_json, load_json, write_json
 
 REPORT_FORMAT_VERSION = 1
 FORMATS = ("text", "csv", "json")
@@ -57,7 +56,12 @@ class ErrorBands:
 
     @classmethod
     def from_counts(cls, counts, n_test: int) -> "ErrorBands":
+        """The bands of ``counts`` errors in each band out of ``n_test``.
+        Raises ValueError for a count below 0, LengthMismatchError unless
+        there are four counts that sum to ``n_test``, and EmptyInputError
+        unless ``n_test`` is positive."""
         counts = tuple(int(c) for c in counts)
+        require(min(counts, default=0) >= 0, "bands.counts", "a list of integers >= 0", list(counts))
         if len(counts) != N_BANDS:
             raise LengthMismatchError(f"expected {N_BANDS} band counts, got {len(counts)}")
         if sum(counts) != n_test:
@@ -85,21 +89,16 @@ class ErrorBands:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorBands":
-        """Bands read from a persisted report. Raises ValueError unless
-        ``counts`` is a list of integers >= 0 and ``n_test`` an integer
-        (not bools, strings or fractions), and ``pct``, ``cum_0_2`` and
-        ``cum_0_3`` are the floats those give."""
+        """``from_counts`` of a persisted entry's ``counts`` and ``n_test``.
+        Raises ValueError unless ``counts`` is a list of integers and
+        ``n_test`` an integer (not bools, strings or fractions). The
+        percentages are not read: ``report_from_json`` refuses a report
+        whose percentages are not those its writer derives from the counts."""
         counts, n_test = d["counts"], d["n_test"]
-        ok = isinstance(counts, list) and all(is_count(c) and c >= 0 for c in counts)
-        require(ok, "bands.counts", "a list of integers >= 0", counts)
+        ok = isinstance(counts, list) and all(map(is_count, counts))
+        require(ok, "bands.counts", "a list of integers >= 0", counts)  # from_counts refuses < 0
         require(is_count(n_test), "bands.n_test", "an integer", n_test)
-        bands = cls.from_counts(counts, n_test)
-        expected = bands.to_dict()
-        given = {key: d[key] for key in expected}
-        # compared as JSON, which tells true and 1 from 1.0
-        ok = json.dumps(given) == json.dumps(expected)
-        require(ok, "bands", f"{json.dumps(expected)}, the percentages of its counts", given)
-        return bands
+        return cls.from_counts(counts, n_test)
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,11 @@ def save_report(report: StudyReport, path) -> None:
 
 def report_from_json(text: str | bytes) -> StudyReport:
     """Raises IncompatibleBundleError unless ``text`` is a report (strict JSON,
-    see ``textio.load_json``) with at most one well-formed entry per channel,
-    a ``histogram`` of the entries' kinds and an object as ``config``."""
+    see ``textio.load_json``) with at most one well-formed entry per channel
+    and an object as ``config``, that saves back to itself
+    (``textio.check_saves_back``): so its entries are in channel order, and
+    its band percentages and ``histogram`` are those its writer derives from
+    the entries."""
     doc = load_json(text, "report", REPORT_FORMAT_VERSION)
     try:
         entries = tuple(
@@ -194,20 +196,15 @@ def report_from_json(text: str | bytes) -> StudyReport:
             )
             for e in doc["entries"]
         )
-        histogram, config = doc["histogram"], doc["config"]
+        config = doc["config"]
     except KeyError as exc:
         raise IncompatibleBundleError(f"report lacks key {exc}") from None
     except (TypeError, ValueError, AttributeError, OverflowError, MetricError) as exc:
         raise IncompatibleBundleError(f"malformed report: {exc}") from None
     report = StudyReport(entries=entries, config=config)
-    expected = report.histogram
-    # only a dict equals ``expected``; == takes true and 1.0 for 1, so the counts' types are checked too
-    if histogram != expected or not all(is_count(n) for n in histogram.values()):
-        raise IncompatibleBundleError(
-            f"report histogram must be {json.dumps(expected)}, the entries' kinds, got {histogram!r}"
-        )
     if not isinstance(config, dict):
         raise IncompatibleBundleError(f"report config must be a JSON object, got {config!r}")
+    check_saves_back(doc, _report_doc(report), "report")
     return report
 
 

@@ -59,6 +59,62 @@ def check_version(doc, what: str, version: int) -> dict:
     return doc
 
 
+# stand-ins for the value at a key that an object lacks, and past a list's end
+_NO_KEY, _NO_ITEM = object(), object()
+
+
+def check_saves_back(doc, saved, what: str) -> None:
+    """Raise IncompatibleBundleError unless ``saved``, what the object read
+    from ``doc`` writes, equals ``doc`` as JSON values: the same keys, in
+    any order, and the same values, with ``true``, ``1`` and ``1.0`` told
+    apart. The message names the first path at which they differ."""
+    found = _first_difference(doc, saved)
+    if found is not None:
+        keys, held, wrote = found
+        path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in reversed(keys))
+        raise IncompatibleBundleError(
+            f"{what} does not save back to itself at {path.removeprefix('.')}: it holds {_shown(held)}, "
+            f"its writer writes {_shown(wrote)}"
+        )
+
+
+def _first_difference(held, saved):
+    """``(keys, held value, saved value)`` at the first place where two
+    JSON objects or values differ, the keys to that place listed from the
+    place up; or None. Lists of numbers and strings, the bulk of a bundle,
+    are compared whole."""
+    if held is saved:
+        return None
+    if type(held) is not type(saved):
+        return [], held, saved
+    if isinstance(held, dict):
+        keys = [*held, *(key for key in saved if key not in held)]
+        pairs = ((key, held.get(key, _NO_KEY), saved.get(key, _NO_KEY)) for key in keys)
+    elif isinstance(held, list):
+        types = list(map(type, held))
+        if dict not in types and list not in types and held == saved and types == list(map(type, saved)):
+            return None
+        items = itertools.zip_longest(held, saved, fillvalue=_NO_ITEM)
+        pairs = ((i, a, b) for i, (a, b) in enumerate(items))
+    else:
+        return None if held == saved else ([], held, saved)
+    for key, a, b in pairs:
+        found = _first_difference(a, b)
+        if found is not None:
+            found[0].append(key)
+            return found
+    return None
+
+
+def _shown(value) -> str:
+    """``value`` as JSON, cut to 60 characters, or "no such key" or "no
+    such item" for a stand-in."""
+    if value is _NO_KEY or value is _NO_ITEM:
+        return f"no such {'key' if value is _NO_KEY else 'item'}"
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 # The one JSON form of the report and the bundle: indented, standard JSON.
 _ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
 

@@ -517,6 +517,28 @@ class TestPredict:
         assert err.startswith("data error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_a_bundle_that_lacks_a_hyperparameter_is_data_error(self, tmp_path, cohort_csv, capsys,
+                                                               mixed_bundle):
+        """A deleted ``hyper`` key would take its default, and the bundle
+        would no longer save back to itself."""
+        doc = json.loads(bundle_to_json(mixed_bundle))
+        lr = doc["models"][0]
+        assert (lr["kind"], lr["hyper"]) == ("LR", {"ridge": 1e-08})
+        lr["hyper"]["ridge"] = 1000000.0
+        models, out = tmp_path / "models.json", tmp_path / "p.csv"
+        models.write_text(json.dumps(doc))
+        assert run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        del lr["hyper"]["ridge"]
+        models.write_text(json.dumps(doc))
+        code = run(["predict", "--models", str(models), "--data", str(cohort_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("data error: bundle does not save back to itself at models[0].hyper.ridge: "
+                       "it holds no such key, its writer writes 1e-08\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
         ['{"format_version": 1, "models": [%s]}' % ("9" * 5000), "[" * 100_000 + "]" * 100_000],
@@ -640,6 +662,7 @@ class TestReport:
             bad_entry('"cum_0_2": 100.0', '"cum_0_2": 99.0'),
             bad_entry('"cum_0_3": 100.0', '"cum_0_3": 0.0'),
             bad_entry('"pct": [100.0, 0.0, 0.0, 0.0], ', ''),
+            bad_entry('"rmse": 1.0', '"rmse": 1.0, "note": "unknown key"'),
         ],
         ids=["not_json", "not_object", "no_entries", "channel_13", "duplicate_entry",
              "string_nan_rmse", "string_rmse", "bool_rmse", "overflow_rmse", "string_counts",
@@ -648,7 +671,7 @@ class TestReport:
              "histogram_float_count", "histogram_wrong_kind", "histogram_missing_kinds",
              "histogram_pairs", "config_pairs", "bool_format_version", "float_format_version",
              "long_integer", "deep_nesting", "pct_disagrees", "cum_0_2_disagrees",
-             "cum_0_3_disagrees", "no_pct"],
+             "cum_0_3_disagrees", "no_pct", "unknown_entry_key"],
     )
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

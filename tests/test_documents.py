@@ -1,9 +1,12 @@
 """A model bundle and a study report are valid when built: whatever order
 their channels come in, and with some dropped or named twice, each either
 refuses them at construction or writes JSON that its reader loads back
-equal, with the same bytes on a second write."""
+equal, with the same bytes on a second write. A document loads only if it
+saves back to itself: each one-fault mutant of a bundle or a report is
+refused, or loads and writes the mutant again."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -102,3 +105,102 @@ def test_a_report_names_the_channels_it_refuses(study):
     for channel in (0, 13):
         with pytest.raises(ValueError, match=f"^channel must be in 1..12, got {channel}$"):
             dataclasses.replace(three, channel=channel)
+
+
+# --- a document loads only if it saves back to itself ------------------------------
+
+
+def test_a_study_that_trees_and_networks_win_saves_back():
+    """The linear kinds handicapped, so that the other kinds win channels."""
+    hyper = HyperParams().with_overrides({
+        "dfr.trees": 5, "bdtr.trees": 10, "nnr.epochs": 50,
+        "lr.ridge": 1e6, "blr.alpha": 1e6, "blr.evidence_iters": 0,
+    })
+    report, models = run_study(generate_synthetic_cohort(20, 3), StudyConfig(seed=3, hyper=hyper))
+    assert {e.kind.value for e in report.entries} - {"LR", "BLR"}
+    text = report_to_json(report)
+    assert report_to_json(report_from_json(text)) == text
+    text = bundle_to_json(models)
+    assert bundle_to_json(bundle_from_json(text)) == text
+
+
+def slots(value, width=1, wide=None):
+    """``(container, key)`` of each value inside ``value``, depth first:
+    every key of an object, and the first ``width`` items of a list. Lists
+    under a key in ``wide`` are walked for that many items, others for one."""
+    wide = wide or {}
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(min(width, len(value)))
+    else:
+        keys = ()
+    for key in keys:
+        yield value, key
+        yield from slots(value[key], wide.get(key, 1), wide)
+
+
+def retyped(value) -> list:
+    """``value`` changed to each other JSON type: int <-> float, ``true``,
+    a string, ``null`` and a one-item list."""
+    others = [True, str(value), None, [value]]
+    if isinstance(value, (int, float)):
+        others.append(float(value) if isinstance(value, int) else int(value))
+    return [other for other in others if type(other) is not type(value)]
+
+
+def one_fault_mutants(doc, wide):
+    """JSON texts of ``doc`` with one fault each: a key deleted, a key that
+    the writer does not write inserted into an object, or a leaf changed to
+    another type (see ``slots`` for where). ``doc`` is changed in place for
+    each text and put back after it, so the texts cost one encode each."""
+    places = list(slots(doc, wide=wide))
+    for container, key in places:
+        value = container[key]
+        if isinstance(container, dict):
+            items = list(container.items())
+            del container[key]
+            yield json.dumps(doc)
+            container.clear()
+            container.update(items)
+        if not isinstance(value, (dict, list)):
+            for other in retyped(value):
+                container[key] = other
+                yield json.dumps(doc)
+            container[key] = value
+    for obj in [doc] + [c[k] for c, k in places if isinstance(c[k], dict)]:
+        obj["unknown"] = 1
+        yield json.dumps(doc)
+        del obj["unknown"]
+
+
+def check_every_mutant(text, wide, reader, writer) -> int:
+    """Every one-fault mutant of ``text`` is refused or saves back to
+    itself, with ``true``, ``1`` and ``1.0`` told apart. Returns how many
+    were loaded."""
+    doc = json.loads(text)
+    loaded = 0
+    for mutant in one_fault_mutants(doc, wide):
+        try:
+            document = reader(mutant)
+        except IncompatibleBundleError:
+            continue
+        loaded += 1
+        again = json.dumps(json.loads(writer(document)), sort_keys=True)
+        assert again == json.dumps(json.loads(mutant), sort_keys=True), mutant
+    assert json.dumps(doc) == json.dumps(json.loads(text))  # every mutant was put back
+    return loaded
+
+
+def test_every_one_fault_bundle_is_refused_or_saves_back(mixed_bundle):
+    """A fault in channels 1..10, which hold every kind x group pair once."""
+    text = bundle_to_json(mixed_bundle)
+    assert bundle_to_json(bundle_from_json(text)) == text
+    check_every_mutant(text, {"models": 10}, bundle_from_json, bundle_to_json)
+
+
+def test_every_one_fault_report_is_refused_or_saves_back(study):
+    report, _ = study
+    text = report_to_json(report)
+    assert report_to_json(report_from_json(text)) == text
+    assert check_every_mutant(text, {}, report_from_json, report_to_json) > 0  # faults in config load

@@ -26,10 +26,12 @@ from impforecast import (
     HyperParams,
     ModelKind,
     StudyConfig,
+    bundle_from_json,
     bundle_to_json,
     export_study,
     generate_synthetic_cohort,
     make_regressor,
+    report_from_json,
     report_to_json,
     run_study,
 )
@@ -113,12 +115,21 @@ def sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def assert_saves_back(report, models) -> None:
+    """Each document loads and writes again the same text."""
+    text = report_to_json(report)
+    assert report_to_json(report_from_json(text)) == text
+    text = bundle_to_json(models)
+    assert bundle_to_json(bundle_from_json(text)) == text
+
+
 @pytest.mark.parametrize("seed", sorted(STUDY_GOLDEN))
 def test_study_bytes_pinned(seed):
     cohort = generate_synthetic_cohort(80, seed)
     config = StudyConfig(seed=seed, hyper=HyperParams().with_overrides(FAST))
     report, models = run_study(cohort, config)
     assert (sha256(report_to_json(report)), sha256(bundle_to_json(models))) == STUDY_GOLDEN[seed]
+    assert_saves_back(report, models)
 
 
 @pytest.mark.parametrize("seed", sorted(RENDER_GOLDEN))
@@ -138,6 +149,7 @@ def test_inner_validation_study_bytes_pinned():
     )
     report, models = run_study(cohort, config)
     assert (sha256(report_to_json(report)), sha256(bundle_to_json(models))) == INNER_VALIDATION_GOLDEN
+    assert_saves_back(report, models)
 
 
 def fit_pinned(kind: str, group: FeatureGroup):

@@ -107,6 +107,10 @@ class TestErrorBands:
         with pytest.raises(LengthMismatchError):
             ErrorBands.from_counts((1, 1, 1, 1), 5)
 
+    def test_counts_below_zero_are_refused(self):
+        with pytest.raises(ValueError, match=r"^bands.counts must be a list of integers >= 0, got \[-1, 25, 0, 0\]$"):
+            ErrorBands.from_counts([-1, 25, 0, 0], 24)
+
     def test_percentage_properties_random_counts(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -129,18 +129,21 @@ class TestExport:
     def test_percentages_must_follow_from_the_counts(self, key, value):
         doc = json.loads(export_study(reference_report(), "json"))
         doc["entries"][4]["bands"][key] = value
-        with pytest.raises(IncompatibleBundleError, match="the percentages of its counts"):
+        with pytest.raises(IncompatibleBundleError,
+                           match=f"^report does not save back to itself at entries\\[4\\]\\.bands\\.{key}"):
             report_from_json(json.dumps(doc))
 
     def test_percentages_are_floats_and_present(self):
         doc = json.loads(export_study(reference_report(band_counts=(1, 99, 0, 0)), "json"))
         assert doc["entries"][0]["bands"]["pct"][0] == 1.0
-        for wrong_type in (True, 1):
+        for wrong_type, shown in ((True, "true"), (1, "1")):
             doc["entries"][0]["bands"]["pct"][0] = wrong_type
-            with pytest.raises(IncompatibleBundleError, match="the percentages of its counts"):
+            with pytest.raises(IncompatibleBundleError,
+                               match=f"at entries\\[0\\]\\.bands\\.pct\\[0\\]: it holds {shown}, its writer writes 1.0$"):
                 report_from_json(json.dumps(doc))
         del doc["entries"][0]["bands"]["pct"]
-        with pytest.raises(IncompatibleBundleError, match="report lacks key 'pct'"):
+        with pytest.raises(IncompatibleBundleError,
+                           match="at entries\\[0\\]\\.bands\\.pct: it holds no such key, its writer writes \\[1.0, "):
             report_from_json(json.dumps(doc))
 
     def test_csv_has_12_rows(self):

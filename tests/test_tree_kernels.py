@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impforecast.bundle import ChannelModel
+from impforecast.bundle import ChannelModel, bundle_from_json, bundle_to_json
 from impforecast.domain import FeatureGroup, ModelKind
 from impforecast.errors import DegenerateInputError, IncompatibleBundleError
 from impforecast.regressors import BoostedTreesRegressor, DecisionForestRegressor
@@ -612,29 +612,31 @@ def test_ragged_or_empty_tables_rejected():
     assert TreeTable([stump()], n_features=4, n_trees=1).depth == 1
 
 
-def test_boosting_bundle_with_tree_weights_predicts_same_bits():
-    """Older bundles list learning_rate once per tree as tree_weights."""
-    _, boost = fitted_ensembles()
-    saved = ChannelModel(
-        channel=1, kind=ModelKind.BDTR, group=FeatureGroup.G2, rmse=0.0, estimator=boost
-    ).to_dict()
-    assert "tree_weights" not in saved["params"]
-    saved["params"]["tree_weights"] = [boost.hyper.learning_rate] * boost.hyper.trees
-    old = ChannelModel.from_dict(json.loads(json.dumps(saved))).estimator
-    X = np.random.default_rng(5).normal(size=(300, 13))
-    np.testing.assert_array_equal(old.predict(X), boost.predict(X))
-    np.testing.assert_array_equal(old.predict(X), round_trip(boost).predict(X))
-    saved["params"]["tree_weights"][-1] = 2 * boost.hyper.learning_rate
-    with pytest.raises(IncompatibleBundleError):
-        ChannelModel.from_dict(saved)
+def bundle_with_tree_weights(bundle, weights) -> str:
+    """``bundle``'s JSON with ``weights`` as the ``tree_weights`` of its
+    channel-4 model, a boosting one: the form in which the first bundles
+    listed ``learning_rate`` once per tree."""
+    doc = json.loads(bundle_to_json(bundle))
+    entry = doc["models"][3]
+    assert entry["kind"] == "BDTR" and "tree_weights" not in entry["params"]
+    entry["params"]["tree_weights"] = weights
+    return json.dumps(doc)
+
+
+def test_a_boosting_bundle_with_tree_weights_is_refused(mixed_bundle):
+    """No writer writes ``tree_weights``, so a bundle that holds them does
+    not save back to itself, even where every weight is ``learning_rate``."""
+    hyper = mixed_bundle.models[3].estimator.hyper
+    for weights in ([hyper.learning_rate] * hyper.trees,
+                    [hyper.learning_rate] * (hyper.trees - 1) + [2 * hyper.learning_rate]):
+        with pytest.raises(IncompatibleBundleError, match=(
+            r"^bundle does not save back to itself at models\[3\]\.params\.tree_weights: "
+            r"it holds \[0\.1, 0\.1, .*\.\.\., its writer writes no such key$"
+        )):
+            bundle_from_json(bundle_with_tree_weights(mixed_bundle, weights))
 
 
 @pytest.mark.parametrize("weights", [[0.1], ["x"] * 40, None])
-def test_boosting_weights_must_match_trees(weights):
-    _, boost = fitted_ensembles()
-    saved = ChannelModel(
-        channel=1, kind=ModelKind.BDTR, group=FeatureGroup.G2, rmse=0.0, estimator=boost
-    ).to_dict()
-    saved["params"]["tree_weights"] = weights
-    with pytest.raises(IncompatibleBundleError):
-        ChannelModel.from_dict(saved)
+def test_boosting_weights_must_match_trees(mixed_bundle, weights):
+    with pytest.raises(IncompatibleBundleError, match=r"at models\[3\]\.params\.tree_weights: "):
+        bundle_from_json(bundle_with_tree_weights(mixed_bundle, weights))
