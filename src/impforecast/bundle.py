@@ -76,24 +76,31 @@ class ChannelModel:
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelModel":
         """Raises IncompatibleBundleError on a missing key that the entry is
-        read from, a value of the wrong type, a non-finite number, or an
-        entry that breaks a rule of the constructor. Keys it does not read,
-        and values that load as something else, are ``bundle_from_json``'s
-        to refuse: the entry must save back to itself."""
-        check_version(d, "model", BUNDLE_FORMAT_VERSION)
-        try:
-            kind, group = ModelKind(d["kind"]), FeatureGroup(d["group"])
-            standardizer = Standardizer.from_dict(d["standardizer"])
-            # before the params, which are read at the standardizer's width
-            _check_standardizer(group, standardizer)
-            estimator = ESTIMATOR_CLASSES[kind](seed=d["seed"], **d["hyper"])
-            estimator.load_fitted_params(d["params"], standardizer)
-            return cls(channel=d["channel"], kind=kind, group=group, rmse=d["rmse"],
-                       estimator=estimator)
-        except KeyError as exc:
-            raise IncompatibleBundleError(f"model entry lacks key {exc}") from None
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise IncompatibleBundleError(f"malformed model entry: {exc}") from None
+        read from, a value of the wrong type, a non-finite number, an entry
+        that breaks a rule of the constructor, or an entry that does not
+        save back to itself (``textio.check_saves_back``)."""
+        model = _read_model(d)
+        check_saves_back(d, model.to_dict(), "model")
+        return model
+
+
+def _read_model(d: dict) -> ChannelModel:
+    """``ChannelModel.from_dict`` but for the save-back rule, which
+    ``bundle_from_json`` applies once to the whole document."""
+    check_version(d, "model", BUNDLE_FORMAT_VERSION)
+    try:
+        kind, group = ModelKind(d["kind"]), FeatureGroup(d["group"])
+        standardizer = Standardizer.from_dict(d["standardizer"])
+        # before the params, which are read at the standardizer's width
+        _check_standardizer(group, standardizer)
+        estimator = ESTIMATOR_CLASSES[kind](seed=d["seed"], **d["hyper"])
+        estimator.load_fitted_params(d["params"], standardizer)
+        return ChannelModel(channel=d["channel"], kind=kind, group=group, rmse=d["rmse"],
+                            estimator=estimator)
+    except KeyError as exc:
+        raise IncompatibleBundleError(f"model entry lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise IncompatibleBundleError(f"malformed model entry: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ def bundle_from_json(text: str | bytes) -> ModelBundle:
     loaded = []
     for i, entry in enumerate(models):
         try:
-            loaded.append(ChannelModel.from_dict(entry))
+            loaded.append(_read_model(entry))
         except IncompatibleBundleError as exc:
             raise IncompatibleBundleError(f"models[{i}]: {exc}") from None
     bundle = ModelBundle(models=tuple(loaded))

@@ -1,5 +1,5 @@
-"""The ``generate``, ``study`` and ``predict`` commands: the ones that need
-numpy and the estimators. ``cli`` imports this module on their first use.
+"""The ``study`` and ``predict`` commands: the ones that need numpy and the
+estimators. ``cli`` imports this module on their first use.
 
 This module must not import ``cli``: under ``python -m impforecast.cli``
 that file runs as ``__main__``, so importing it again would load a second
@@ -9,11 +9,10 @@ command returns exit code 0 or raises.
 
 from __future__ import annotations
 
-import os
 import sys
 
 from .bundle import load_bundle, save_bundle
-from .dataio import generate_synthetic_cohort, parse_cohort_csv, serialize_cohort_csv
+from .dataio import parse_cohort_csv
 from .domain import CHANNELS
 from .errors import UsageError
 from .pipeline import StudyConfig, predict_batch, run_study
@@ -41,16 +40,7 @@ def _coerce_override(raw: str) -> tuple[str, object]:
         raise UsageError(f"--hyper value for {key!r} is not a number/bool: {text!r}") from None
 
 
-def generate(args) -> int:
-    cohort = generate_synthetic_cohort(args.n, args.seed)
-    write_text(args.out, [serialize_cohort_csv(cohort)])
-    print(f"wrote {len(cohort)} synthetic records to {args.out}", file=sys.stderr)
-    return 0
-
-
 def study(args) -> int:
-    if os.path.realpath(args.out_report) == os.path.realpath(args.out_models):
-        raise UsageError("--out-report and --out-models name the same file")
     overrides = dict(_coerce_override(item) for item in args.hyper)
     try:
         config = StudyConfig(
@@ -86,4 +76,4 @@ def predict(args) -> int:
     return 0
 
 
-COMMANDS = {"generate": generate, "study": study, "predict": predict}
+COMMANDS = {"study": study, "predict": predict}

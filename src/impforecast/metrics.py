@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import EmptyInputError, LengthMismatchError, NonFinitePredictionError
 from .report import N_BANDS, ErrorBands, pct_of
 
@@ -34,7 +35,7 @@ def rmse(y_hat, y) -> float:
     y_hat, y = _check_pair(y_hat, y)
     with np.errstate(over="ignore"):  # an overflow is raised below, not warned about
         diff = y_hat - y
-        squares = diff @ diff
+        squares = kernels.sq_norm(diff)
     if not np.isfinite(squares):
         raise NonFinitePredictionError(
             f"the squared errors of {y_hat.shape[0]} predictions overflow"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..domain import ModelKind
 from ..errors import DegenerateInputError
 from .base import BaseRegressor, loaded_numbers
@@ -53,12 +54,12 @@ class LinearRegressor(BaseRegressor):
         """Solve every column's normal equations with one ``Z'Z + ridge*I``;
         a column whose weights are not finite gets a DegenerateInputError."""
         Z = _design(Xs)
-        A = Z.T @ Z + estimators[0].hyper.ridge * np.eye(Z.shape[1])
+        A = kernels.gram(Z) + estimators[0].hyper.ridge * np.eye(Z.shape[1])
         outcomes = list(estimators)
         for row, (estimator, y) in enumerate(zip(estimators, Yt)):
             try:
-                w = np.linalg.solve(A, Z.T @ y)
-            except np.linalg.LinAlgError as exc:
+                w = kernels.solve(A, kernels.gram_rhs(Z, y))
+            except kernels.LinAlgError as exc:
                 outcomes[row] = DegenerateInputError(f"singular normal equations: {exc}")
                 continue
             if not np.isfinite(w).all():
@@ -100,7 +101,7 @@ class BayesianLinearRegressor(BaseRegressor):
     @staticmethod
     def _posterior_mean(ZtZ, Zty, D, alpha, beta):
         A = alpha * D + beta * ZtZ
-        return A, beta * np.linalg.solve(A, Zty)
+        return A, beta * kernels.solve(A, Zty)
 
     fit = BaseRegressor.fit
 
@@ -110,7 +111,7 @@ class BayesianLinearRegressor(BaseRegressor):
         Z = _design(Xs)
         D = np.eye(Z.shape[1])
         D[-1, -1] = 0.0
-        ZtZ = Z.T @ Z
+        ZtZ = kernels.gram(Z)
         return [estimator._fit_posterior(Z, ZtZ, D, y) for estimator, y in zip(estimators, Yt)]
 
     def _fit_posterior(self, Z, ZtZ, D, y):
@@ -118,16 +119,16 @@ class BayesianLinearRegressor(BaseRegressor):
         DegenerateInputError if the posterior is not finite."""
         n, p = Z.shape
         d = p - 1  # penalized coordinates (intercept excluded)
-        Zty = Z.T @ y
+        Zty = kernels.gram_rhs(Z, y)
 
         alpha, beta = float(self.hyper.alpha), float(self.hyper.beta)
         A, m = self._posterior_mean(ZtZ, Zty, D, alpha, beta)
         for _ in range(self.hyper.evidence_iters):
-            A_inv = np.linalg.inv(A)
+            A_inv = kernels.inverse(A)
             tr_pen = float(np.diag(A_inv)[:d].sum())
             gamma_pen = d - alpha * tr_pen  # effective dof among penalized weights
-            m_pen_sq = float(m[:d] @ m[:d])
-            sse = float(np.sum((y - Z @ m) ** 2))
+            m_pen_sq = float(kernels.sq_norm(m[:d]))
+            sse = float(np.sum((y - kernels.matvec(Z, m)) ** 2))
             alpha_new = np.clip(max(gamma_pen, _TINY) / max(m_pen_sq, _TINY), 1e-12, 1e12)
             # intercept always contributes one effective dof
             beta_new = np.clip(max(n - (gamma_pen + 1.0), _TINY) / max(sse, _TINY), 1e-12, 1e12)

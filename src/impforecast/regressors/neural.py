@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .. import kernels
 from ..domain import ModelKind
 from ..errors import DimensionMismatchError, NonFiniteLossError
 from ..seeding import PCG64Stream
@@ -127,26 +128,26 @@ class _Networks:
             self.n, self.hidden, self.err, self.d_out, self.d_hidden, self.slope
         )
         for (X, _), W1, rows in zip(self.X, self.W1, self.rows):
-            np.matmul(X, W1, out=hidden[rows])
+            kernels.batched_matmul(X, W1, hidden[rows])
         hidden += self.b1
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, self.w2_col, out=err)
+        kernels.batched_matmul(hidden, self.w2_col, err)
         err += self.b2
         err -= self.Yt
-        np.matmul(err.transpose(0, 2, 1), err, out=self.squares)
+        kernels.batched_matmul(err.transpose(0, 2, 1), err, self.squares)
         losses = self.squares[:, 0, 0] / n
 
         np.multiply(err, 2.0, out=d_out)
         d_out /= n
-        np.matmul(hidden.transpose(0, 2, 1), d_out, out=self.g_w2)
+        kernels.batched_matmul(hidden.transpose(0, 2, 1), d_out, self.g_w2)
         d_out.sum(axis=1, out=self.g_b2)
-        np.einsum("cn,ch->cnh", d_out[:, :, 0], self.w2, out=d_hidden)
+        kernels.outer_rows(d_out[:, :, 0], self.w2, d_hidden)
         np.square(hidden, out=slope)
         np.subtract(1.0, slope, out=slope)
         d_hidden *= slope
         for (_, XT), g_W1, rows in zip(self.X, self.g_W1, self.rows):
-            np.matmul(XT, d_hidden[rows], out=g_W1)
-        np.einsum("cnh->ch", d_hidden, out=self.g_b1)
+            kernels.batched_matmul(XT, d_hidden[rows], g_W1)
+        kernels.sum_rows(d_hidden, self.g_b1)
         return losses
 
 

@@ -4,7 +4,8 @@
 # networks win, also inline, and predict with both of its bundles; predict
 # with the first fast study's bundle, also from a BOM + CRLF copy; study and
 # predict again on two OpenBLAS threads; report in every format; and the
-# failures that must exit 1 or 2 in one stderr line and leave no file.
+# failures that must exit 1 or 2 in one stderr line and leave no file and
+# no input changed.
 #
 # Runs in a new temporary directory. IMPFORECAST is the command that runs
 # the CLI, the installed entry point by default; from a checkout:
@@ -91,6 +92,13 @@ test "$code" -eq 2 && test "$(wc -l < smoke-no-ridge.err)" -eq 1 && test ! -e sm
 # one path for both of a study's documents is a usage error (exit 1) in one stderr line, refused before anything is written
 code=0; $impforecast study --data smoke-cohort.csv --seed 3 --out-report smoke-same.json --out-models smoke-same.json 2> smoke-same.err || code=$?
 test "$code" -eq 1 && test "$(wc -l < smoke-same.err)" -eq 1 && test ! -e smoke-same.json || { echo "exit $code"; cat smoke-same.err; exit 1; }
+# an output that names one of the command's inputs is a usage error (exit 1) in one stderr line, refused before anything is read, and the input keeps its bytes
+cp smoke-models.json smoke-models-kept.json
+code=0; $impforecast predict --models smoke-models.json --data smoke-cohort.csv --out smoke-models.json 2> smoke-inout.err || code=$?
+test "$code" -eq 1 && test "$(wc -l < smoke-inout.err)" -eq 1 && cmp smoke-models.json smoke-models-kept.json || { echo "exit $code"; cat smoke-inout.err; exit 1; }
+cp smoke-report.json smoke-report-kept.json
+code=0; $impforecast report --in smoke-report.json --out smoke-report.json 2> smoke-inout.err || code=$?
+test "$code" -eq 1 && test "$(wc -l < smoke-inout.err)" -eq 1 && cmp smoke-report.json smoke-report-kept.json || { echo "exit $code"; cat smoke-inout.err; exit 1; }
 $impforecast report --in smoke-report.json --format text > smoke-report.txt
 $impforecast report --in smoke-report.json --format csv --out smoke-report.csv
 $impforecast report --in smoke-report.json --format json --out smoke-report-again.json

@@ -114,6 +114,28 @@ def test_in_memory_model_with_nan_is_refused(mixed_bundle, channel, path):
         ChannelModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("channel, edit, message", [
+    (1, lambda doc: doc["hyper"].pop("ridge"),
+     r"at hyper\.ridge: it holds no such key, its writer writes 1e-08$"),
+    (1, lambda doc: doc.update(rmse=1), r"at rmse: it holds 1, its writer writes 1\.0$"),
+    (4, lambda doc: doc["params"].update(tree_weights=[0.1] * 20),
+     r"at params\.tree_weights: it holds \[0\.1, 0\.1, .*\.\.\., its writer writes no such key$"),
+], ids=["no_ridge", "int_rmse", "tree_weights"])
+def test_a_model_entry_that_does_not_save_back_is_refused(mixed_bundle, channel, edit, message):
+    """``from_dict`` applies the rule of ``bundle_from_json`` to its entry."""
+    doc = mixed_bundle.models[channel - 1].to_dict()
+    assert ChannelModel.from_dict(doc).to_dict() == doc
+    edit(doc)
+    with pytest.raises(IncompatibleBundleError, match="^model does not save back to itself " + message):
+        ChannelModel.from_dict(doc)
+    bundle = json.loads(bundle_to_json(mixed_bundle))
+    edit(bundle["models"][channel - 1])
+    with pytest.raises(IncompatibleBundleError, match=(
+        rf"^bundle does not save back to itself at models\[{channel - 1}\]\." + message.removeprefix("at ")
+    )):
+        bundle_from_json(json.dumps(bundle))
+
+
 def test_a_negative_rmse_cannot_be_built(mixed_bundle):
     """The reader refuses a negative rmse, so no bundle that holds one can
     be built and saved."""

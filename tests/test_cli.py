@@ -725,6 +725,42 @@ class TestUsage:
         assert capsys.readouterr().err == "error: --out-report and --out-models name the same file\n"
         assert not same.exists()
 
+    @staticmethod
+    def refused(argv, capsys, kept, message):
+        """``argv`` is a usage error in one line, and the file ``kept`` keeps its bytes."""
+        before = kept.read_bytes()
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message} name the same file\n"
+        assert kept.read_bytes() == before
+
+    def test_a_study_output_that_is_its_cohort_is_usage_error(self, tmp_path, cohort_csv, capsys):
+        argv = ["study", "--data", str(cohort_csv), *FAST_HYPER,
+                "--out-report", str(cohort_csv), "--out-models", str(tmp_path / "m.json")]
+        self.refused(argv, capsys, cohort_csv, "--data and --out-report")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_a_prediction_output_that_is_an_input_is_usage_error(self, tmp_path, cohort_csv, capsys,
+                                                                 mixed_bundle):
+        """The bundle by its own path, and the cohort by a hard link."""
+        models, linked = tmp_path / "models.json", tmp_path / "linked.csv"
+        models.write_text(bundle_to_json(mixed_bundle))
+        os.link(cohort_csv, linked)
+        argv = ["predict", "--models", str(models), "--data", str(cohort_csv), "--out"]
+        self.refused([*argv, str(models)], capsys, models, "--models and --out")
+        self.refused([*argv, str(linked)], capsys, cohort_csv, "--data and --out")
+
+    def test_a_rendered_report_that_is_its_input_is_usage_error(self, tmp_path, capsys):
+        """The report by its own path, and by a symbolic link; a device is
+        no input's file."""
+        report, linked = tmp_path / "report.json", tmp_path / "linked.json"
+        report.write_text(REPORT_TEMPLATE % ENTRY_TEMPLATE % 1)
+        linked.symlink_to(report)
+        for out in (report, linked):
+            self.refused(["report", "--in", str(report), "--out", str(out)], capsys, report,
+                         "--in and --out")
+        assert run(["report", "--in", str(report), "--out", os.devnull]) == 0
+
     def test_internal_failure_maps_to_exit_3(self, tmp_path, cohort_csv, monkeypatch, capsys):
         import impforecast.commands as commands
         from impforecast.errors import LengthMismatchError

@@ -2,7 +2,8 @@
 ``python -m impforecast.cli`` route.
 
 ``import impforecast``, ``--help`` and ``report`` must not load numpy or
-the estimators; the package's public names load on first access. No
+the estimators; the package's public names load on first access.
+``generate`` loads numpy and the cohort generator, not the estimators. No
 command loads an executor's modules or ``selectors``: a study forks its
 workers itself and reads their pipes one after another.
 Neither a study, in its parent or its workers, nor ``predict`` loads
@@ -203,6 +204,13 @@ def test_light_commands_set_no_thread_count(saved_report):
     code = f"from impforecast.cli import run_cli\nassert run_cli({argv!r}) == 0"
     blas, _ = blas_env_after(code, {})
     assert blas == {}
+
+
+def test_generate_loads_only_the_cohort_generator(tmp_path):
+    estimators = ("impforecast.commands", "impforecast.regressors", "impforecast.bundle",
+                  "impforecast.pipeline", "impforecast.metrics")
+    assert modules_after(generate_code(tmp_path), estimators) == []
+    assert (tmp_path / "c.csv").stat().st_size > 0
 
 
 def test_study_loads_the_estimators():
