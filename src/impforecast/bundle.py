@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import loaded_rmse, repeated
-from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel
+from .domain import CHANNELS, FeatureGroup, ModelKind, check_channel, loaded_rmse, repeated
 from .errors import IncompatibleBundleError
 from .regressors import ESTIMATOR_CLASSES, BaseRegressor, Standardizer
 from .textio import check_saves_back, check_version, dump_json, load_json, read_text, write_json

@@ -1,10 +1,10 @@
 """The ``study`` and ``predict`` commands: the ones that need numpy and the
 estimators. ``cli`` imports this module on their first use.
 
-This module must not import ``cli``: under ``python -m impforecast.cli``
-that file runs as ``__main__``, so importing it again would load a second
-copy whose ``UsageError`` the running ``run_cli`` does not catch. Each
-command returns exit code 0 or raises.
+This module does not import ``cli``: ``cli`` imports it, and a command
+needs nothing of the parser. Under ``python -m impforecast.cli`` that file
+runs as ``__main__``, so an import of ``cli`` here would load and run it a
+second time. Each command returns exit code 0 or raises.
 """
 
 from __future__ import annotations

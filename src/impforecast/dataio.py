@@ -20,8 +20,19 @@ from typing import NoReturn
 
 import numpy as np
 
-from .checks import is_count, is_number, repeated, require
-from .domain import ALL_COLUMNS, BASE_COLUMNS, CHANNELS, LABEL_COLUMNS, Cohort, N_CHANNELS, published_range
+from .domain import (
+    ALL_COLUMNS,
+    BASE_COLUMNS,
+    CHANNELS,
+    LABEL_COLUMNS,
+    N_CHANNELS,
+    Cohort,
+    is_count,
+    is_number,
+    published_range,
+    repeated,
+    require,
+)
 from .errors import (
     BadNumberError,
     CsvSyntaxError,
@@ -132,8 +143,9 @@ def _float_table(body: list[list[str]], indices: list[int], width: int) -> np.nd
 def _raise_first_bad_cell(
     body: list[list[str]], indices: list[int], columns: tuple[str, ...], width: int
 ) -> NoReturn:
-    """Raise the error of the first bad row or cell in file order: a row with
-    more than ``width`` cells, or a cell ``_parse_cell`` rejects."""
+    """Raise the error of the first bad row, in file order: a row with more
+    than ``width`` cells, or the first cell of a row that ``_parse_cell``
+    rejects, its cells taken in schema order (``columns``), not the header's."""
     for row_no, row in enumerate(body, start=1):
         if len(row) > width:
             raise ExtraCellsError(row_no, len(row), width)

@@ -1,14 +1,15 @@
 """Core value types: the fixed 12-channel schema and its CSV column names,
-published per-channel impedance ranges, and feature-vector assembly for
-the two feature groups.
+published per-channel impedance ranges, feature-vector assembly for the
+two feature groups, and the value checks shared by the hyperparameter
+blocks, the study config and the readers of persisted documents.
 
 All types are immutable values and safe to share between threads.
 Impedances are kilo-ohms throughout; ages are decimal years, and a
 ``Cohort`` holds only finite values > 0.
 
 The module imports without numpy: only the functions that build arrays
-load it, so code that needs the schema alone (the report reader) stays
-light.
+load it, so code that needs the schema or the checks alone (the report
+reader) stays light.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadNumberError, NonPositiveError
@@ -191,6 +193,33 @@ def check_channel(channel: int) -> int:
     if not 1 <= channel <= N_CHANNELS:
         raise ValueError(f"channel must be in 1..{N_CHANNELS}, got {channel}")
     return int(channel)
+
+
+def require(ok: bool, key: str, rule: str, value) -> None:
+    """Raise ValueError ``"<key> must be <rule>, got <value>"`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """A finite int or float; bools are refused."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_count(value) -> bool:
+    """An int; bools are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def repeated(values) -> list:
+    """The values that occur more than once in ``values``, ascending."""
+    return sorted(value for value, n in Counter(values).items() if n > 1)
+
+
+def loaded_rmse(value) -> float:
+    """A persisted ``rmse``: a finite number >= 0, else ValueError."""
+    require(is_number(value) and value >= 0, "rmse", "a finite number >= 0", value)
+    return float(value)
 
 
 def published_range(channel: int) -> ChannelRange:

@@ -1,8 +1,7 @@
 """Prediction metrics: RMSE and the kOhm error bands of a prediction.
 
-The bands' type, ``ErrorBands``, and its exact percentage rounding
-``pct_of`` belong to the report document (``report``); both stay
-importable from here.
+The bands' type, ``ErrorBands``, and its exact percentage rounding belong
+to the report document (``report``).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EmptyInputError, LengthMismatchError, NonFinitePredictionError
-from .report import N_BANDS, ErrorBands, pct_of
+from .report import N_BANDS, ErrorBands
 
 def _check_pair(y_hat, y):
     y_hat = np.asarray(y_hat, dtype=float)

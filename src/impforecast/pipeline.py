@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bundle import ChannelModel, ModelBundle
-from .checks import require
 from .dataio import SplitSpec, split_cohort
 from .domain import (
     CHANNELS,
@@ -46,6 +45,7 @@ from .domain import (
     feature_matrix,
     group_index,
     kind_index,
+    require,
 )
 from .errors import (
     AllCandidatesFailedError,
@@ -54,10 +54,12 @@ from .errors import (
     NonFiniteOutputError,
     TooSmallError,
 )
-from .metrics import ErrorBands, error_bands, rmse
+from .metrics import error_bands, rmse
 from .regressors import ESTIMATOR_CLASSES, HyperParams, make_regressor
-# The report document lives in ``report``; these names stay importable from here.
-from .report import SelectionEntry, StudyReport, histogram_of_kinds, report_from_json, report_to_json
+from .report import ErrorBands, SelectionEntry, StudyReport
+# Not used here: perfbench/tracing.py looks these two up in this module to time
+# them. They go when the package writes its own trace (ROADMAP item 3).
+from .report import report_from_json, report_to_json
 from .seeding import derive_seed
 
 # Canonical candidate order; also the tie-breaking order (simpler first).

@@ -6,8 +6,6 @@ import dataclasses
 
 from ..domain import ModelKind
 from .base import BaseRegressor, Standardizer
-from .boosting import BoostedTreesRegressor
-from .forest import DecisionForestRegressor
 from .hyper import (
     BayesConfig,
     BoostConfig,
@@ -18,6 +16,7 @@ from .hyper import (
 )
 from .linear import BayesianLinearRegressor, LinearRegressor
 from .neural import NeuralNetRegressor, check_gradient, nn_loss_and_gradient
+from .tree import BoostedTreesRegressor, DecisionForestRegressor
 
 ESTIMATOR_CLASSES = {
     ModelKind.LR: LinearRegressor,

@@ -26,8 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..checks import is_count, require
-from ..domain import ModelKind
+from ..domain import ModelKind, is_count, require
 from ..errors import (
     DegenerateInputError,
     DimensionMismatchError,

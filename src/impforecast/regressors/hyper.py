@@ -16,8 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..checks import is_count, is_number, require
-from ..domain import ModelKind
+from ..domain import ModelKind, is_count, is_number, require
 
 
 # Caps on the fields that size an array or a kept model. They are generous

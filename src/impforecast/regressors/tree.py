@@ -1,4 +1,7 @@
-"""Binary regression trees with variance-reduction (squared error) splits.
+"""The tree family: binary regression trees with variance-reduction
+(squared error) splits, their two growers, the flat node table of an
+ensemble, and the two ensembles, the decision forest (DFR) and
+least-squares gradient boosting (BDTR).
 
 All candidate features of a node are scored in one vectorised pass over
 the cumulative sums of its targets sorted by each feature. Tie-breaking is
@@ -49,10 +52,16 @@ block of rows. Its one constructor checks every table, grown or loaded.
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import numpy as np
 
+from ..domain import ModelKind
 from ..errors import DegenerateInputError, IncompatibleBundleError
-from ..seeding import derive_seed, splitmix64_array
+from ..seeding import PCG64Stream, derive_seed, splitmix64_array
+from .base import BaseRegressor, loaded_numbers
+from .hyper import BoostConfig, ForestConfig
 
 # Rows descended together by TreeTable; bounds its (rows, trees) work arrays.
 PREDICT_BLOCK_ROWS = 256
@@ -580,3 +589,125 @@ def _preorder_trees(levels, trees: int) -> list[dict]:
     arrays = dict(zip(_FIELDS, (feature, threshold, left, right, value)))
     bounds = np.append(offset, n_nodes).tolist()
     return [{name: a[s:e] for name, a in arrays.items()} for s, e in zip(bounds, bounds[1:])]
+
+
+# --- the two ensembles ---------------------------------------------------------
+
+
+class DecisionForestRegressor(BaseRegressor):
+    """Average of ``trees`` CART trees, each grown on a bootstrap resample.
+
+    ``feature_subset`` features are considered at every split (default
+    ceil(sqrt(d))), chosen per node by a key derived from ``seed``, the
+    tree and the node's path (see ``grow_forest``). Predictions are
+    the plain mean over trees, so they can never leave
+    [min(y_train), max(y_train)].
+    """
+
+    kind = ModelKind.DFR
+    Config = ForestConfig
+
+    fit = BaseRegressor.fit
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        """Grow the forests of every column together, in one ``grow_forest``
+        pass; a column whose trees overflow gets a DegenerateInputError."""
+        hyper = estimators[0].hyper
+        d = Xs.shape[1]
+        seeds = [estimator.seed for estimator in estimators]
+        forests = grow_forest(
+            Xs,
+            Yt.T,
+            hyper.trees,
+            max_depth=hyper.max_depth,
+            min_leaf=hyper.min_leaf,
+            feature_subset=(
+                math.ceil(math.sqrt(d)) if hyper.feature_subset is None else hyper.feature_subset
+            ),
+            seeds=seeds,
+            rngs=[PCG64Stream(s) for s in seeds] if hyper.bootstrap else None,
+        )
+        return [with_grown_table(estimator, trees, n_features=d, n_trees=hyper.trees)
+                for estimator, trees in zip(estimators, forests)]
+
+    def predict(self, X) -> np.ndarray:
+        return self.table_.sums(self._standardized(X), 0.0, 1.0) / self.table_.n_trees
+
+    def fitted_params(self) -> dict:
+        return {"trees": self.table_.to_dicts()}
+
+    def _load_params(self, params, d):
+        self.table_ = TreeTable(params["trees"], n_features=d, n_trees=self.hyper.trees)
+
+
+class BoostedTreesRegressor(BaseRegressor):
+    """Stagewise additive model: start at mean(y), fit each tree to the
+    current residuals, add it scaled by ``learning_rate``.
+
+    Training is fully deterministic (no subsampling), so the seed goes
+    unused.
+    """
+
+    kind = ModelKind.BDTR
+    Config = BoostConfig
+
+    fit = BaseRegressor.fit
+
+    @classmethod
+    def _fit_columns(cls, estimators, Xs, Yt) -> list:
+        return [estimator._boost(Xs, y) for estimator, y in zip(estimators, Yt)]
+
+    def _boost(self, Xs, y):
+        """Grow the trees of one column over one ``SplitMemo`` of ``Xs``;
+        returns the estimator, or the DegenerateInputError of ``with_grown_table``.
+
+        The stages differ only in their residuals, so most of a stage's
+        nodes have the rows of a node that an earlier stage split. The memo
+        keys a child node by its parent's split (feature, left count) and
+        keeps what does not depend on the residuals: the node's presorted
+        block, its tie mask, its left/right counts and its children. A
+        stage that meets a known node only gathers its residuals, takes
+        their cumulative sums and scores them. The memo is dropped when the
+        column's last stage is grown. Columns do not share one: they reach
+        few of the same nodes, and a shared memo would hold every column's
+        nodes at once.
+        """
+        hyper = self.hyper
+        memo = SplitMemo(Xs)
+        self.base_value_ = float(y.mean())
+        residual = y - self.base_value_
+        trees = []
+        stage_pred = np.empty(Xs.shape[0], dtype=float)
+        for _ in range(hyper.trees):
+            tree = build_tree(
+                memo,
+                residual,
+                max_depth=hyper.max_depth,
+                min_leaf=hyper.min_leaf,
+                train_pred=stage_pred,
+            )
+            residual = residual - hyper.learning_rate * stage_pred
+            trees.append(tree)
+        return with_grown_table(self, trees, n_features=Xs.shape[1], n_trees=hyper.trees)
+
+    def predict(self, X) -> np.ndarray:
+        return self.table_.sums(self._standardized(X), self.base_value_, self.hyper.learning_rate)
+
+    def staged_predict(self, X) -> Iterator[np.ndarray]:
+        """Predictions after 1, 2, ..., T trees (copies)."""
+        stages = self.table_.staged_sums(
+            self._standardized(X), self.base_value_, self.hyper.learning_rate
+        )
+        for t in range(stages.shape[1]):
+            yield stages[:, t].copy()
+
+    def fitted_params(self) -> dict:
+        return {
+            "base_value": self.base_value_,
+            "trees": self.table_.to_dicts(),
+        }
+
+    def _load_params(self, params, d):
+        self.table_ = TreeTable(params["trees"], n_features=d, n_trees=self.hyper.trees)
+        self.base_value_ = float(loaded_numbers(params["base_value"], "base_value", ()))

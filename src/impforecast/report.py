@@ -15,8 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import is_count, loaded_rmse, repeated, require
-from .domain import KIND_LONG_NAMES, KIND_ORDER, FeatureGroup, ModelKind, check_channel
+from .domain import (
+    KIND_LONG_NAMES,
+    KIND_ORDER,
+    FeatureGroup,
+    ModelKind,
+    check_channel,
+    is_count,
+    loaded_rmse,
+    repeated,
+    require,
+)
 from .errors import (
     EmptyInputError,
     IncompatibleBundleError,

@@ -13,7 +13,7 @@ import math
 import os
 import stat
 
-from .checks import is_count
+from .domain import is_count
 from .errors import DataInputError, EncodingError, IncompatibleBundleError
 
 

@@ -22,7 +22,6 @@ from impforecast.domain import ModelKind, label_vector
 from impforecast.metrics import ErrorBands, rmse
 from impforecast.pipeline import (
     StudyConfig,
-    histogram_of_kinds,
     predict_one,
     report_to_json,
     run_study,
@@ -36,6 +35,7 @@ from impforecast.regressors import (
 )
 from impforecast.regressors.neural import check_gradient, param_count
 from impforecast.regressors.base import Standardizer
+from impforecast.report import histogram_of_kinds
 
 
 def report(name: str, ok: bool, detail: str = ""):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from impforecast.errors import EmptyInputError, FitError, LengthMismatchError, NonFinitePredictionError
-from impforecast.metrics import ErrorBands, error_bands, pct_of, rmse
+from impforecast.metrics import ErrorBands, error_bands, rmse
+from impforecast.report import pct_of
 
 
 class TestRmse:

@@ -25,7 +25,6 @@ from impforecast.pipeline import (
     StudyConfig,
     candidate_seed,
     evaluate_grid,
-    histogram_of_kinds,
     pick_winner,
     predict_one,
     report_from_json,
@@ -39,6 +38,7 @@ from impforecast.regressors import (
     NeuralNetRegressor,
     make_regressor,
 )
+from impforecast.report import histogram_of_kinds
 
 # trimmed ensembles/epochs: pipeline behavior is identical, tests run fast
 FAST = HyperParams().with_overrides(
@@ -480,6 +480,34 @@ class TestWorkerPool:
         assert err.startswith("internal error: a study worker exited with status 9 ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.json").exists()
+
+    def test_worker_killed_part_way_through_its_message_is_an_error(self, monkeypatch,
+                                                                    small_cohort):
+        # the part of a message in a pipe may not unpickle: the exit status,
+        # not the bytes, tells the parent that the worker did not finish
+        class CutShort:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                os.close(self.fd)
+
+            def write(self, message):
+                os.write(self.fd, message[: len(message) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def opened(file, mode="r", *args, **kwargs):
+            return CutShort(file) if mode == "wb" else open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", opened, raising=False)
+        self.on_cpus(monkeypatch, 2)
+        pids = self.forked(monkeypatch)
+        with pytest.raises(ImpforecastError, match="^a study worker was killed by signal 9 before "):
+            run_study(small_cohort, FAST_CONFIG)
+        self.assert_reaped(pids)
 
     def test_interrupted_study_kills_and_reaps_its_workers(self, monkeypatch, small_cohort):
         def interrupt(signum, frame):
